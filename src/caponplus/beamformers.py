@@ -11,7 +11,6 @@ Capon weight ``w_beta = sqrt(alpha) w_Cap`` whose output power is
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "BeamformerKind",
     "ShrinkageFactor",
     "BeamformerWeights",
-    "steering_fingerprint",
     "cb_weights",
     "capon_weights",
     "mmse_weights",
@@ -59,28 +57,16 @@ class ShrinkageFactor:
         return math.sqrt(self.alpha)
 
 
-def steering_fingerprint(a: np.ndarray) -> str:
-    """Short stable digest of a steering vector, for post-hoc (w, a) pairing checks."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    probe = np.concatenate(
-        [[complex(a.size), np.vdot(a, a)], a[:: max(1, a.size // 4)]]
-    )
-    return hashlib.blake2b(np.round(probe, 12).tobytes(), digest_size=8).hexdigest()
-
-
 @dataclass(frozen=True, eq=False)
 class BeamformerWeights:
-    """A weight vector, its kind, and the fingerprint of the steering vector it targets."""
+    """A weight vector, its kind, and whether it passes its steering vector with unit gain."""
 
     w: np.ndarray
     kind: BeamformerKind
     unit_gain: bool
-    fingerprint: str
 
     def check_unit_gain(self, a: np.ndarray) -> None:
-        """Assert that these weights were built for ``a`` and pass it with unit gain."""
-        if steering_fingerprint(a) != self.fingerprint:
-            raise DomainError("steering vector does not match the one the weights were built for")
+        """Assert that unit-gain weights pass ``a`` with ``|w^H a - 1| <= 1e-9``."""
         if self.unit_gain:
             gain_err = abs(np.vdot(self.w, a) - 1.0)
             if gain_err > UNIT_GAIN_ATOL:
@@ -97,7 +83,6 @@ def cb_weights(a: np.ndarray) -> BeamformerWeights:
         w=a / norm_sq,
         kind=BeamformerKind.CB,
         unit_gain=True,
-        fingerprint=steering_fingerprint(a),
     )
 
 
@@ -125,7 +110,6 @@ def capon_weights(cov: np.ndarray, a: np.ndarray) -> BeamformerWeights:
         w=cinv_a / denom,
         kind=BeamformerKind.CAPON,
         unit_gain=True,
-        fingerprint=steering_fingerprint(a),
     )
 
 
@@ -145,9 +129,7 @@ def mmse_weights(
         w = gamma * cinv_a / (1.0 + gamma * denom)
     else:
         w = gamma * cinv_a
-    return BeamformerWeights(
-        w=w, kind=BeamformerKind.MMSE, unit_gain=False, fingerprint=steering_fingerprint(a)
-    )
+    return BeamformerWeights(w=w, kind=BeamformerKind.MMSE, unit_gain=False)
 
 
 def capon_plus_weights(
@@ -160,7 +142,6 @@ def capon_plus_weights(
         w=shrink.beta * w_cap.w,
         kind=BeamformerKind.CAPON_PLUS,
         unit_gain=False,
-        fingerprint=w_cap.fingerprint,
     )
 
 
@@ -180,7 +161,6 @@ def adaptive_capon_weights(
         w=cinv_a * gamma_hat,
         kind=BeamformerKind.CAPON,
         unit_gain=True,
-        fingerprint=steering_fingerprint(a),
     )
     return weights, gamma_hat
 

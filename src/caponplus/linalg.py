@@ -1,12 +1,18 @@
 """Dense complex linear algebra for small Hermitian positive definite systems.
 
 Everything in this package runs through a handful of primitives: a complex
-Cholesky factorization with an explicit rank-deficiency threshold, triangular
-solves against the factor, real-valued Hermitian quadratic forms, and the
+Cholesky factorization with an explicit rank-deficiency threshold, solves
+against the factor, real-valued Hermitian quadratic forms, and the
 Sherman-Morrison update for rank-one covariance perturbations.  Matrices are
 plain ``numpy`` arrays of ``complex128``; the only wrapper type is
 :class:`CholeskyFactor`, which is reused both for solving and for sampling
 circular Gaussian vectors with a prescribed covariance.
+
+The factor comes from LAPACK ``zpotrf`` and solves from ``zpotrs``.  LAPACK
+only stops at a non-positive pivot, so the package's stricter rule (reject
+a pivot at or below ``M * eps * max(diag)``) is applied afterwards to the
+squared diagonal of LAPACK's factor, which holds the pivots.  Symmetry and
+quadratic-form residues are judged relative to the scale of the matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (
     DimensionMismatch,
@@ -34,10 +40,12 @@ __all__ = [
     "rank1_update_inverse",
 ]
 
-# Conjugate-symmetry tolerance (absolute) accepted at construction time.
-HERMITIAN_ATOL = 1e-12
+_EPS = np.finfo(np.float64).eps
 
-# Relative magnitude allowed for the imaginary residue of a quadratic form.
+# Conjugate-symmetry tolerance accepted at construction time, relative to max |A|.
+HERMITIAN_RTOL = 1e-12
+
+# Imaginary residue allowed in a quadratic form, relative to max |A| ||v||^2.
 _QF_IMAG_RTOL = 1e-10
 
 
@@ -54,8 +62,9 @@ def as_vector(v) -> np.ndarray:
 def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:
     """Validate and return an M x M Hermitian matrix.
 
-    Conjugate symmetry must hold within ``1e-12`` absolute; the residue is
-    then removed exactly by averaging with the conjugate transpose.  With
+    Conjugate symmetry must hold within ``1e-12 * max|A|``, so that rounding
+    in a product such as ``G D G^H`` passes at any scale; the residue is then
+    removed exactly by averaging with the conjugate transpose.  With
     ``posdef_hint`` the diagonal must additionally be strictly positive.
     """
     a = np.asarray(elements, dtype=np.complex128)
@@ -64,7 +73,7 @@ def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix contains non-finite entries")
     asym = np.abs(a - a.conj().T).max()
-    if asym > HERMITIAN_ATOL:
+    if asym > HERMITIAN_RTOL * np.abs(a).max():
         raise DomainError(
             f"matrix is not conjugate-symmetric: max |A - A^H| = {asym:.3e}"
         )
@@ -96,8 +105,11 @@ def cholesky(a: np.ndarray) -> CholeskyFactor:
     """Factor a Hermitian positive definite matrix as ``L L^H``.
 
     A pivot is rejected when it falls at or below ``M * eps * max(diag)``,
-    which flags both indefinite matrices and numerically singular ones such
-    as sample covariances formed from ``T <= M`` snapshots.
+    which flags indefinite matrices and numerically singular ones.  For a
+    sample covariance of ``T < M`` snapshots the pivot at index ``T`` is
+    rounding residue of about the size of that threshold, so such a matrix
+    is rejected at index ``T`` or later, or occasionally not at all.  Only
+    the lower triangle of ``a`` is read.
 
     Raises
     ------
@@ -108,21 +120,20 @@ def cholesky(a: np.ndarray) -> CholeskyFactor:
     m = a.shape[0]
     if a.ndim != 2 or a.shape[1] != m:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    max_diag = float(np.max(a.real.diagonal(), initial=0.0))
-    tol = m * np.finfo(np.float64).eps * max_diag
-    lower = np.zeros_like(a)
-    for j in range(m):
-        col = a[j:, j] - lower[j:, :j] @ lower[j, :j].conj()
-        pivot = col[0].real
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} is <= tolerance {tol:.3e}",
-                pivot_index=j,
-            )
-        d = np.sqrt(pivot)
-        lower[j, j] = d
-        lower[j + 1 :, j] = col[1:] / d
-    return CholeskyFactor(lower)
+    tol = m * _EPS * a.real.diagonal().max(initial=0.0)
+    lower, info = zpotrf(a, lower=1)
+    # The pivots are the squared diagonal of the factor.  Squaring is monotone,
+    # so the smallest diagonal entry decides when LAPACK succeeded.
+    diag = lower.real.diagonal()
+    if info == 0 and float(diag.min(initial=np.inf)) ** 2 > tol:
+        return CholeskyFactor(lower)
+    # On failure LAPACK stops at pivot info - 1; the pivots before it are valid.
+    factored = info - 1 if info > 0 else m
+    small = np.flatnonzero(diag[:factored] ** 2 <= tol)
+    j = int(small[0]) if small.size else factored
+    raise NotPositiveDefinite(
+        f"pivot at index {j} is <= tolerance {tol:.3e}", pivot_index=j
+    )
 
 
 def solve_chol(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
@@ -132,10 +143,7 @@ def solve_chol(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"rhs has leading dimension {b.shape[0]}, factor is {factor.dim}"
         )
-    y = solve_triangular(factor.lower, b, lower=True, check_finite=False)
-    return solve_triangular(
-        factor.lower.conj().T, y, lower=False, check_finite=False
-    )
+    return zpotrs(factor.lower, b, lower=1)[0]
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,8 +154,10 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
     """Real value of the Hermitian quadratic form ``v^H A v``.
 
-    The imaginary residue of the raw product must be negligible
-    (``<= 1e-10`` relative); it is asserted and discarded.
+    The imaginary residue of the raw product must be negligible,
+    ``<= 1e-10 * max|A| * ||v||^2``: rounding in ``A v`` scales with the
+    largest entries of ``A``, not with the value, which can be far smaller
+    along a weak eigenvector.  The residue is asserted and discarded.
     """
     a = np.asarray(a, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -156,7 +166,7 @@ def quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
             f"quadratic form shape mismatch: A {a.shape}, v {v.shape}"
         )
     raw = np.vdot(v, a @ v)
-    if abs(raw.imag) > _QF_IMAG_RTOL * max(abs(raw), 1e-300):
+    if abs(raw.imag) > _QF_IMAG_RTOL * np.abs(a).max() * np.vdot(v, v).real:
         raise DomainError(
             f"quadratic form has non-negligible imaginary part {raw.imag:.3e} "
             f"(|value| = {abs(raw):.3e}); matrix is not Hermitian enough"

@@ -8,6 +8,7 @@ from caponplus.arraymodel import (
     SourceSpec,
     build_cov_model,
 )
+from caponplus.errors import NotPositiveDefinite
 
 
 def random_hpd(rng: np.random.Generator, m: int, jitter: float = 1.0) -> np.ndarray:
@@ -38,3 +39,28 @@ def random_model(rng: np.random.Generator, antennas: int = 6, n_interferers: int
     geom = ArrayGeometry(antennas, 0.5)
     scene = random_scene(rng, n_interferers)
     return geom, scene, build_cov_model(geom, scene)
+
+
+def reference_cholesky(a: np.ndarray) -> np.ndarray:
+    """Column-by-column complex Cholesky with the package's pivot rule.
+
+    The reference for :func:`caponplus.linalg.cholesky`: returns the lower
+    factor, or raises ``NotPositiveDefinite`` at the first pivot at or below
+    ``M * eps * max(diag)``.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    m = a.shape[0]
+    tol = m * np.finfo(np.float64).eps * float(np.max(a.real.diagonal(), initial=0.0))
+    lower = np.zeros_like(a)
+    for j in range(m):
+        col = a[j:, j] - lower[j:, :j] @ lower[j, :j].conj()
+        pivot = col[0].real
+        if pivot <= tol:
+            raise NotPositiveDefinite(
+                f"pivot {pivot:.3e} at index {j} is <= tolerance {tol:.3e}",
+                pivot_index=j,
+            )
+        d = np.sqrt(pivot)
+        lower[j, j] = d
+        lower[j + 1 :, j] = col[1:] / d
+    return lower

@@ -72,6 +72,15 @@ class TestScm:
         cov = scm(make_batch(x))
         assert np.array_equal(cov.matrix, cov.matrix.conj().T)
 
+    @pytest.mark.parametrize("t", [30, 60, 120, 500])
+    def test_matches_matrix_product(self, t):
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal((t, 25)) + 1j * rng.standard_normal((t, 25))
+        got = scm(make_batch(x)).matrix
+        ref = x.T @ x.conj() / t
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(got, got.conj().T)
+
 
 class TestPowerEstimate:
     def test_zero_weight(self):

@@ -15,7 +15,7 @@ from caponplus.linalg import (
     solve_chol,
     solve_hpd,
 )
-from helpers import random_cvector, random_hpd
+from helpers import random_cvector, random_hpd, reference_cholesky
 
 SQRT2 = 1.4142135623730951
 INV_SQRT2 = 0.7071067811865475
@@ -39,6 +39,16 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_matrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_tolerance_scales_with_matrix(self, scale):
+        # G D G^H + s I is Hermitian up to rounding that grows with s.
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = (g * (scale * rng.uniform(0.5, 2.0, 6))) @ g.conj().T + scale * np.eye(6)
+        assert np.abs(a - a.conj().T).max() > 1e-12
+        out = hermitian_matrix(a, posdef_hint=True)
+        assert np.array_equal(out, out.conj().T)
 
 
 class TestCholesky:
@@ -79,6 +89,54 @@ class TestCholesky:
         a = random_hpd(rng, 6)
         _sign, ref = np.linalg.slogdet(a)
         assert cholesky(a).log_det() == pytest.approx(ref, rel=1e-12)
+
+
+def _pivot_index(factor, a):
+    """``None`` when ``factor(a)`` succeeds, else the reported failing pivot."""
+    try:
+        factor(a)
+    except NotPositiveDefinite as exc:
+        return exc.pivot_index
+    return None
+
+
+class TestCholeskyMatchesReference:
+    """The LAPACK factorization against the column-loop reference."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 25, 40, 64])
+    def test_hpd_factors_agree(self, m):
+        rng = np.random.default_rng(200 + m)
+        for _ in range(5):
+            a = random_hpd(rng, m)
+            ref = reference_cholesky(a)
+            got = cholesky(a).lower
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 25, 40, 64])
+    def test_indefinite_same_pivot(self, m):
+        rng = np.random.default_rng(300 + m)
+        for _ in range(5):
+            a = random_hpd(rng, m)
+            a -= np.quantile(np.linalg.eigvalsh(a), rng.uniform(0.05, 0.95)) * np.eye(m)
+            ref = _pivot_index(reference_cholesky, a)
+            assert ref is not None
+            assert _pivot_index(cholesky, a) == ref
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 25, 40, 64])
+    def test_rank_deficient_scm_keeps_valid_pivots(self, m):
+        # A T < M sample covariance has rank T: pivots 0..T-1 are positive
+        # and pivot T is zero in exact arithmetic.  Neither path may reject
+        # a pivot below T.  At and after T the computed pivots are rounding
+        # residue of the order of the threshold, so the decision there is
+        # not reproducible between two summation orders and is not compared.
+        rng = np.random.default_rng(400 + m)
+        for t in range(1, m):
+            x = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+            s = x.T @ x.conj() / t
+            for factor in (reference_cholesky, cholesky):
+                idx = _pivot_index(factor, s)
+                assert idx is None or idx >= t
 
 
 class TestSolveHpd:
@@ -151,6 +209,15 @@ class TestQuadraticForm:
         a = np.array([[1.0, 5.0j], [5.0j, 1.0]])  # complex-symmetric, not Hermitian
         with pytest.raises(DomainError):
             quadratic_form(a, np.array([1.0, 1.0], dtype=complex))
+
+    def test_weak_eigenvector_of_ill_conditioned_matrix(self):
+        # Along the smallest eigenvector of a cond-1e12 matrix the value is
+        # 1 while rounding in A v is of order eps * 1e12.
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            u, _r = np.linalg.qr(random_hpd(rng, 8))
+            a = (u * np.geomspace(1.0, 1e12, 8)) @ u.conj().T
+            assert quadratic_form(a, u[:, 0]) == pytest.approx(1.0, abs=1e-2)
 
 
 class TestRank1UpdateInverse:
