@@ -53,14 +53,12 @@ from .estimation import (
     PowerEstimate,
     PowerEstimator,
     SampleCovariance,
-    alpha_hat_scenario_a,
-    alpha_hat_scenario_b,
+    alpha_hat,
     debiased_power,
     debiased_power_scaled,
-    fourth_moment,
     kurtosis_estimate,
     negative_log_likelihood,
-    power_estimate,
+    output_moments,
     scm,
 )
 from .linalg import (
@@ -71,7 +69,7 @@ from .linalg import (
     rank1_update_inverse,
     solve_hpd,
 )
-from .metrics import AggregateRecord, TrialRecord, aggregate, relative_bias, se_nmse, sp_nmse
+from .metrics import AggregateRecord, TrialRecord, aggregate, trial_records
 from .montecarlo import (
     PskAlphaMode,
     Regime,
@@ -82,6 +80,7 @@ from .montecarlo import (
     default_scene,
     run_scenario,
     run_trial,
+    scene_from_db,
     snr_to_scene,
 )
 from .signalsim import (

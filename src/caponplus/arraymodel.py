@@ -109,13 +109,9 @@ def _steering_cached(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     return a
 
 
-def steering_matrix(geom: ArrayGeometry, doas_deg) -> np.ndarray:
-    """Stack steering vectors for several DOAs as columns (M x K)."""
-    return _steering_matrix_cached(geom, tuple(float(d) for d in doas_deg)).copy()
-
-
 @functools.lru_cache(maxsize=256)
 def _steering_matrix_cached(geom: ArrayGeometry, doas_deg: tuple) -> np.ndarray:
+    """Steering vectors of several DOAs as the columns of a read-only M x K matrix."""
     for d in doas_deg:
         if not -90.0 <= d < 90.0:
             raise DomainError(f"DOA must lie in [-90, 90), got {d}")

@@ -148,12 +148,14 @@ def capon_plus_weights(
 def adaptive_capon_weights(
     scm: np.ndarray, a: np.ndarray
 ) -> tuple[BeamformerWeights, float]:
-    """Adaptive Capon weight from a sample covariance (requires ``T > M`` data).
+    """Adaptive Capon weight from a sample covariance of ``T > M`` snapshots.
 
     Returns the weight ``w = gamma_hat S_hat^{-1} a`` together with the
     plug-in output power ``gamma_hat = (a^H S_hat^{-1} a)^{-1}``; the weight
-    satisfies ``w^H a = 1``.  Rank-deficient sample covariances raise
-    ``NotPositiveDefinite``.
+    satisfies ``w^H a = 1``.  Callers must supply ``T > M``, as
+    ``ScenarioConfig.validate`` enforces for regimes b, c and d: the
+    Cholesky rule raises ``NotPositiveDefinite`` for most rank-deficient
+    (``T < M``) sample covariances but factors a few of them.
     """
     cinv_a, denom = _capon_like(scm, a)
     gamma_hat = 1.0 / denom

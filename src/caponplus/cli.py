@@ -27,7 +27,7 @@ from importlib import resources
 import jsonschema
 
 from ._version import __version__
-from .arraymodel import ArrayGeometry, SourceScene, SourceSpec
+from .arraymodel import ArrayGeometry
 from .errors import (
     CaponPlusError,
     ConfigError,
@@ -36,6 +36,11 @@ from .errors import (
     ValidationError,
 )
 from .montecarlo import (
+    DEFAULT_GEOMETRY,
+    DEFAULT_INTERFERER_DOAS_DEG,
+    DEFAULT_INTERFERER_OFFSETS_DB,
+    DEFAULT_NOISE_VAR,
+    DEFAULT_SOI_DOA_DEG,
     PskAlphaMode,
     Regime,
     ScenarioConfig,
@@ -43,6 +48,7 @@ from .montecarlo import (
     SweepSpec,
     SweepVariable,
     run_scenario,
+    scene_from_db,
 )
 from .presets import PRESETS
 from .signalsim import WaveformKind
@@ -65,22 +71,23 @@ RESULT_COLUMNS = (
     "n_failed",
 )
 
-# Defaults reproduce the Gaussian known-statistics sweep (preset fig1).
+# Defaults reproduce the Gaussian known-statistics sweep (preset fig1) in the
+# reference scene.
 DEFAULT_CONFIG: dict = {
-    "regime": "oracle",
-    "antennas": 25,
-    "spacing_wavelengths": 0.5,
-    "soi_doa_deg": -45.02,
-    "interferer_doas_deg": [-30.02, -20.02, -3.0],
-    "interferer_offsets_db": [2.0, 4.0, 6.0],
-    "noise_var": 1.0,
-    "waveform": "gaussian",
+    "regime": PRESETS["fig1"]["regime"],
+    "antennas": DEFAULT_GEOMETRY.antennas,
+    "spacing_wavelengths": DEFAULT_GEOMETRY.d_over_lambda,
+    "soi_doa_deg": DEFAULT_SOI_DOA_DEG,
+    "interferer_doas_deg": list(DEFAULT_INTERFERER_DOAS_DEG),
+    "interferer_offsets_db": list(DEFAULT_INTERFERER_OFFSETS_DB),
+    "noise_var": DEFAULT_NOISE_VAR,
+    "waveform": PRESETS["fig1"]["waveform"],
     "snapshots": 60,
     "secondary_snapshots": 0,
-    "trials": 15000,
+    "trials": PRESETS["fig1"]["trials"],
     "seed": 20250810,
     "snr_db": 0.0,
-    "sweep": {"variable": "snr_db", "values": [0.0, -2.0, -4.0, -6.0, -8.5]},
+    "sweep": PRESETS["fig1"]["sweep"],
     "psk_alpha_mode": "kappa_minus_one",
     "output_path": "results.csv",
     "output_format": "csv",
@@ -138,41 +145,22 @@ def _validate_schema(doc: dict) -> None:
         raise ValidationError("config rejected:\n  " + "\n  ".join(lines))
 
 
-def _build_scene(cfg: dict) -> SourceScene:
-    doas = cfg["interferer_doas_deg"]
-    offsets = cfg["interferer_offsets_db"]
-    if len(doas) != len(offsets):
-        raise ValidationError(
-            f"interferer_doas_deg has {len(doas)} entries but "
-            f"interferer_offsets_db has {len(offsets)}"
-        )
-    soi_power = cfg["noise_var"] * 10.0 ** (cfg["snr_db"] / 10.0)
-    return SourceScene(
-        soi=SourceSpec(cfg["soi_doa_deg"], soi_power),
-        interferers=tuple(
-            SourceSpec(doa, soi_power * 10.0 ** (-off / 10.0))
-            for doa, off in zip(doas, offsets)
-        ),
-        noise_var=cfg["noise_var"],
-    )
-
-
 def build_run_config(doc: dict) -> RunConfig:
     """Merge ``doc`` over the defaults and produce a validated :class:`RunConfig`."""
     _validate_schema(doc)
     cfg = {**DEFAULT_CONFIG, **doc}
     sweep_doc = {**DEFAULT_CONFIG["sweep"], **cfg["sweep"]}
     sweep = SweepSpec(SweepVariable(sweep_doc["variable"]), tuple(sweep_doc["values"]))
-    if sweep.variable is SweepVariable.SNR_DB:
-        # built at 0 dB; each sweep point rescales the scene
-        base_scene_cfg = {**cfg, "snr_db": 0.0}
-    else:
-        base_scene_cfg = cfg
+    # An SNR sweep builds the scene at 0 dB; each sweep point rescales it.
+    snr_db = 0.0 if sweep.variable is SweepVariable.SNR_DB else cfg["snr_db"]
     try:
         scenario = ScenarioConfig(
             regime=Regime(cfg["regime"]),
             geom=ArrayGeometry(cfg["antennas"], cfg["spacing_wavelengths"]),
-            base_scene=_build_scene(base_scene_cfg),
+            base_scene=scene_from_db(
+                snr_db, cfg["soi_doa_deg"], cfg["interferer_doas_deg"],
+                cfg["interferer_offsets_db"], cfg["noise_var"],
+            ),
             waveform=WaveformKind(cfg["waveform"]),
             snapshots=cfg["snapshots"],
             secondary_snapshots=cfg["secondary_snapshots"],

@@ -4,7 +4,7 @@ These are the adaptive counterparts of the closed-form theory: the sample
 covariance matrix, the beamformer-output power estimate
 ``gamma_hat = (1/T) sum |w^H x(t)|^2`` and its fourth-moment companion, the
 debiased Capon power estimator (equal to the Gaussian MLE of the SOI power
-for known INCM), and the plug-in shrinkage factors used by the adaptive
+for known INCM), and the plug-in shrinkage factor used by the adaptive
 scenarios.
 """
 
@@ -19,13 +19,12 @@ from scipy.linalg.blas import zherk
 from .errors import (
     DegenerateDenominator,
     DegenerateSample,
-    DimensionMismatch,
     DomainError,
     EmptyBatch,
     InsufficientSecondarySamples,
     NonPositiveQuadraticForm,
 )
-from .beamformers import BeamformerWeights, ShrinkageFactor
+from .beamformers import ShrinkageFactor
 from .linalg import cholesky, solve_chol
 from .signalsim import SnapshotBatch
 
@@ -34,24 +33,20 @@ __all__ = [
     "PowerEstimate",
     "SampleCovariance",
     "scm",
-    "power_estimate",
-    "fourth_moment",
+    "output_moments",
     "kurtosis_estimate",
     "debiased_power",
     "NllProfile",
     "nll_profile",
     "negative_log_likelihood",
-    "alpha_hat_scenario_a",
-    "alpha_hat_scenario_b",
+    "alpha_hat",
     "debiased_power_scaled",
 ]
 
 
 class PowerEstimator(enum.Enum):
-    RAW = "raw"
     DEBIASED = "debiased"
     DEBIASED_SCALED = "debiased_scaled"
-    MLE = "mle"
 
 
 @dataclass(frozen=True)
@@ -99,29 +94,14 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     return SampleCovariance(matrix=mat, num_snapshots=t)
 
 
-def _outputs(w: BeamformerWeights | np.ndarray, batch: SnapshotBatch) -> np.ndarray:
-    wvec = w.w if isinstance(w, BeamformerWeights) else np.asarray(w, dtype=np.complex128)
-    if wvec.size != batch.num_antennas:
-        raise DimensionMismatch(
-            f"weights have {wvec.size} elements, snapshots have {batch.num_antennas}"
-        )
-    return batch.snapshots @ wvec.conj()
+def output_moments(out: np.ndarray) -> tuple[float, float]:
+    """Power and fourth moment ``(1/T) sum |s(t)|^2``, ``(1/T) sum |s(t)|^4``
+    of a beamformer output ``s(t) = w^H x(t)``.
 
-
-def power_estimate(w: BeamformerWeights | np.ndarray, batch: SnapshotBatch) -> PowerEstimate:
-    """Raw output power estimate ``(1/T) sum |w^H x(t)|^2``.
-
-    Algebraically identical to the quadratic form of the sample covariance
-    in ``w``.
+    The power is the quadratic form of the sample covariance in ``w``.
     """
-    out = _outputs(w, batch)
-    return PowerEstimate(float(np.mean(np.abs(out) ** 2)), PowerEstimator.RAW)
-
-
-def fourth_moment(w: BeamformerWeights | np.ndarray, batch: SnapshotBatch) -> float:
-    """Empirical fourth moment ``(1/T) sum |w^H x(t)|^4`` of the beamformer output."""
-    out = _outputs(w, batch)
-    return float(np.mean(np.abs(out) ** 4))
+    abs_sq = out.real**2 + out.imag**2
+    return float(np.mean(abs_sq)), float(np.mean(abs_sq**2))
 
 
 def kurtosis_estimate(samples: np.ndarray) -> float:
@@ -209,7 +189,14 @@ def negative_log_likelihood(
     return float(nll_profile(q_mat, sample_cov, a)(gamma))
 
 
-def _alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int) -> ShrinkageFactor:
+def alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int) -> ShrinkageFactor:
+    """Plug-in shrinkage ``alpha = T ghat_cap g / (m4 + (T-1) ghat_cap^2)``.
+
+    ``ghat_cap`` and ``m4`` are the power and fourth moment of the Capon
+    output (adaptive weights may pass their plug-in power instead) and
+    ``g`` is the SOI power: known, or estimated by the debiased estimator
+    when only the INCM is known.
+    """
     if t < 1:
         raise DomainError(f"snapshot count must be >= 1, got {t}")
     if gamma_cap_hat < 0.0 or fourth_mom < 0.0 or gamma_num < 0.0:
@@ -220,31 +207,6 @@ def _alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int
             f"shrinkage denominator must be positive, got {denom}"
         )
     return ShrinkageFactor(t * gamma_cap_hat * gamma_num / denom)
-
-
-def alpha_hat_scenario_a(
-    gamma_cap_hat: float, fourth_mom: float, gamma_deb: float, t: int
-) -> ShrinkageFactor:
-    """Adaptive shrinkage when the INCM is known and the SOI power is estimated.
-
-    ``alpha = T ghat_cap ghat_deb / (m4 + (T-1) ghat_cap^2)`` with ``m4`` the
-    empirical fourth moment of the Capon output and ``ghat_deb`` the debiased
-    power estimate.
-    """
-    return _alpha_hat(gamma_cap_hat, fourth_mom, gamma_deb, t)
-
-
-def alpha_hat_scenario_b(
-    gamma_cap_hathat: float, fourth_mom_adaptive: float, gamma_known: float, t: int
-) -> ShrinkageFactor:
-    """Adaptive shrinkage when the SOI power is known and the weights are adaptive.
-
-    Same rational form as scenario A, with the plug-in Capon output power of
-    the adaptive weight and the known SOI power in the numerator.
-    """
-    if gamma_known < 0.0:
-        raise DomainError(f"known SOI power must be >= 0, got {gamma_known}")
-    return _alpha_hat(gamma_cap_hathat, fourth_mom_adaptive, gamma_known, t)
 
 
 def debiased_power_scaled(

@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "CholeskyFactor",
-    "as_vector",
     "hermitian_matrix",
     "cholesky",
     "solve_chol",
@@ -47,16 +46,6 @@ HERMITIAN_RTOL = 1e-12
 
 # Imaginary residue allowed in a quadratic form, relative to max |A| ||v||^2.
 _QF_IMAG_RTOL = 1e-10
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce ``v`` to a 1-D complex128 vector of positive length."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionMismatch(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector contains non-finite entries")
-    return v
 
 
 def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:

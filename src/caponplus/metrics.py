@@ -1,4 +1,9 @@
-"""Per-trial performance metrics and their Monte-Carlo aggregates."""
+"""Per-trial performance metrics and their Monte-Carlo aggregates.
+
+:func:`trial_records` is the one place that scores a trial: the relative
+power bias ``(gamma_hat - gamma) / gamma``, the power NMSE (its square) and
+the waveform NMSE ``sum |s_hat - s|^2 / sum |s|^2``.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +18,8 @@ __all__ = [
     "METHOD_ORDER",
     "TrialRecord",
     "AggregateRecord",
-    "relative_bias",
-    "se_nmse",
-    "sp_nmse",
+    "mean_abs_sq",
+    "trial_records",
     "aggregate",
 ]
 
@@ -66,30 +70,43 @@ class AggregateRecord:
     n_trials: int
 
 
-def relative_bias(gamma_hat: float, gamma: float) -> float:
-    """Single-trial relative power error ``(gamma_hat - gamma) / gamma``."""
+def mean_abs_sq(out: np.ndarray) -> float:
+    """Output power ``(1/T) sum |s_hat(t)|^2`` as one ``vdot``, the oracle
+    trial's form; its last bits differ from ``estimation.output_moments``."""
+    return float(np.vdot(out, out).real) / out.size
+
+
+def trial_records(
+    trial_index: int, gamma: float, truth: np.ndarray, entries
+) -> list[TrialRecord]:
+    """Score one trial: one record per ``(method, output, gamma_hat, alpha_used)``.
+
+    ``output`` is the method's waveform estimate of ``truth`` and
+    ``gamma_hat`` its power estimate, or ``None`` for the output power.  The
+    true power and the waveform energy are checked once for all methods.
+    """
     if not gamma > 0.0:
         raise DomainError(f"true power must be positive, got {gamma}")
-    return (gamma_hat - gamma) / gamma
-
-
-def se_nmse(s_hat: np.ndarray, s: np.ndarray) -> float:
-    """Waveform estimation NMSE ``sum |s_hat - s|^2 / sum |s|^2``."""
-    s_hat = np.asarray(s_hat)
-    s = np.asarray(s)
-    if s_hat.shape != s.shape:
-        raise DomainError(f"waveform shapes differ: {s_hat.shape} vs {s.shape}")
-    denom = float(np.sum(np.abs(s) ** 2))
-    if denom <= 0.0:
+    truth_energy = float(np.vdot(truth, truth).real)
+    if truth_energy <= 0.0:
         raise DegenerateSample("true waveform has zero energy")
-    return float(np.sum(np.abs(s_hat - s) ** 2)) / denom
-
-
-def sp_nmse(gamma_hat: float, gamma: float) -> float:
-    """Power estimation NMSE ``(gamma_hat - gamma)^2 / gamma^2``."""
-    if not gamma > 0.0:
-        raise DomainError(f"true power must be positive, got {gamma}")
-    return (gamma_hat - gamma) ** 2 / gamma**2
+    records = []
+    for method, out, gamma_hat, alpha_used in entries:
+        if gamma_hat is None:
+            gamma_hat = mean_abs_sq(out)
+        rel = (gamma_hat - gamma) / gamma
+        err = out - truth
+        records.append(
+            TrialRecord(
+                method=method,
+                trial_index=trial_index,
+                rel_bias_term=rel,
+                se_nmse=float(np.vdot(err, err).real) / truth_energy,
+                sp_nmse=rel * rel,
+                alpha_used=alpha_used,
+            )
+        )
+    return records
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -18,9 +18,24 @@ Five regimes are supported, each sweeping SNR or the secondary sample count:
     As ``c`` but with the SOI power estimated via the inverse-Wishart
     corrected debiased estimator (``c = T0 / (T0 - M)``).
 
-An additional ``alpha_sweep`` mode tabulates the closed-form power NMSE and
-bias of ``alpha * gamma_hat_cap`` over a grid of shrinkage factors; it needs
-no Monte-Carlo trials.
+Regimes a to d share one trial: synthesize the batch, form the Capon
+weight, beamform, take the output power and fourth moment, estimate the
+shrinkage, and score Capon, MMSE and CaponPlus.  The regime picks
+
+* the Capon weight: the exact ``w_cap`` (a), or the adaptive weight from
+  the SCM of the primary batch (b) or of the secondary batch (c, d);
+* the SOI power in the shrinkage numerator and the MMSE scale: the known
+  ``gamma`` (b, c), the debiased estimate (a) or its inverse-Wishart
+  scaled form (d);
+* whether a ``Debiased`` row is added (a, d).
+
+Regime b divides by its plug-in power ``1 / (a^H S_hat^{-1} a)``, c and d
+by the measured output power; regime a scales its MMSE row by
+``g q / (1 + g q)`` with ``q = a^H Q^{-1} a``.
+
+An additional ``alpha_sweep`` mode tabulates the closed-form row of the
+shrunk Capon weight ``sqrt(alpha) w_cap`` over a grid of shrinkage factors;
+it needs no Monte-Carlo trials.
 
 Reports are a pure function of the configuration: trials are seeded by
 ``(master_seed, trial_index)``, run independently (optionally across
@@ -46,6 +61,7 @@ import enum
 import math
 import multiprocessing
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -76,14 +92,14 @@ from .beamformers import (
 from .errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
 from .linalg import quadratic_form
 from .estimation import (
-    alpha_hat_scenario_a,
-    alpha_hat_scenario_b,
+    alpha_hat,
     debiased_power,
     debiased_power_scaled,
     kurtosis_estimate,
+    output_moments,
     scm,
 )
-from .metrics import AggregateRecord, TrialRecord, aggregate
+from .metrics import AggregateRecord, TrialRecord, aggregate, mean_abs_sq, trial_records
 from .signalsim import (
     TrialRngs,
     WaveformKind,
@@ -110,6 +126,8 @@ __all__ = [
     "DEFAULT_SOI_DOA_DEG",
     "DEFAULT_INTERFERER_DOAS_DEG",
     "DEFAULT_INTERFERER_OFFSETS_DB",
+    "DEFAULT_NOISE_VAR",
+    "scene_from_db",
 ]
 
 # Experiment constants of the reference setup: 25-element half-wavelength ULA,
@@ -118,6 +136,7 @@ DEFAULT_GEOMETRY = ArrayGeometry(antennas=25, d_over_lambda=0.5)
 DEFAULT_SOI_DOA_DEG = -45.02
 DEFAULT_INTERFERER_DOAS_DEG = (-30.02, -20.02, -3.0)
 DEFAULT_INTERFERER_OFFSETS_DB = (2.0, 4.0, 6.0)
+DEFAULT_NOISE_VAR = 1.0
 
 MAX_FAILURE_SHARE = 0.01
 
@@ -212,18 +231,35 @@ class ScenarioConfig:
             raise ConfigError("; ".join(problems))
 
 
+def scene_from_db(
+    snr_db: float = 0.0,
+    soi_doa_deg: float = DEFAULT_SOI_DOA_DEG,
+    interferer_doas_deg: Sequence[float] = DEFAULT_INTERFERER_DOAS_DEG,
+    interferer_offsets_db: Sequence[float] = DEFAULT_INTERFERER_OFFSETS_DB,
+    noise_var: float = DEFAULT_NOISE_VAR,
+) -> SourceScene:
+    """A scene given in dB: the SOI ``snr_db`` dB over the noise, each
+    interferer its offset in dB below the SOI.  The defaults are the
+    reference setup."""
+    if len(interferer_doas_deg) != len(interferer_offsets_db):
+        raise ConfigError(
+            f"interferer_doas_deg has {len(interferer_doas_deg)} entries but "
+            f"interferer_offsets_db has {len(interferer_offsets_db)}"
+        )
+    soi_power = noise_var * 10.0 ** (snr_db / 10.0)
+    return SourceScene(
+        soi=SourceSpec(soi_doa_deg, soi_power),
+        interferers=tuple(
+            SourceSpec(doa, soi_power * 10.0 ** (-off / 10.0))
+            for doa, off in zip(interferer_doas_deg, interferer_offsets_db)
+        ),
+        noise_var=noise_var,
+    )
+
+
 def default_scene(snr_db: float = 0.0) -> SourceScene:
     """The reference four-source scene at the given SOI SNR over unit noise."""
-    soi_power = 10.0 ** (snr_db / 10.0)
-    interferers = tuple(
-        SourceSpec(doa, soi_power * 10.0 ** (-off / 10.0))
-        for doa, off in zip(DEFAULT_INTERFERER_DOAS_DEG, DEFAULT_INTERFERER_OFFSETS_DB)
-    )
-    return SourceScene(
-        soi=SourceSpec(DEFAULT_SOI_DOA_DEG, soi_power),
-        interferers=interferers,
-        noise_var=1.0,
-    )
+    return scene_from_db(snr_db)
 
 
 def snr_to_scene(base_scene: SourceScene, snr_db: float) -> SourceScene:
@@ -303,44 +339,12 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
     )
 
 
-def _mean_abs_sq(out: np.ndarray) -> float:
-    return float(np.vdot(out, out).real) / out.size
-
-
-def _records_from_outputs(
-    idx: int, gamma: float, truth: np.ndarray, entries
-) -> list[TrialRecord]:
-    """Build one record per (method, output, gamma_hat, alpha_used) entry.
-
-    Same formulas as :mod:`caponplus.metrics` (relative bias, SE-NMSE,
-    SP-NMSE), evaluated with the waveform energy shared across methods.
-    """
-    truth_energy = float(np.vdot(truth, truth).real)
-    records = []
-    for method, out, gamma_hat, alpha_used in entries:
-        if gamma_hat is None:
-            gamma_hat = _mean_abs_sq(out)
-        rel = (gamma_hat - gamma) / gamma
-        err = out - truth
-        records.append(
-            TrialRecord(
-                method=method,
-                trial_index=idx,
-                rel_bias_term=rel,
-                se_nmse=float(np.vdot(err, err).real) / truth_energy,
-                sp_nmse=rel * rel,
-                alpha_used=alpha_used,
-            )
-        )
-    return records
-
-
 def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
     rngs = TrialRngs(config.master_seed, idx)
     batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
     gamma = ctx.model.gamma
     out_cap = apply_weights(ctx.w_cap, batch)
-    gamma_cap_hat = _mean_abs_sq(out_cap)
+    gamma_cap_hat = mean_abs_sq(out_cap)
 
     alpha = ctx.alpha_oracle
     if (
@@ -352,7 +356,7 @@ def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[T
             gamma, ctx.theory.gamma_cap, config.snapshots, kurt
         )
 
-    return _records_from_outputs(
+    return trial_records(
         idx,
         gamma,
         batch.truth,
@@ -366,109 +370,58 @@ def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[T
     )
 
 
-def _trial_a(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    rngs = TrialRngs(config.master_seed, idx)
-    batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
-    gamma = ctx.model.gamma
-    q = ctx.model.ah_qinv_a()
-
-    out_cap = apply_weights(ctx.w_cap, batch)
-    abs_sq = out_cap.real**2 + out_cap.imag**2
-    gamma_cap_hat = float(np.mean(abs_sq))
-    m4 = float(np.mean(abs_sq**2))
-    gamma_deb = debiased_power(gamma_cap_hat, q).value
-    alpha = alpha_hat_scenario_a(gamma_cap_hat, m4, gamma_deb, config.snapshots).alpha
-    mmse_scale = gamma_deb * q / (1.0 + gamma_deb * q)
-    deb_scale = math.sqrt(gamma_deb / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
-
-    return _records_from_outputs(
-        idx,
-        gamma,
-        batch.truth,
-        (
-            ("Capon", out_cap, gamma_cap_hat, 1.0),
-            ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat, mmse_scale**2),
-            ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat, alpha),
-            # Power-only estimator; its waveform column reports the
-            # power-matched rescaling of the Capon output.
-            ("Debiased", deb_scale * out_cap, gamma_deb, deb_scale**2),
-        ),
-    )
-
-
-def _trial_b(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
+def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
+    """One trial of regime a, b, c or d; see the module docstring."""
+    regime = config.regime
     rngs = TrialRngs(config.master_seed, idx)
     batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
     gamma = ctx.model.gamma
 
-    sample_cov = scm(batch)
-    w_hat, gamma_cap_hathat = adaptive_capon_weights(sample_cov.matrix, ctx.model.a)
-    out_cap = apply_weights(w_hat, batch)
-    abs_sq = out_cap.real**2 + out_cap.imag**2
-    gamma_cap_hat = float(np.mean(abs_sq))
-    m4 = float(np.mean(abs_sq**2))
-    alpha = alpha_hat_scenario_b(gamma_cap_hathat, m4, gamma, config.snapshots).alpha
-    mmse_scale = gamma / gamma_cap_hathat
+    if regime is Regime.A:
+        w_cap = ctx.w_cap
+    else:
+        training = batch if regime is Regime.B else synth_scene_secondary(
+            config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs
+        )
+        # plug_in = 1 / (a^H C_hat^{-1} a) for the SCM C_hat of the training batch
+        w_cap, plug_in = adaptive_capon_weights(scm(training).matrix, ctx.model.a)
+    out_cap = apply_weights(w_cap, batch)
+    gamma_cap_hat, m4 = output_moments(out_cap)
 
-    return _records_from_outputs(
-        idx,
-        gamma,
-        batch.truth,
-        (
-            ("Capon", out_cap, gamma_cap_hat, 1.0),
-            ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat, mmse_scale**2),
-            ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat, alpha),
-        ),
-    )
-
-
-def _trial_cd(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    rngs = TrialRngs(config.master_seed, idx)
-    batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
-    secondary = synth_scene_secondary(
-        config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs
-    )
-    gamma = ctx.model.gamma
-    m = config.geom.antennas
-
-    q_hat_cov = scm(secondary)
-    w_hat, inv_quad = adaptive_capon_weights(q_hat_cov.matrix, ctx.model.a)
-    q_hat = 1.0 / inv_quad  # a^H Qhat^{-1} a
-    out_cap = apply_weights(w_hat, batch)
-    abs_sq = out_cap.real**2 + out_cap.imag**2
-    gamma_cap_hat = float(np.mean(abs_sq))
-    m4 = float(np.mean(abs_sq**2))
-
-    entries = []
-    if config.regime is Regime.C:
-        gamma_num = gamma
-        alpha = alpha_hat_scenario_b(gamma_cap_hat, m4, gamma, config.snapshots).alpha
+    power = plug_in if regime is Regime.B else gamma_cap_hat
+    if regime is Regime.A:
+        q = ctx.model.ah_qinv_a()
+        gamma_num = debiased_power(gamma_cap_hat, q).value
+        mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
     else:
         gamma_num = debiased_power_scaled(
-            gamma_cap_hat, q_hat, ctx.secondary_snapshots, m
-        ).value
-        alpha = alpha_hat_scenario_a(gamma_cap_hat, m4, gamma_num, config.snapshots).alpha
-        deb_scale = math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
-        entries.append(("Debiased", deb_scale * out_cap, gamma_num, deb_scale**2))
-    # MMSE mirrors scenario B: gamma S_hat^{-1} a there equals the Capon weight
-    # scaled by gamma over its raw output power, which is the construction that
-    # carries over when the INCM estimate stands in for the SCM.
-    mmse_scale = gamma_num / gamma_cap_hat if gamma_cap_hat > 0.0 else 0.0
+            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
+        ).value if regime is Regime.D else gamma
+        # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
+        # its plug-in power; with an estimated INCM (c/d) the measured output
+        # power stands in for the plug-in one.
+        mmse_scale = gamma_num / power if power > 0.0 else 0.0
+    alpha = alpha_hat(power, m4, gamma_num, config.snapshots).alpha
 
-    entries[:0] = [
+    entries = [
         ("Capon", out_cap, gamma_cap_hat, 1.0),
         ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat, mmse_scale**2),
         ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat, alpha),
     ]
-    return _records_from_outputs(idx, gamma, batch.truth, entries)
+    if regime in (Regime.A, Regime.D):
+        # Power-only estimator; its waveform column reports the power-matched
+        # rescaling of the Capon output.
+        deb_scale = math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
+        entries.append(("Debiased", deb_scale * out_cap, gamma_num, deb_scale**2))
+    return trial_records(idx, gamma, batch.truth, entries)
 
 
 _TRIAL_FUNCS = {
     Regime.ORACLE: _trial_oracle,
-    Regime.A: _trial_a,
-    Regime.B: _trial_b,
-    Regime.C: _trial_cd,
-    Regime.D: _trial_cd,
+    Regime.A: _trial_adaptive,
+    Regime.B: _trial_adaptive,
+    Regime.C: _trial_adaptive,
+    Regime.D: _trial_adaptive,
 }
 
 
@@ -561,27 +514,6 @@ class ScenarioReport:
         return self.config.sweep.variable
 
 
-def _alpha_sweep_point(config: ScenarioConfig, alpha: float) -> SweepPointResult:
-    ctx = build_context(config, alpha)
-    gamma = ctx.model.gamma
-    gamma_cap = ctx.theory.gamma_cap
-    fourth = output_fourth_moment(config.geom, ctx.scene, config.waveform, ctx.w_cap.w)
-    var_cap = (fourth - gamma_cap**2) / config.snapshots
-    bias = alpha * gamma_cap - gamma
-    w_alpha = math.sqrt(alpha) * ctx.w_cap.w
-    row = AggregateRecord(
-        method="CaponPlusTheory",
-        mean_rel_bias=bias / gamma,
-        mean_se_nmse=waveform_mse_theory(ctx.model, w_alpha) / gamma,
-        mean_sp_nmse=(alpha**2 * var_cap + bias**2) / gamma**2,
-        stderr_rel_bias=0.0,
-        stderr_se_nmse=0.0,
-        stderr_sp_nmse=0.0,
-        n_trials=0,
-    )
-    return SweepPointResult(sweep_value=alpha, aggregates=[row], n_trials=0, n_failed=0)
-
-
 def run_scenario(
     config: ScenarioConfig, threads: int = 1, emit_theory: bool = False
 ) -> ScenarioReport:
@@ -595,7 +527,18 @@ def run_scenario(
     config.validate()
     started = time.perf_counter()
     if config.regime is Regime.ALPHA_SWEEP:
-        points = [_alpha_sweep_point(config, v) for v in config.sweep.values]
+        # The scene does not depend on alpha: one context serves every point.
+        ctx = build_context(config, config.sweep.values[0])
+        points = [
+            SweepPointResult(
+                sweep_value=alpha,
+                aggregates=[_theory_row(config, ctx, "CaponPlusTheory",
+                                        math.sqrt(alpha) * ctx.w_cap.w)],
+                n_trials=0,
+                n_failed=0,
+            )
+            for alpha in config.sweep.values
+        ]
     else:
         parallel = threads > 1
         chunk = math.ceil(config.trials / (threads * 4)) if parallel else config.trials

@@ -377,7 +377,10 @@ def test_criterion_10_byte_identical_across_threads(tmp_path):
     details = []
     overrides = {
         "fig1": {"trials": 150, "sweep": {"variable": "snr_db", "values": [0.0, -4.0]}},
+        "fig3": {"trials": 150, "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}},
+        "fig4c": {"trials": 150, "sweep": {"variable": "snr_db", "values": [5.0, -5.0]}},
         "fig5": {"trials": 150, "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}},
+        "fig6": {"trials": 150, "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}},
     }
     for preset, override in overrides.items():
         cfg_path = tmp_path / f"{preset}_override.json"

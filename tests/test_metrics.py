@@ -6,9 +6,7 @@ from caponplus.metrics import (
     AggregateRecord,
     TrialRecord,
     aggregate,
-    relative_bias,
-    se_nmse,
-    sp_nmse,
+    trial_records,
 )
 
 
@@ -19,25 +17,35 @@ def rec(method, idx, rel=0.0, se=0.0, sp=0.0, alpha=1.0):
     )
 
 
+S = np.array([1.0 + 1.0j, -2.0j, 0.5])
+
+
+def score(gamma_hat, gamma=1.0, out=S, truth=S):
+    """The single record of one method scored by :func:`trial_records`."""
+    (record,) = trial_records(0, gamma, truth, [("Capon", out, gamma_hat, 1.0)])
+    return record
+
+
 class TestScalarMetrics:
     def test_relative_bias(self):
-        assert relative_bias(1.0, 1.0) == 0.0
-        assert relative_bias(1.2, 1.0) == pytest.approx(0.2)
+        assert score(1.0).rel_bias_term == 0.0
+        assert score(1.2).rel_bias_term == pytest.approx(0.2)
+        # no estimate: the output power, mean |S|^2 = (2 + 4 + 0.25) / 3 = 25/12
+        assert score(None).rel_bias_term == pytest.approx(13.0 / 12.0)
         with pytest.raises(DomainError):
-            relative_bias(1.0, 0.0)
+            score(1.0, gamma=0.0)
 
     def test_se_nmse_examples(self):
-        s = np.array([1.0 + 1.0j, -2.0j, 0.5])
-        assert se_nmse(s, s) == 0.0
-        assert se_nmse(np.zeros_like(s), s) == pytest.approx(1.0)
-        assert se_nmse(2.0 * s, s) == pytest.approx(1.0)
+        assert score(1.0).se_nmse == 0.0
+        assert score(1.0, out=np.zeros_like(S)).se_nmse == pytest.approx(1.0)
+        assert score(1.0, out=2.0 * S).se_nmse == pytest.approx(1.0)
         with pytest.raises(DegenerateSample):
-            se_nmse(s, np.zeros_like(s))
+            score(1.0, truth=np.zeros_like(S))
 
     def test_sp_nmse_examples(self):
-        assert sp_nmse(1.0, 1.0) == 0.0
-        assert sp_nmse(0.0, 1.0) == pytest.approx(1.0)
-        assert sp_nmse(1.5, 1.0) == pytest.approx(0.25)
+        assert score(1.0).sp_nmse == 0.0
+        assert score(0.0).sp_nmse == pytest.approx(1.0)
+        assert score(1.5).sp_nmse == pytest.approx(0.25)
 
     def test_trial_record_rejects_nonfinite(self):
         with pytest.raises(DomainError):

@@ -216,6 +216,49 @@ class TestScenarioBConvergence:
             assert abs(aggs_b[method].mean_rel_bias - aggs_o[method].mean_rel_bias) <= tol
 
 
+class TestScenarioBExactGaussian:
+    """Regime b against the exact moments of the adaptive Capon power.
+
+    For Gaussian snapshots ``T gamma_hat / gamma_cap``, with the plug-in
+    power ``gamma_hat = 1 / (a^H S_hat^{-1} a)``, is Gamma(T - M + 1)
+    distributed (Capon & Goodman 1970; Reed, Mallett & Brennan 1974): mean
+    ``(T-M+1)/T gamma_cap`` and variance ``(T-M+1)/T^2 gamma_cap^2``.  The
+    Capon row measures ``w^H S_hat w``, which equals ``gamma_hat``.  The
+    MMSE row's power ``gamma^2 / gamma_hat`` has mean
+    ``gamma^2 T/(T-M) / gamma_cap`` by the inverse-Wishart mean
+    ``E[S_hat^{-1}] = T/(T-M) S^{-1}``.  It is heavy-tailed for ``T`` near
+    ``M`` (relative spread ``1/sqrt(T-M-1)`` per trial), so it is checked at
+    ``T = 60`` alone.
+    """
+
+    @pytest.mark.parametrize("t", [30, 60])
+    def test_capon_and_mmse_rows(self, t):
+        m = DEFAULT_GEOMETRY.antennas
+        rep = run_scenario(config(
+            regime=Regime.B, geom=DEFAULT_GEOMETRY, base_scene=default_scene(0.0),
+            snapshots=t, trials=1000, master_seed=8,
+            sweep=SweepSpec(SweepVariable.SNR_DB, (0.0, -6.0)),
+        ))
+        k = (t - m + 1) / t
+        for point in rep.points:
+            scene = snr_to_scene(default_scene(0.0), point.sweep_value)
+            model = build_cov_model(DEFAULT_GEOMETRY, scene)
+            ratio = capon_output_power(model) / model.gamma
+            aggs = agg_by_method(point)
+            capon, mmse = aggs["Capon"], aggs["MMSE"]
+            expected = {
+                "capon bias": (capon.mean_rel_bias, capon.stderr_rel_bias, k * ratio - 1.0),
+                "capon sp_nmse": (capon.mean_sp_nmse, capon.stderr_sp_nmse,
+                                  k / t * ratio**2 + (k * ratio - 1.0) ** 2),
+            }
+            if t == 60:
+                expected["mmse bias"] = (mmse.mean_rel_bias, mmse.stderr_rel_bias,
+                                         t / (t - m) / ratio - 1.0)
+            for name, (mean, stderr, target) in expected.items():
+                z = (mean - target) / stderr
+                assert abs(z) <= 5.0, (name, point.sweep_value, z)
+
+
 class TestScenarioA:
     def test_high_snr_psk_capon_plus_unbiased(self):
         cfg = config(
