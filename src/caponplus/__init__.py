@@ -23,9 +23,6 @@ from .arraymodel import (
     waveform_mse_theory,
 )
 from .beamformers import (
-    BeamformerKind,
-    BeamformerWeights,
-    ShrinkageFactor,
     adaptive_capon_weights,
     apply_weights,
     capon_plus_weights,
@@ -40,7 +37,6 @@ from .errors import (
     DegenerateSample,
     DimensionMismatch,
     DomainError,
-    EmptyBatch,
     InsufficientSecondarySamples,
     InsufficientTrials,
     NonPositiveQuadraticForm,
@@ -50,8 +46,6 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
-    PowerEstimate,
-    PowerEstimator,
     SampleCovariance,
     alpha_hat,
     debiased_power,
@@ -77,7 +71,6 @@ from .montecarlo import (
     ScenarioReport,
     SweepSpec,
     SweepVariable,
-    default_scene,
     run_scenario,
     run_trial,
     scene_from_db,

@@ -138,7 +138,7 @@ class CovarianceModel:
     incm: np.ndarray
     full: np.ndarray
 
-    # cached solves (computed lazily, keyed by object identity)
+    # Q factor and solves, computed on first use and kept per model under their names
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def qinv_a(self) -> np.ndarray:

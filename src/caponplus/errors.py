@@ -28,10 +28,6 @@ class DomainError(CaponPlusError):
     """A scalar argument lies outside its admissible range."""
 
 
-class EmptyBatch(CaponPlusError):
-    """A snapshot batch with zero snapshots was supplied."""
-
-
 class DegenerateSample(CaponPlusError):
     """Sample statistics are undefined (e.g. zero total power)."""
 

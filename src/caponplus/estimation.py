@@ -5,12 +5,12 @@ covariance matrix, the beamformer-output power estimate
 ``gamma_hat = (1/T) sum |w^H x(t)|^2`` and its fourth-moment companion, the
 debiased Capon power estimator (equal to the Gaussian MLE of the SOI power
 for known INCM), and the plug-in shrinkage factor used by the adaptive
-scenarios.
+scenarios.  Every power estimate and shrinkage factor is a plain
+non-negative ``float``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +20,13 @@ from .errors import (
     DegenerateDenominator,
     DegenerateSample,
     DomainError,
-    EmptyBatch,
     InsufficientSecondarySamples,
     NonPositiveQuadraticForm,
 )
-from .beamformers import ShrinkageFactor
 from .linalg import cholesky, solve_chol
 from .signalsim import SnapshotBatch
 
 __all__ = [
-    "PowerEstimator",
-    "PowerEstimate",
     "SampleCovariance",
     "scm",
     "output_moments",
@@ -42,23 +38,6 @@ __all__ = [
     "alpha_hat",
     "debiased_power_scaled",
 ]
-
-
-class PowerEstimator(enum.Enum):
-    DEBIASED = "debiased"
-    DEBIASED_SCALED = "debiased_scaled"
-
-
-@dataclass(frozen=True)
-class PowerEstimate:
-    """A non-negative SOI power estimate tagged with the estimator that produced it."""
-
-    value: float
-    estimator: PowerEstimator
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise DomainError(f"power estimates are non-negative, got {self.value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +63,6 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     """
     x = batch.snapshots
     t, m = x.shape
-    if t < 1:
-        raise EmptyBatch("cannot form a sample covariance from zero snapshots")
     lower = zherk(
         1.0 / t, x.T, c=np.zeros((m, m), np.complex128, order="F"),
         lower=1, overwrite_c=1,
@@ -120,7 +97,7 @@ def kurtosis_estimate(samples: np.ndarray) -> float:
     return float(np.mean(mag_sq**2)) / m2**2 - 2.0
 
 
-def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> PowerEstimate:
+def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> float:
     """Debiased Capon power estimate ``max(gamma_cap_hat - (a^H Q^{-1} a)^{-1}, 0)``.
 
     Requires the INCM to be known.  Coincides with the maximum likelihood
@@ -128,7 +105,7 @@ def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> PowerEstimate:
     """
     if ah_qinv_a <= 0.0:
         raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {ah_qinv_a}")
-    return PowerEstimate(max(gamma_cap_hat - 1.0 / ah_qinv_a, 0.0), PowerEstimator.DEBIASED)
+    return max(gamma_cap_hat - 1.0 / ah_qinv_a, 0.0)
 
 
 @dataclass(frozen=True)
@@ -189,7 +166,7 @@ def negative_log_likelihood(
     return float(nll_profile(q_mat, sample_cov, a)(gamma))
 
 
-def alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int) -> ShrinkageFactor:
+def alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int) -> float:
     """Plug-in shrinkage ``alpha = T ghat_cap g / (m4 + (T-1) ghat_cap^2)``.
 
     ``ghat_cap`` and ``m4`` are the power and fourth moment of the Capon
@@ -206,12 +183,12 @@ def alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int)
         raise DegenerateDenominator(
             f"shrinkage denominator must be positive, got {denom}"
         )
-    return ShrinkageFactor(t * gamma_cap_hat * gamma_num / denom)
+    return t * gamma_cap_hat * gamma_num / denom
 
 
 def debiased_power_scaled(
     gamma_cap_hat: float, ah_qhatinv_a: float, t0: int, m: int
-) -> PowerEstimate:
+) -> float:
     """Debiased power with the inverse-Wishart correction for an estimated INCM.
 
     For an INCM estimated from ``T0 > M`` Gaussian secondary snapshots,
@@ -227,6 +204,4 @@ def debiased_power_scaled(
             f"a^H Qhat^(-1) a must be positive, got {ah_qhatinv_a}"
         )
     c = t0 / (t0 - m)
-    return PowerEstimate(
-        max(gamma_cap_hat - c / ah_qhatinv_a, 0.0), PowerEstimator.DEBIASED_SCALED
-    )
+    return max(gamma_cap_hat - c / ah_qhatinv_a, 0.0)

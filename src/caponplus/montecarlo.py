@@ -80,8 +80,6 @@ from .arraymodel import (
     waveform_mse_theory,
 )
 from .beamformers import (
-    BeamformerWeights,
-    ShrinkageFactor,
     adaptive_capon_weights,
     apply_weights,
     capon_plus_weights,
@@ -117,7 +115,6 @@ __all__ = [
     "ScenarioConfig",
     "SweepPointResult",
     "ScenarioReport",
-    "default_scene",
     "snr_to_scene",
     "build_context",
     "run_trial",
@@ -257,11 +254,6 @@ def scene_from_db(
     )
 
 
-def default_scene(snr_db: float = 0.0) -> SourceScene:
-    """The reference four-source scene at the given SOI SNR over unit noise."""
-    return scene_from_db(snr_db)
-
-
 def snr_to_scene(base_scene: SourceScene, snr_db: float) -> SourceScene:
     """Rescale a unit-noise scene so the SOI sits at ``snr_db`` dB over the noise.
 
@@ -290,19 +282,19 @@ class SweepContext:
     model: CovarianceModel
     theory: TheoryReport
     secondary_snapshots: int
-    w_cb: BeamformerWeights
-    w_cap: BeamformerWeights
-    w_mmse: BeamformerWeights
+    w_cb: np.ndarray
+    w_cap: np.ndarray
+    w_mmse: np.ndarray
     alpha_oracle: float
-    w_cap_plus: BeamformerWeights
+    w_cap_plus: np.ndarray
 
 
 def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceModel,
-                  theory: TheoryReport, w_cap: BeamformerWeights) -> float:
+                  theory: TheoryReport, w_cap: np.ndarray) -> float:
     if config.waveform is WaveformKind.CIRCULAR_GAUSSIAN:
         return theory.alpha_o
     if config.psk_alpha_mode is PskAlphaMode.EXACT:
-        kurt = output_kurtosis(config.geom, scene, config.waveform, w_cap.w)
+        kurt = output_kurtosis(config.geom, scene, config.waveform, w_cap)
     else:
         # constant-modulus shortcut; also the placeholder in measured mode,
         # where each trial re-estimates the kurtosis from its own output.
@@ -335,7 +327,7 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         w_cap=w_cap,
         w_mmse=mmse_weights(model.gamma, model.full, model.a),
         alpha_oracle=alpha_oracle,
-        w_cap_plus=capon_plus_weights(w_cap, ShrinkageFactor(alpha_oracle)),
+        w_cap_plus=capon_plus_weights(w_cap, alpha_oracle),
     )
 
 
@@ -391,17 +383,17 @@ def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list
     power = plug_in if regime is Regime.B else gamma_cap_hat
     if regime is Regime.A:
         q = ctx.model.ah_qinv_a()
-        gamma_num = debiased_power(gamma_cap_hat, q).value
+        gamma_num = debiased_power(gamma_cap_hat, q)
         mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
     else:
         gamma_num = debiased_power_scaled(
             gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
-        ).value if regime is Regime.D else gamma
+        ) if regime is Regime.D else gamma
         # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
         # its plug-in power; with an estimated INCM (c/d) the measured output
         # power stands in for the plug-in one.
         mmse_scale = gamma_num / power if power > 0.0 else 0.0
-    alpha = alpha_hat(power, m4, gamma_num, config.snapshots).alpha
+    alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
 
     entries = [
         ("Capon", out_cap, gamma_cap_hat, 1.0),
@@ -437,14 +429,16 @@ def run_trial(
     return _TRIAL_FUNCS[config.regime](config, ctx, trial_index)
 
 
-def _run_chunk(args) -> list[tuple[int, list[TrialRecord] | None]]:
+def _run_chunk(args) -> list[list[TrialRecord] | None]:
+    """Records of trials ``start`` to ``stop - 1`` in index order; ``None``
+    for a trial whose sample covariance cannot be factored."""
     config, sweep_value, ctx, start, stop = args
     out = []
     for idx in range(start, stop):
         try:
-            out.append((idx, run_trial(config, sweep_value, idx, ctx)))
+            out.append(run_trial(config, sweep_value, idx, ctx))
         except NotPositiveDefinite:
-            out.append((idx, None))
+            out.append(None)
     return out
 
 
@@ -455,12 +449,12 @@ def _theory_rows(config: ScenarioConfig, ctx: SweepContext) -> list[AggregateRec
     weights stored in the context.
     """
     entries = [
-        ("CaponTheory", ctx.w_cap.w),
-        ("MMSETheory", ctx.w_mmse.w),
-        ("CaponPlusTheory", ctx.w_cap_plus.w),
+        ("CaponTheory", ctx.w_cap),
+        ("MMSETheory", ctx.w_mmse),
+        ("CaponPlusTheory", ctx.w_cap_plus),
     ]
     if config.regime is Regime.ORACLE:
-        entries.insert(0, ("CBTheory", ctx.w_cb.w))
+        entries.insert(0, ("CBTheory", ctx.w_cb))
     return [_theory_row(config, ctx, method, w) for method, w in entries]
 
 
@@ -533,7 +527,7 @@ def run_scenario(
             SweepPointResult(
                 sweep_value=alpha,
                 aggregates=[_theory_row(config, ctx, "CaponPlusTheory",
-                                        math.sqrt(alpha) * ctx.w_cap.w)],
+                                        capon_plus_weights(ctx.w_cap, alpha))],
                 n_trials=0,
                 n_failed=0,
             )
@@ -569,7 +563,7 @@ def _mc_point(config: ScenarioConfig, sweep_value: float, map_chunks, chunk: int
     records: list[TrialRecord] = []
     n_failed = 0
     for part in map_chunks(_run_chunk, args):
-        for _idx, recs in part:
+        for recs in part:
             if recs is None:
                 n_failed += 1
             else:

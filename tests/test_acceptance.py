@@ -29,8 +29,8 @@ from caponplus.montecarlo import (
     SweepSpec,
     SweepVariable,
     build_context,
-    default_scene,
     run_scenario,
+    scene_from_db,
     snr_to_scene,
 )
 from caponplus.presets import PRESETS
@@ -61,7 +61,7 @@ def fig1_report():
     config = ScenarioConfig(
         regime=Regime.ORACLE,
         geom=DEFAULT_GEOMETRY,
-        base_scene=default_scene(0.0),
+        base_scene=scene_from_db(0.0),
         waveform=WaveformKind.CIRCULAR_GAUSSIAN,
         snapshots=60,
         secondary_snapshots=0,
@@ -104,7 +104,7 @@ def test_criterion_03_capon_and_mmse_bias(fig1_report):
     ok = True
     details = []
     for point in fig1_report.points:
-        scene = snr_to_scene(default_scene(0.0), point.sweep_value)
+        scene = snr_to_scene(scene_from_db(0.0), point.sweep_value)
         model = build_cov_model(DEFAULT_GEOMETRY, scene)
         cap_target = capon_bias(model) / model.gamma
         mmse_target = model.gamma / capon_output_power(model) - 1.0
@@ -135,8 +135,8 @@ def test_oracle_se_nmse_is_mean_of_per_trial_ratio(fig1_report):
         ctx = build_context(config, point.sweep_value)
         model = ctx.model
         aggs = agg_by_method(point)
-        for method, w in (("CB", ctx.w_cb.w), ("Capon", ctx.w_cap.w),
-                          ("MMSE", ctx.w_mmse.w), ("CaponPlus", ctx.w_cap_plus.w)):
+        for method, w in (("CB", ctx.w_cb), ("Capon", ctx.w_cap),
+                          ("MMSE", ctx.w_mmse), ("CaponPlus", ctx.w_cap_plus)):
             expected = abs(np.vdot(w, model.a) - 1.0) ** 2 + (
                 t / (t - 1) * quadratic_form(model.incm, w) / model.gamma
             )
@@ -175,18 +175,18 @@ def test_criterion_04_waveform_mse_dual_forms():
 
 
 def _power_estimate_variance_check(kind: WaveformKind, seed: int, trials: int = 20000):
-    scene = default_scene(-4.0)
+    scene = scene_from_db(-4.0)
     geom = DEFAULT_GEOMETRY
     model = build_cov_model(geom, scene)
     w = capon_weights(model.full, model.a)
     t = 60
     gamma_cap = capon_output_power(model)
-    fourth = output_fourth_moment(geom, scene, kind, w.w)
+    fourth = output_fourth_moment(geom, scene, kind, w)
     target = (fourth - gamma_cap**2) / t
     values = np.empty(trials)
     for i in range(trials):
         batch = synth_scene_snapshots(geom, scene, kind, t, TrialRngs(seed, i))
-        out = batch.snapshots @ w.w.conj()
+        out = batch.snapshots @ w.conj()
         values[i] = np.vdot(out, out).real / t
     var = float(np.var(values, ddof=1))
     centered = values - values.mean()
@@ -209,7 +209,7 @@ def test_criterion_05_power_variance_and_scm_covariance():
 
     # (b) M=2, T=8 Gaussian: cov(vec(SCM)) = (S* kron S)/T entrywise
     geom2 = dataclasses.replace(DEFAULT_GEOMETRY, antennas=2)
-    scene2 = default_scene(0.0)
+    scene2 = scene_from_db(0.0)
     scene2 = dataclasses.replace(scene2, interferers=scene2.interferers[:1])
     model2 = build_cov_model(geom2, scene2)
     s_mat = model2.full
@@ -263,7 +263,7 @@ def test_criterion_06_mle_equivalence():
         quad = float(np.vdot(a, qinv_a).real)
         w_cap = qinv_a / quad
         gamma_cap_hat = quadratic_form(sample_cov.matrix, w_cap)
-        deb = debiased_power(gamma_cap_hat, quad).value
+        deb = debiased_power(gamma_cap_hat, quad)
         if deb == 0.0:
             clamped += 1
         profile = nll_profile(q, sample_cov, a)
@@ -321,7 +321,7 @@ def test_criterion_08_scenario_b_sign_reversal():
     config = ScenarioConfig(
         regime=Regime.B,
         geom=DEFAULT_GEOMETRY,
-        base_scene=default_scene(0.0),
+        base_scene=scene_from_db(0.0),
         waveform=WaveformKind.PSK8,
         snapshots=100,
         secondary_snapshots=0,

@@ -195,7 +195,7 @@ class TestTheoryReport:
             rep = theory_report(model, t)
             from caponplus.beamformers import capon_weights
 
-            w = capon_weights(model.full, model.a).w
+            w = capon_weights(model.full, model.a)
             var = power_variance_gaussian(model, w, t)
             ref = model.gamma**2 * var / (var + rep.gamma_cap**2)
             assert rep.mse_min == pytest.approx(ref, rel=1e-9)

@@ -21,9 +21,9 @@ from caponplus.montecarlo import (
     ScenarioConfig,
     SweepSpec,
     SweepVariable,
-    default_scene,
     run_scenario,
     run_trial,
+    scene_from_db,
     snr_to_scene,
 )
 from caponplus.signalsim import WaveformKind
@@ -58,18 +58,18 @@ def agg_by_method(point):
 
 class TestSnrToScene:
     def test_zero_db(self):
-        scene = snr_to_scene(default_scene(0.0), 0.0)
+        scene = snr_to_scene(scene_from_db(0.0), 0.0)
         assert scene.soi.power == pytest.approx(1.0)
         powers = [s.power for s in scene.interferers]
         assert powers == pytest.approx([0.6309573444801932, 0.3981071705534972,
                                         0.251188643150958])
 
     def test_minus_six_db(self):
-        scene = snr_to_scene(default_scene(0.0), -6.0)
+        scene = snr_to_scene(scene_from_db(0.0), -6.0)
         assert scene.soi.power == pytest.approx(0.251188643150958)
 
     def test_offsets_preserved(self):
-        base = default_scene(0.0)
+        base = scene_from_db(0.0)
         for snr in (-10.0, -3.3, 4.0):
             scene = snr_to_scene(base, snr)
             for orig, scaled in zip(base.interferers, scene.interferers):
@@ -235,13 +235,13 @@ class TestScenarioBExactGaussian:
     def test_capon_and_mmse_rows(self, t):
         m = DEFAULT_GEOMETRY.antennas
         rep = run_scenario(config(
-            regime=Regime.B, geom=DEFAULT_GEOMETRY, base_scene=default_scene(0.0),
+            regime=Regime.B, geom=DEFAULT_GEOMETRY, base_scene=scene_from_db(0.0),
             snapshots=t, trials=1000, master_seed=8,
             sweep=SweepSpec(SweepVariable.SNR_DB, (0.0, -6.0)),
         ))
         k = (t - m + 1) / t
         for point in rep.points:
-            scene = snr_to_scene(default_scene(0.0), point.sweep_value)
+            scene = snr_to_scene(scene_from_db(0.0), point.sweep_value)
             model = build_cov_model(DEFAULT_GEOMETRY, scene)
             ratio = capon_output_power(model) / model.gamma
             aggs = agg_by_method(point)
@@ -292,7 +292,7 @@ class TestPskAlphaModes:
 
 class TestAlphaSweep:
     def test_minimum_at_gaussian_optimum(self):
-        scene = snr_to_scene(default_scene(0.0), -6.0)
+        scene = snr_to_scene(scene_from_db(0.0), -6.0)
         model = build_cov_model(DEFAULT_GEOMETRY, scene)
         rep = theory_report(model, 60)
         grid = tuple(np.linspace(0.05, 1.3, 126)) + (rep.alpha_o,)

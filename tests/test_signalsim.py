@@ -249,3 +249,12 @@ class TestSnapshotBatchInvariants:
                 truth=np.zeros(2, dtype=complex),
                 contains_soi=True,
             )
+
+    def test_zero_snapshots_rejected(self):
+        for contains_soi in (True, False):
+            with pytest.raises(DomainError):
+                SnapshotBatch(
+                    snapshots=np.zeros((0, 2), dtype=complex),
+                    truth=np.zeros(0, dtype=complex),
+                    contains_soi=contains_soi,
+                )
