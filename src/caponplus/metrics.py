@@ -50,7 +50,7 @@ class TrialRecord:
 
     def __post_init__(self):
         vals = (self.rel_bias_term, self.se_nmse, self.sp_nmse, self.alpha_used)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"trial metrics must be finite, got {vals}")
         if self.se_nmse < 0.0 or self.sp_nmse < 0.0:
             raise DomainError("NMSE metrics are non-negative")

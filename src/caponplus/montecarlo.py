@@ -194,6 +194,8 @@ class ScenarioConfig:
         problems: list[str] = []
         m = self.geom.antennas
         sweep_var = self.sweep.variable
+        if self.master_seed < 0:
+            problems.append(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.sweep.values:
             problems.append("sweep.values must not be empty")
         if (self.regime is Regime.ALPHA_SWEEP) != (sweep_var is SweepVariable.ALPHA):

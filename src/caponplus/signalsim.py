@@ -3,7 +3,7 @@
 Randomness contract
 -------------------
 Every random draw comes from an :class:`RngStream` identified by
-``(master_seed, trial_index, role)``.  The stream is realized as
+``(master_seed, trial_index, role)``.  The stream is exactly
 ``numpy.random.Generator(PCG64(SeedSequence(master_seed, spawn_key=(trial_index, role))))``,
 so identical coordinates reproduce identical sample sequences regardless of
 execution order, process, or thread count.  The four roles are:
@@ -15,6 +15,13 @@ execution order, process, or thread count.  The four roles are:
 ``secondary``  everything in the SOI-free secondary batch
 =============  =====================================================
 
+The four PCG64 seed words of a stream are not hashed one stream at a time:
+:func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
+arithmetic over all 256 trials x 4 roles of a trial block at once and caches
+the block.  ``TestStreamContract`` pins the result against the installed
+numpy.  Master seeds must be >= 0 and trial indices in ``[0, 2**32)``, the
+range in which the spawn key ``(trial_index, role)`` is two 32-bit words.
+
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
 """
@@ -22,9 +29,12 @@ zero-correlation model assumption by construction.
 from __future__ import annotations
 
 import enum
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .arraymodel import (
     ArrayGeometry,
@@ -69,6 +79,98 @@ class StreamRole(enum.IntEnum):
     SECONDARY = 3
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_BLOCK_TRIALS = 256
+_NUM_ROLES = len(StreamRole)
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(const)
+    const = const * _MULT_A & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> 16), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_words(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of every stream of trials ``256 block ... 256 block + 255``.
+
+    Entry ``[t, role]`` equals
+    ``SeedSequence(master_seed, spawn_key=(256 block + t, role)).generate_state(4, np.uint64)``:
+    numpy's ``mix_entropy`` followed by ``generate_state``, evaluated on
+    uint32 arrays (which wrap silently) that broadcast the seed words against
+    trials (axis 0) and roles (axis 1).  Read-only, shape ``(256, 4, 4)``.
+    """
+    seed = master_seed
+    entropy = []
+    while True:
+        entropy.append(np.full((1, 1), seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    # With a spawn key, SeedSequence zero-pads the seed words to the pool size.
+    entropy += [np.zeros((1, 1), dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    first = block * _BLOCK_TRIALS
+    entropy.append(np.arange(first, first + _BLOCK_TRIALS, dtype=np.uint32)[:, None])
+    entropy.append(np.arange(_NUM_ROLES, dtype=np.uint32)[None, :])
+
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], h)
+
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        v = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        state.append((v ^ (v >> 16)).astype(np.uint64))
+    words = np.empty((_BLOCK_TRIALS, _NUM_ROLES, 4), dtype=np.uint64)
+    for k in range(4):
+        # generate_state(4, uint64) reads its uint32 words as little-endian pairs
+        words[..., k] = state[2 * k] | (state[2 * k + 1] << np.uint64(32))
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Hands precomputed seed words to ``PCG64``, which seeds itself from them."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("only PCG64's generate_state(4, np.uint64) is served")
+        return self.words
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic sub-stream coordinates ``(master_seed, trial_index, role)``."""
@@ -77,11 +179,16 @@ class RngStream:
     trial_index: int
     role: StreamRole
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise DomainError(f"master seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.trial_index < 2**32:
+            raise DomainError(f"trial index must be in [0, 2**32), got {self.trial_index}")
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(self.trial_index, int(self.role))
-        )
-        return np.random.Generator(np.random.PCG64(seq))
+        block, t = divmod(self.trial_index, _BLOCK_TRIALS)
+        words = _block_words(self.master_seed, block)[t, self.role]
+        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 @dataclass(frozen=True)
@@ -143,13 +250,8 @@ class SnapshotBatch:
         return self.snapshots.shape[1]
 
 
-def _gaussian_scalars(gamma: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return np.sqrt(gamma / 2.0) * z
-
-
 def draw_waveform(
-    kind: WaveformKind, gamma: float, count: int, rng: np.random.Generator
+    kind: WaveformKind, gamma: float | Sequence[float], count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``count`` i.i.d. waveform samples of power ``gamma``.
 
@@ -157,15 +259,29 @@ def draw_waveform(
     of variance gamma/2.  8-PSK samples are ``sqrt(gamma) exp(j 2 pi k / 8)``
     with ``k`` uniform on ``{0..7}``, hence exactly constant modulus with
     population kurtosis -1.
+
+    Given a sequence of K powers, returns a C-contiguous ``(count, K)`` array
+    whose column ``k`` is a waveform of power ``gamma[k]``.  The K sources are
+    drawn in order with one call: ``standard_normal((K, 2, count))`` (source
+    k's real parts, then its imaginary parts) or
+    ``integers(0, 8, size=(K, count))``.  This gives the same numbers as K
+    single-power calls in turn on the same generator.
     """
-    if not gamma > 0.0:
+    powers = np.asarray(gamma, dtype=np.float64)
+    if powers.size == 0 or not powers.min() > 0.0:
         raise DomainError(f"waveform power must be positive, got {gamma}")
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
+    k = powers.size
     if kind is WaveformKind.CIRCULAR_GAUSSIAN:
-        return _gaussian_scalars(gamma, count, rng)
-    phases = rng.integers(0, 8, size=count) * (2.0 * np.pi / 8.0)
-    return np.sqrt(gamma) * np.exp(1j * phases)
+        parts = rng.standard_normal((k, 2, count))
+        # s re and s im carry the bits of s (re + j im) for nonzero draws
+        parts *= np.sqrt(powers / 2.0).reshape(k, 1, 1)
+        waves = np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128)
+    else:
+        phases = rng.integers(0, 8, size=(k, count)) * (2.0 * np.pi / 8.0)
+        waves = np.ascontiguousarray((np.sqrt(powers).reshape(k, 1) * np.exp(1j * phases)).T)
+    return waves.reshape(count) if powers.ndim == 0 else waves.reshape(count, k)
 
 
 def draw_interference_noise(
@@ -208,14 +324,15 @@ def _scene_interference(
     m = geom.antennas
     if scene.interferers:
         a_int = _steering_matrix_cached(geom, tuple(s.doa_deg for s in scene.interferers))
-        waves = np.column_stack(
-            [draw_waveform(kind, s.power, count, wave_rng) for s in scene.interferers]
-        )
+        waves = draw_waveform(kind, [s.power for s in scene.interferers], count, wave_rng)
         e = waves @ a_int.T
     else:
         e = np.zeros((count, m), dtype=np.complex128)
-    noise = noise_rng.standard_normal((count, m)) + 1j * noise_rng.standard_normal((count, m))
-    e += np.sqrt(scene.noise_var / 2.0) * noise
+    # real parts, then imaginary parts, as two (count, m) draws would give them
+    noise = noise_rng.standard_normal((2, count, m))
+    noise *= np.sqrt(scene.noise_var / 2.0)
+    e.real += noise[0]
+    e.imag += noise[1]
     return e
 
 

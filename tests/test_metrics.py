@@ -50,6 +50,9 @@ class TestScalarMetrics:
     def test_trial_record_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             rec("Capon", 0, rel=float("nan"))
+        for bad in (dict(se=float("inf")), dict(sp=np.float64("nan")), dict(alpha=-np.inf)):
+            with pytest.raises(DomainError, match="trial metrics must be finite"):
+                rec("Capon", 0, **bad)
         with pytest.raises(DomainError):
             rec("Capon", 0, se=-0.1)
 

@@ -107,6 +107,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             config(regime=Regime.ALPHA_SWEEP).validate()
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+            config(master_seed=-1).validate()
+
     def test_empty_sweep(self):
         with pytest.raises(ConfigError, match="empty"):
             config(sweep=SweepSpec(SweepVariable.SNR_DB, ())).validate()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caponplus.arraymodel import (
     ArrayGeometry,
@@ -27,6 +29,7 @@ from caponplus.signalsim import (
     synth_secondary,
     synth_snapshots,
 )
+from helpers import reference_synth_scene_secondary, reference_synth_scene_snapshots
 
 PSK_SCENE = SourceScene(
     soi=SourceSpec(-20.0, 2.0),
@@ -70,6 +73,20 @@ class TestDrawWaveform:
             draw_waveform(WaveformKind.PSK8, 0.0, 10, rngs().soi)
         with pytest.raises(DomainError):
             draw_waveform(WaveformKind.PSK8, 1.0, 0, rngs().soi)
+        with pytest.raises(DomainError):
+            draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, [1.0, float("nan")], 10, rngs().soi)
+        with pytest.raises(DomainError):
+            draw_waveform(WaveformKind.PSK8, [], 10, rngs().soi)
+
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    @pytest.mark.parametrize("count", [1, 60])
+    def test_several_powers_equal_calls_in_turn(self, kind, count):
+        powers = [2.0, 0.3, 1e-4]
+        waves = draw_waveform(kind, powers, count, rngs(3).soi)
+        one_by_one = rngs(3).soi
+        expected = np.column_stack([draw_waveform(kind, p, count, one_by_one) for p in powers])
+        assert waves.shape == (count, 3) and waves.flags.c_contiguous
+        assert np.array_equal(waves, expected)
 
 
 class TestDrawInterferenceNoise:
@@ -231,6 +248,84 @@ class TestReproducibility:
         b2 = synth_scene_snapshots(GEOM, scene_boosted, WaveformKind.PSK8, 64, t)
         e2 = b2.snapshots - b2.truth[:, None] * a[None, :]
         assert np.allclose(e_psk, e2, atol=1e-12)
+
+
+STREAM_SEEDS = [0, 1, 7, 20250810, 2**32 + 5, 2**100 + 3, 2**200 + 11]
+STREAM_TRIALS = [0, 1, 255, 256, 257, 10**6, 2**32 - 1]
+
+
+def numpy_stream_state(seed, trial, role):
+    seq = np.random.SeedSequence(seed, spawn_key=(trial, int(role)))
+    return np.random.PCG64(seq).state
+
+
+class TestStreamContract:
+    """Each stream is ``PCG64(SeedSequence(seed, spawn_key=(trial, role)))``."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_state_equals_numpy_seed_sequence(self, seed):
+        for trial in STREAM_TRIALS:
+            for role in StreamRole:
+                got = RngStream(seed, trial, role).generator().bit_generator.state
+                assert got == numpy_stream_state(seed, trial, role), (seed, trial, role)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**256 - 1),
+        trial=st.integers(min_value=0, max_value=2**32 - 1),
+        role=st.sampled_from(list(StreamRole)),
+    )
+    def test_state_property(self, seed, trial, role):
+        got = RngStream(seed, trial, role).generator().bit_generator.state
+        assert got == numpy_stream_state(seed, trial, role)
+
+    def test_live_generators_of_one_role_are_independent(self):
+        g1 = RngStream(7, 3, StreamRole.NOISE).generator()
+        g2 = RngStream(7, 300, StreamRole.NOISE).generator()
+        assert g1 is not g2 and g1.bit_generator is not g2.bit_generator
+        assert not np.array_equal(g1.standard_normal(8), g2.standard_normal(8))
+        # drawing from one leaves a fresh generator of the same coordinates untouched
+        again = RngStream(7, 3, StreamRole.NOISE).generator()
+        assert again.bit_generator.state == numpy_stream_state(7, 3, StreamRole.NOISE)
+
+    def test_negative_seed_rejected(self):
+        for seed in (-1, -(2**64)):
+            with pytest.raises(DomainError, match="master seed"):
+                RngStream(seed, 0, StreamRole.SOI)
+
+    def test_trial_index_outside_uint32_rejected(self):
+        for trial in (-1, 2**32, 2**40):
+            with pytest.raises(DomainError, match="trial index"):
+                RngStream(0, trial, StreamRole.SOI)
+        with pytest.raises(DomainError):
+            TrialRngs(0, -5).soi
+
+
+class TestSynthMatchesReference:
+    """Bit-identity with the per-interferer generator seeded through numpy."""
+
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    @pytest.mark.parametrize("n_interferers", [0, 1, 3])
+    @pytest.mark.parametrize("count", [1, 60, 200])
+    def test_batches_equal_reference(self, kind, n_interferers, count):
+        geom = ArrayGeometry(25, 0.5)
+        scene = SourceScene(
+            soi=SourceSpec(-45.02, 0.7),
+            interferers=tuple(
+                SourceSpec(doa, power)
+                for doa, power in zip((-30.0, 0.0, 20.0), (3.1, 0.25, 1e-3))
+            )[:n_interferers],
+            noise_var=0.37,
+        )
+        for seed, trial in ((20250810, 0), (7, 300), (2**70 + 1, 2**32 - 1)):
+            got = synth_scene_snapshots(geom, scene, kind, count, TrialRngs(seed, trial))
+            ref = reference_synth_scene_snapshots(geom, scene, kind, count, seed, trial)
+            assert np.array_equal(got.snapshots, ref.snapshots)
+            assert np.array_equal(got.truth, ref.truth)
+            got = synth_scene_secondary(geom, scene, kind, count, TrialRngs(seed, trial))
+            ref = reference_synth_scene_secondary(geom, scene, kind, count, seed, trial)
+            assert np.array_equal(got.snapshots, ref.snapshots)
+            assert got.truth.size == 0
 
 
 class TestSnapshotBatchInvariants:

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Digest every preset's results file at a small, fixed size.
+
+    python3 tools/results_digests.py OUTDIR
+
+Runs ``caponplus run --preset P --seed 7`` for each preset at 200 trials per
+point (fig2, the closed-form alpha sweep, at its own grid; fig5 and fig6 at
+T0 in {30, 60, 120}), with ``emit_theory`` off and on and with
+``--threads`` 1 and 2, and writes the results files to OUTDIR.  It prints one
+``<first 12 hex digits of SHA-256> <file>`` line per results file, so two
+trees give the same output exactly when their results are byte-identical.
+Exits 1 if a run fails or if a preset's threads-1 and threads-2 files differ.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from caponplus import cli  # noqa: E402
+from caponplus.presets import PRESETS  # noqa: E402
+
+SEED = 7
+TRIALS = 200
+T0_VALUES = [30.0, 60.0, 120.0]
+THREADS = (1, 2)
+
+
+def _overrides(preset: str, emit_theory: bool) -> dict:
+    doc: dict = {"emit_theory": emit_theory}
+    if PRESETS[preset]["regime"] != "alpha_sweep":
+        doc["trials"] = TRIALS
+    if PRESETS[preset]["sweep"]["variable"] == "t0":
+        doc["sweep"] = {"variable": "t0", "values": T0_VALUES}
+    return doc
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    status = 0
+    for preset in sorted(PRESETS):
+        for emit_theory in (False, True):
+            cfg = outdir / f"{preset}-theory{int(emit_theory)}.json"
+            cfg.write_text(json.dumps(_overrides(preset, emit_theory)))
+            digests = []
+            for threads in THREADS:
+                out = outdir / f"{preset}-theory{int(emit_theory)}-threads{threads}.csv"
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = cli.main(["run", str(cfg), "--preset", preset, "--seed", str(SEED),
+                                     "--out", str(out), "--threads", str(threads)])
+                if code != 0:
+                    print(f"FAILED (exit {code}) {out.name}: {stderr.getvalue().strip()}")
+                    status = 1
+                    continue
+                digest = hashlib.sha256(out.read_bytes()).hexdigest()[:12]
+                digests.append(digest)
+                print(f"{digest} {out.name}", flush=True)
+            if len(set(digests)) > 1:
+                print(f"MISMATCH {preset} theory{int(emit_theory)}: threads 1 and 2 differ")
+                status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
