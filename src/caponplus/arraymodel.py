@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +31,9 @@ __all__ = [
     "cov_model_from_parts",
     "capon_output_power",
     "capon_bias",
-    "single_interferer_bias",
     "theory_report",
     "alpha_from_kurtosis",
     "waveform_mse_theory",
-    "bias_theory",
-    "power_variance_gaussian",
 ]
 
 _DUAL_FORM_RTOL = 1e-9
@@ -131,32 +128,27 @@ def build_incm(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """Steering vector, SOI power, INCM ``Q`` and full covariance ``S = gamma a a^H + Q``."""
+    """Steering vector, SOI power, INCM ``Q`` and full covariance ``S = gamma a a^H + Q``,
+    with the solves ``qinv_a = Q^{-1} a``, ``ah_qinv_a = a^H Q^{-1} a``,
+    ``sinv_a = S^{-1} a`` and ``ah_sinv_a = a^H S^{-1} a``, each made once."""
 
     a: np.ndarray
     gamma: float
     incm: np.ndarray
     full: np.ndarray
+    qinv_a: np.ndarray
+    ah_qinv_a: float
+    sinv_a: np.ndarray
+    ah_sinv_a: float
 
-    # Q factor and solves, computed on first use and kept per model under their names
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def qinv_a(self) -> np.ndarray:
-        """``Q^{-1} a`` (cached)."""
-        if "qinv_a" not in self._cache:
-            self._cache["qinv_a"] = solve_chol(self.q_factor(), self.a)
-        return self._cache["qinv_a"]
-
-    def q_factor(self):
-        if "q_factor" not in self._cache:
-            self._cache["q_factor"] = cholesky(self.incm)
-        return self._cache["q_factor"]
-
-    def ah_qinv_a(self) -> float:
-        if "ah_qinv_a" not in self._cache:
-            val = np.vdot(self.a, self.qinv_a())
-            self._cache["ah_qinv_a"] = float(val.real)
-        return self._cache["ah_qinv_a"]
+def _solve_steering(cov: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(C^{-1} a, a^H C^{-1} a)`` through one Cholesky factor of ``C``."""
+    cinv_a = solve_chol(cholesky(cov), a)
+    denom = float(np.vdot(a, cinv_a).real)
+    if denom <= 0.0:
+        raise DomainError(f"a^H C^(-1) a must be positive, got {denom}")
+    return cinv_a, denom
 
 
 def cov_model_from_parts(a: np.ndarray, gamma: float, incm: np.ndarray) -> CovarianceModel:
@@ -171,7 +163,10 @@ def cov_model_from_parts(a: np.ndarray, gamma: float, incm: np.ndarray) -> Covar
         )
     full = gamma * np.outer(a, a.conj()) + incm
     full = 0.5 * (full + full.conj().T)
-    return CovarianceModel(a=a, gamma=float(gamma), incm=incm, full=full)
+    qinv_a, ah_qinv_a = _solve_steering(incm, a)
+    sinv_a, ah_sinv_a = _solve_steering(full, a)
+    return CovarianceModel(a=a, gamma=float(gamma), incm=incm, full=full, qinv_a=qinv_a,
+                           ah_qinv_a=ah_qinv_a, sinv_a=sinv_a, ah_sinv_a=ah_sinv_a)
 
 
 def build_cov_model(geom: ArrayGeometry, scene: SourceScene) -> CovarianceModel:
@@ -186,38 +181,12 @@ def capon_output_power(model: CovarianceModel) -> float:
     Equals ``gamma + 1 / (a^H Q^{-1} a)``, i.e. the true SOI power plus the
     positive bias term; the identity is exercised by the test suite.
     """
-    sinv_a = solve_chol(cholesky(model.full), model.a)
-    denom = np.vdot(model.a, sinv_a).real
-    if denom <= 0.0:
-        raise DomainError(f"a^H S^(-1) a must be positive, got {denom}")
-    return float(1.0 / denom)
+    return 1.0 / model.ah_sinv_a
 
 
 def capon_bias(model: CovarianceModel) -> float:
     """Bias of the Capon power estimator, ``(a^H Q^{-1} a)^{-1} > 0``."""
-    return 1.0 / model.ah_qinv_a()
-
-
-def single_interferer_bias(
-    geom: ArrayGeometry, soi_doa_deg: float, int_doa_deg: float, inr: float, noise_var: float = 1.0
-) -> float:
-    """Closed-form Capon bias for one interferer at ``int_doa_deg`` with INR ``gamma_I/sigma^2``.
-
-    With ``Q = gamma_I a_I a_I^H + sigma^2 I`` the Sherman-Morrison identity gives
-
-        (a^H Q^{-1} a)^{-1}
-            = sigma^2 (1 + M INR) / (M (1 + M INR) - INR |a^H a_I|^2).
-
-    At ``a_I = a`` this reduces to ``sigma^2 (1 + M INR) / M`` and for an
-    orthogonal interferer to the white-noise value ``sigma^2 / M``.
-    """
-    if inr < 0.0:
-        raise DomainError(f"INR must be >= 0, got {inr}")
-    m = geom.antennas
-    a = steering_vector(geom, soi_doa_deg)
-    a_i = steering_vector(geom, int_doa_deg)
-    cross = abs(np.vdot(a_i, a)) ** 2
-    return float(noise_var * (1.0 + m * inr) / (m * (1.0 + m * inr) - inr * cross))
+    return 1.0 / model.ah_qinv_a
 
 
 @dataclass(frozen=True)
@@ -228,12 +197,10 @@ class TheoryReport:
     gamma_mmse: float
     capon_bias: float
     mmse_bias: float
-    capon_waveform_mse: float
     mmse_waveform_mse: float
     alpha_o: float
     tau: float
     mse_min: float
-    delta_o: float
 
 
 def theory_report(model: CovarianceModel, snapshots: int) -> TheoryReport:
@@ -256,12 +223,10 @@ def theory_report(model: CovarianceModel, snapshots: int) -> TheoryReport:
         gamma_mmse=gamma_mmse,
         capon_bias=bias,
         mmse_bias=gamma_mmse - gamma,
-        capon_waveform_mse=bias,
         mmse_waveform_mse=(gamma / gamma_cap) * (gamma_cap - gamma),
         alpha_o=(gamma / gamma_cap) * tau,
         tau=tau,
         mse_min=gamma**2 / (t + 1.0),
-        delta_o=tau,
     )
 
 
@@ -311,19 +276,3 @@ def waveform_mse_theory(model: CovarianceModel, w: np.ndarray) -> float:
             f"waveform MSE dual forms disagree: {form_full!r} vs {form_incm!r}"
         )
     return float(form_incm)
-
-
-def bias_theory(model: CovarianceModel, w: np.ndarray) -> float:
-    """Bias of the power estimator for a fixed weight: ``gamma(|w^H a|^2 - 1) + w^H Q w``."""
-    w = np.asarray(w, dtype=np.complex128)
-    if w.shape != model.a.shape:
-        raise DimensionMismatch(f"weight shape {w.shape} != steering shape {model.a.shape}")
-    wa = np.vdot(w, model.a)
-    return float(model.gamma * (abs(wa) ** 2 - 1.0) + quadratic_form(model.incm, w))
-
-
-def power_variance_gaussian(model: CovarianceModel, w: np.ndarray, snapshots: int) -> float:
-    """Variance of the ``T``-snapshot power estimate for Gaussian data: ``(w^H S w)^2 / T``."""
-    if snapshots < 1:
-        raise DomainError(f"snapshot count must be >= 1, got {snapshots}")
-    return quadratic_form(model.full, w) ** 2 / snapshots

@@ -23,7 +23,6 @@ from .errors import (
     InsufficientSecondarySamples,
     NonPositiveQuadraticForm,
 )
-from .linalg import cholesky, solve_chol
 from .signalsim import SnapshotBatch
 
 __all__ = [
@@ -32,9 +31,6 @@ __all__ = [
     "output_moments",
     "kurtosis_estimate",
     "debiased_power",
-    "NllProfile",
-    "nll_profile",
-    "negative_log_likelihood",
     "alpha_hat",
     "debiased_power_scaled",
 ]
@@ -106,64 +102,6 @@ def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> float:
     if ah_qinv_a <= 0.0:
         raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {ah_qinv_a}")
     return max(gamma_cap_hat - 1.0 / ah_qinv_a, 0.0)
-
-
-@dataclass(frozen=True)
-class NllProfile:
-    """Scalar profile of the negative log-likelihood in the SOI power.
-
-    For known INCM ``Q`` and sample covariance ``S_hat``,
-    ``nll(gamma) = tr((Q + gamma a a^H)^{-1} S_hat) + log|Q + gamma a a^H|``
-    collapses, through the Sherman-Morrison and determinant lemmas, to
-
-        trace0 - gamma r / (1 + gamma q) + logdet0 + log(1 + gamma q)
-
-    with ``q = a^H Q^{-1} a``, ``r = a^H Q^{-1} S_hat Q^{-1} a``,
-    ``trace0 = tr(Q^{-1} S_hat)`` and ``logdet0 = log|Q|``.  The minimizer
-    over ``gamma >= 0`` is ``max(r/q^2 - 1/q, 0)``, i.e. the debiased Capon
-    power estimate.
-    """
-
-    q: float
-    r: float
-    trace0: float
-    logdet0: float
-
-    def __call__(self, gamma) -> np.ndarray | float:
-        gamma = np.asarray(gamma, dtype=np.float64)
-        if np.any(gamma < 0.0):
-            raise DomainError("SOI power must be >= 0")
-        denom = 1.0 + gamma * self.q
-        val = self.trace0 - gamma * self.r / denom + self.logdet0 + np.log(denom)
-        return float(val) if val.ndim == 0 else val
-
-    def minimizer(self) -> float:
-        return max(self.r / self.q**2 - 1.0 / self.q, 0.0)
-
-
-def nll_profile(q_mat: np.ndarray, sample_cov: SampleCovariance, a: np.ndarray) -> NllProfile:
-    """Precompute the scalars of :class:`NllProfile` from ``Q``, the SCM and ``a``."""
-    a = np.asarray(a, dtype=np.complex128)
-    factor = cholesky(q_mat)
-    qinv_a = solve_chol(factor, a)
-    q = float(np.vdot(a, qinv_a).real)
-    if q <= 0.0:
-        raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {q}")
-    s_hat = sample_cov.matrix
-    r = float(np.vdot(qinv_a, s_hat @ qinv_a).real)
-    trace0 = float(np.trace(solve_chol(factor, s_hat)).real)
-    return NllProfile(q=q, r=r, trace0=trace0, logdet0=factor.log_det())
-
-
-def negative_log_likelihood(
-    gamma: float, q_mat: np.ndarray, sample_cov: SampleCovariance, a: np.ndarray
-) -> float:
-    """Negative log-likelihood (scaled by 1/T) of the SOI power ``gamma``.
-
-    ``tr((Q + gamma a a^H)^{-1} S_hat) + log|Q + gamma a a^H|``, evaluated
-    without forming the rank-one-updated matrix.
-    """
-    return float(nll_profile(q_mat, sample_cov, a)(gamma))
 
 
 def alpha_hat(gamma_cap_hat: float, fourth_mom: float, gamma_num: float, t: int) -> float:

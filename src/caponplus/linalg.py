@@ -2,11 +2,8 @@
 
 Everything in this package runs through a handful of primitives: a complex
 Cholesky factorization with an explicit rank-deficiency threshold, solves
-against the factor, real-valued Hermitian quadratic forms, and the
-Sherman-Morrison update for rank-one covariance perturbations.  Matrices are
-plain ``numpy`` arrays of ``complex128``; the only wrapper type is
-:class:`CholeskyFactor`, which is reused both for solving and for sampling
-circular Gaussian vectors with a prescribed covariance.
+against the factor, and real-valued Hermitian quadratic forms.  Matrices and
+factors are plain ``numpy`` arrays of ``complex128``.
 
 The factor comes from LAPACK ``zpotrf`` and solves from ``zpotrs``.  LAPACK
 only stops at a non-positive pivot, so the package's stricter rule (reject
@@ -17,27 +14,12 @@ quadratic-form residues are judged relative to the scale of the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NonPositiveQuadraticForm,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
-__all__ = [
-    "CholeskyFactor",
-    "hermitian_matrix",
-    "cholesky",
-    "solve_chol",
-    "solve_hpd",
-    "quadratic_form",
-    "rank1_update_inverse",
-]
+__all__ = ["hermitian_matrix", "cholesky", "solve_chol", "quadratic_form"]
 
 _EPS = np.finfo(np.float64).eps
 
@@ -75,23 +57,8 @@ def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor ``L`` with ``L L^H = A`` and real positive diagonal."""
-
-    lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    def log_det(self) -> float:
-        """log |A| of the factored matrix."""
-        return float(2.0 * np.sum(np.log(self.lower.real.diagonal())))
-
-
-def cholesky(a: np.ndarray) -> CholeskyFactor:
-    """Factor a Hermitian positive definite matrix as ``L L^H``.
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L L^H = A`` and real positive diagonal.
 
     A pivot is rejected when it falls at or below ``M * eps * max(diag)``,
     which flags indefinite matrices and numerically singular ones.  For a
@@ -106,16 +73,16 @@ def cholesky(a: np.ndarray) -> CholeskyFactor:
         Reporting the index of the failing pivot.
     """
     a = np.asarray(a, dtype=np.complex128)
-    m = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != m:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    m = a.shape[0]
     tol = m * _EPS * a.real.diagonal().max(initial=0.0)
     lower, info = zpotrf(a, lower=1)
     # The pivots are the squared diagonal of the factor.  Squaring is monotone,
     # so the smallest diagonal entry decides when LAPACK succeeded.
     diag = lower.real.diagonal()
     if info == 0 and float(diag.min(initial=np.inf)) ** 2 > tol:
-        return CholeskyFactor(lower)
+        return lower
     # On failure LAPACK stops at pivot info - 1; the pivots before it are valid.
     factored = info - 1 if info > 0 else m
     small = np.flatnonzero(diag[:factored] ** 2 <= tol)
@@ -125,19 +92,13 @@ def cholesky(a: np.ndarray) -> CholeskyFactor:
     )
 
 
-def solve_chol(factor: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    """Solve ``A y = b`` given the Cholesky factor of ``A``."""
+def solve_chol(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A y = b`` given the lower Cholesky factor ``L`` of ``A``."""
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape[0] != factor.dim:
-        raise DimensionMismatch(
-            f"rhs has leading dimension {b.shape[0]}, factor is {factor.dim}"
-        )
-    return zpotrs(factor.lower, b, lower=1)[0]
-
-
-def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A y = b`` for Hermitian positive definite ``A``."""
-    return solve_chol(cholesky(a), b)
+    m = lower.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != m:
+        raise DimensionMismatch(f"rhs has shape {b.shape}, factor is {m} x {m}")
+    return zpotrs(lower, b, lower=1)[0]
 
 
 def quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
@@ -161,22 +122,3 @@ def quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
             f"(|value| = {abs(raw):.3e}); matrix is not Hermitian enough"
         )
     return float(raw.real)
-
-
-def rank1_update_inverse(
-    qinv_a: np.ndarray, ah_qinv_a: float, gamma: float
-) -> tuple[np.ndarray, float]:
-    """Sherman-Morrison update of ``Q^{-1} a`` for ``M = Q + gamma a a^H``.
-
-    Given ``Q^{-1} a`` and the scalar ``a^H Q^{-1} a``, returns
-    ``M^{-1} a = Q^{-1} a / (1 + gamma a^H Q^{-1} a)`` and the matching
-    scalar ``a^H M^{-1} a``, without forming ``M``.
-    """
-    if gamma < 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    if ah_qinv_a <= 0.0:
-        raise NonPositiveQuadraticForm(
-            f"a^H Q^{{-1}} a must be positive, got {ah_qinv_a}"
-        )
-    denom = 1.0 + gamma * ah_qinv_a
-    return np.asarray(qinv_a, dtype=np.complex128) / denom, ah_qinv_a / denom

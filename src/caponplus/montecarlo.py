@@ -79,14 +79,7 @@ from .arraymodel import (
     theory_report,
     waveform_mse_theory,
 )
-from .beamformers import (
-    adaptive_capon_weights,
-    apply_weights,
-    capon_plus_weights,
-    capon_weights,
-    cb_weights,
-    mmse_weights,
-)
+from .beamformers import adaptive_capon_weights, apply_weights, capon_plus_weights, cb_weights
 from .errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
 from .linalg import quadratic_form
 from .estimation import (
@@ -318,7 +311,7 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         t0 = config.secondary_snapshots
     model = build_cov_model(config.geom, scene)
     theory = theory_report(model, config.snapshots)
-    w_cap = capon_weights(model.full, model.a)
+    w_cap = model.sinv_a / model.ah_sinv_a
     alpha_oracle = _oracle_alpha(config, scene, model, theory, w_cap)
     return SweepContext(
         scene=scene,
@@ -327,7 +320,7 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         secondary_snapshots=t0,
         w_cb=cb_weights(model.a),
         w_cap=w_cap,
-        w_mmse=mmse_weights(model.gamma, model.full, model.a),
+        w_mmse=model.gamma * model.sinv_a,
         alpha_oracle=alpha_oracle,
         w_cap_plus=capon_plus_weights(w_cap, alpha_oracle),
     )
@@ -384,7 +377,7 @@ def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list
 
     power = plug_in if regime is Regime.B else gamma_cap_hat
     if regime is Regime.A:
-        q = ctx.model.ah_qinv_a()
+        q = ctx.model.ah_qinv_a
         gamma_num = debiased_power(gamma_cap_hat, q)
         mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
     else:

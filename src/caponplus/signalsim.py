@@ -38,14 +38,12 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .arraymodel import (
     ArrayGeometry,
-    CovarianceModel,
     SourceScene,
     _steering_cached,
     _steering_matrix_cached,
     steering_vector,
 )
 from .errors import DomainError
-from .linalg import CholeskyFactor
 
 __all__ = [
     "WaveformKind",
@@ -54,10 +52,7 @@ __all__ = [
     "TrialRngs",
     "SnapshotBatch",
     "draw_waveform",
-    "draw_interference_noise",
-    "synth_snapshots",
     "synth_scene_snapshots",
-    "synth_secondary",
     "synth_scene_secondary",
     "output_power_components",
     "output_fourth_moment",
@@ -242,10 +237,6 @@ class SnapshotBatch:
             raise DomainError("a batch without the SOI must have empty truth")
 
     @property
-    def num_snapshots(self) -> int:
-        return self.snapshots.shape[0]
-
-    @property
     def num_antennas(self) -> int:
         return self.snapshots.shape[1]
 
@@ -284,34 +275,6 @@ def draw_waveform(
     return waves.reshape(count) if powers.ndim == 0 else waves.reshape(count, k)
 
 
-def draw_interference_noise(
-    q_factor: CholeskyFactor, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``count`` Gaussian vectors ``e(t) = L z(t)`` with covariance ``Q = L L^H``."""
-    if count < 1:
-        raise DomainError(f"sample count must be >= 1, got {count}")
-    m = q_factor.dim
-    z = (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))) / np.sqrt(2.0)
-    return z @ q_factor.lower.T
-
-
-def synth_snapshots(
-    model: CovarianceModel, kind: WaveformKind, count: int, rngs: TrialRngs
-) -> SnapshotBatch:
-    """Snapshots ``x(t) = s(t) a + e(t)`` with Gaussian interference-plus-noise.
-
-    The SOI waveform follows ``kind``; ``e(t)`` is drawn as CN(0, Q) through
-    the Cholesky factor of the model INCM (so for PSK scenes where the
-    interferers themselves are PSK-modulated, use
-    :func:`synth_scene_snapshots` instead).  SOI and interference use
-    disjoint role streams.
-    """
-    s = draw_waveform(kind, model.gamma, count, rngs.soi)
-    e = draw_interference_noise(model.q_factor(), count, rngs.interference)
-    x = s[:, None] * model.a[None, :] + e
-    return SnapshotBatch(snapshots=x, truth=s, contains_soi=True)
-
-
 def _scene_interference(
     geom: ArrayGeometry,
     scene: SourceScene,
@@ -347,21 +310,12 @@ def synth_scene_snapshots(
 
     This is the generator used by the experiment scenarios: the scene applies
     one waveform law to all sources, while the additive noise stays white
-    Gaussian.  For the Gaussian kind it is distributionally identical to
-    :func:`synth_snapshots`.
+    Gaussian.
     """
     s = draw_waveform(kind, scene.soi.power, count, rngs.soi)
     e = _scene_interference(geom, scene, kind, count, rngs.interference, rngs.noise)
     e += s[:, None] * _steering_cached(geom, float(scene.soi.doa_deg))[None, :]
     return SnapshotBatch(snapshots=e, truth=s, contains_soi=True)
-
-
-def synth_secondary(
-    q_factor: CholeskyFactor, count: int, rng: np.random.Generator
-) -> SnapshotBatch:
-    """SOI-free Gaussian secondary batch ``e'(t) ~ CN(0, Q)``."""
-    e = draw_interference_noise(q_factor, count, rng)
-    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
 
 
 def synth_scene_secondary(

@@ -1,16 +1,32 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and independent oracles for the test suite."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from caponplus.arraymodel import (
     ArrayGeometry,
+    CovarianceModel,
     SourceScene,
     SourceSpec,
     build_cov_model,
     steering_vector,
 )
-from caponplus.errors import NotPositiveDefinite
-from caponplus.signalsim import SnapshotBatch, StreamRole, WaveformKind
+from caponplus.errors import (
+    DimensionMismatch,
+    DomainError,
+    NonPositiveQuadraticForm,
+    NotPositiveDefinite,
+)
+from caponplus.estimation import SampleCovariance
+from caponplus.linalg import cholesky, quadratic_form, solve_chol
+from caponplus.signalsim import (
+    SnapshotBatch,
+    StreamRole,
+    TrialRngs,
+    WaveformKind,
+    draw_waveform,
+)
 
 
 def random_hpd(rng: np.random.Generator, m: int, jitter: float = 1.0) -> np.ndarray:
@@ -133,4 +149,145 @@ def reference_synth_scene_secondary(
     """The reference for :func:`caponplus.signalsim.synth_scene_secondary`."""
     rng = _reference_stream(master_seed, trial_index, StreamRole.SECONDARY)
     e = _reference_interference(geom, scene, kind, count, rng, rng)
+    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
+
+
+def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A y = b`` for Hermitian positive definite ``A``."""
+    return solve_chol(cholesky(a), b)
+
+
+def rank1_update_inverse(
+    qinv_a: np.ndarray, ah_qinv_a: float, gamma: float
+) -> tuple[np.ndarray, float]:
+    """Sherman-Morrison update of ``Q^{-1} a`` for ``M = Q + gamma a a^H``.
+
+    Given ``Q^{-1} a`` and the scalar ``a^H Q^{-1} a``, returns
+    ``M^{-1} a = Q^{-1} a / (1 + gamma a^H Q^{-1} a)`` and the matching
+    scalar ``a^H M^{-1} a``, without forming ``M``.
+    """
+    if gamma < 0.0:
+        raise DomainError(f"gamma must be >= 0, got {gamma}")
+    if ah_qinv_a <= 0.0:
+        raise NonPositiveQuadraticForm(
+            f"a^H Q^{{-1}} a must be positive, got {ah_qinv_a}"
+        )
+    denom = 1.0 + gamma * ah_qinv_a
+    return np.asarray(qinv_a, dtype=np.complex128) / denom, ah_qinv_a / denom
+
+
+def single_interferer_bias(
+    geom: ArrayGeometry, soi_doa_deg: float, int_doa_deg: float, inr: float, noise_var: float = 1.0
+) -> float:
+    """Closed-form Capon bias for one interferer at ``int_doa_deg`` with INR ``gamma_I/sigma^2``.
+
+    With ``Q = gamma_I a_I a_I^H + sigma^2 I`` the Sherman-Morrison identity gives
+
+        (a^H Q^{-1} a)^{-1}
+            = sigma^2 (1 + M INR) / (M (1 + M INR) - INR |a^H a_I|^2).
+
+    At ``a_I = a`` this reduces to ``sigma^2 (1 + M INR) / M`` and for an
+    orthogonal interferer to the white-noise value ``sigma^2 / M``.
+    """
+    if inr < 0.0:
+        raise DomainError(f"INR must be >= 0, got {inr}")
+    m = geom.antennas
+    a = steering_vector(geom, soi_doa_deg)
+    a_i = steering_vector(geom, int_doa_deg)
+    cross = abs(np.vdot(a_i, a)) ** 2
+    return float(noise_var * (1.0 + m * inr) / (m * (1.0 + m * inr) - inr * cross))
+
+
+def bias_theory(model: CovarianceModel, w: np.ndarray) -> float:
+    """Bias of the power estimator for a fixed weight: ``gamma(|w^H a|^2 - 1) + w^H Q w``."""
+    w = np.asarray(w, dtype=np.complex128)
+    if w.shape != model.a.shape:
+        raise DimensionMismatch(f"weight shape {w.shape} != steering shape {model.a.shape}")
+    wa = np.vdot(w, model.a)
+    return float(model.gamma * (abs(wa) ** 2 - 1.0) + quadratic_form(model.incm, w))
+
+
+def power_variance_gaussian(model: CovarianceModel, w: np.ndarray, snapshots: int) -> float:
+    """Variance of the ``T``-snapshot power estimate for Gaussian data: ``(w^H S w)^2 / T``."""
+    if snapshots < 1:
+        raise DomainError(f"snapshot count must be >= 1, got {snapshots}")
+    return quadratic_form(model.full, w) ** 2 / snapshots
+
+
+@dataclass(frozen=True)
+class NllProfile:
+    """Scalar profile of the negative log-likelihood in the SOI power.
+
+    For known INCM ``Q`` and sample covariance ``S_hat``,
+    ``nll(gamma) = tr((Q + gamma a a^H)^{-1} S_hat) + log|Q + gamma a a^H|``
+    collapses, through the Sherman-Morrison and determinant lemmas, to
+
+        trace0 - gamma r / (1 + gamma q) + logdet0 + log(1 + gamma q)
+
+    with ``q = a^H Q^{-1} a``, ``r = a^H Q^{-1} S_hat Q^{-1} a``,
+    ``trace0 = tr(Q^{-1} S_hat)`` and ``logdet0 = log|Q|``.  The minimizer
+    over ``gamma >= 0`` is ``max(r/q^2 - 1/q, 0)``, i.e. the debiased Capon
+    power estimate.
+    """
+
+    q: float
+    r: float
+    trace0: float
+    logdet0: float
+
+    def __call__(self, gamma) -> np.ndarray | float:
+        gamma = np.asarray(gamma, dtype=np.float64)
+        if np.any(gamma < 0.0):
+            raise DomainError("SOI power must be >= 0")
+        denom = 1.0 + gamma * self.q
+        val = self.trace0 - gamma * self.r / denom + self.logdet0 + np.log(denom)
+        return float(val) if val.ndim == 0 else val
+
+    def minimizer(self) -> float:
+        return max(self.r / self.q**2 - 1.0 / self.q, 0.0)
+
+
+def nll_profile(q_mat: np.ndarray, sample_cov: SampleCovariance, a: np.ndarray) -> NllProfile:
+    """Precompute the scalars of :class:`NllProfile` from ``Q``, the SCM and ``a``."""
+    a = np.asarray(a, dtype=np.complex128)
+    lower = cholesky(q_mat)
+    qinv_a = solve_chol(lower, a)
+    q = float(np.vdot(a, qinv_a).real)
+    if q <= 0.0:
+        raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {q}")
+    s_hat = sample_cov.matrix
+    r = float(np.vdot(qinv_a, s_hat @ qinv_a).real)
+    trace0 = float(np.trace(solve_chol(lower, s_hat)).real)
+    logdet0 = float(2.0 * np.sum(np.log(lower.real.diagonal())))
+    return NllProfile(q=q, r=r, trace0=trace0, logdet0=logdet0)
+
+
+def draw_interference_noise(lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` Gaussian vectors ``e(t) = L z(t)`` with covariance ``Q = L L^H``."""
+    if count < 1:
+        raise DomainError(f"sample count must be >= 1, got {count}")
+    m = lower.shape[0]
+    z = (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))) / np.sqrt(2.0)
+    return z @ lower.T
+
+
+def synth_snapshots(
+    model: CovarianceModel, kind: WaveformKind, count: int, rngs: TrialRngs
+) -> SnapshotBatch:
+    """Snapshots ``x(t) = s(t) a + e(t)`` with Gaussian interference-plus-noise.
+
+    The SOI waveform follows ``kind``; ``e(t)`` is drawn as CN(0, Q) through
+    the Cholesky factor of the model INCM, so any Hermitian positive definite
+    ``Q`` can be sampled, not only one that a scene describes.  SOI and
+    interference use disjoint role streams.
+    """
+    s = draw_waveform(kind, model.gamma, count, rngs.soi)
+    e = draw_interference_noise(cholesky(model.incm), count, rngs.interference)
+    x = s[:, None] * model.a[None, :] + e
+    return SnapshotBatch(snapshots=x, truth=s, contains_soi=True)
+
+
+def synth_secondary(lower: np.ndarray, count: int, rng: np.random.Generator) -> SnapshotBatch:
+    """SOI-free Gaussian secondary batch ``e'(t) ~ CN(0, Q)`` for ``Q = L L^H``."""
+    e = draw_interference_noise(lower, count, rng)
     return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)

@@ -20,8 +20,8 @@ from caponplus.arraymodel import (
 )
 from caponplus.beamformers import capon_weights
 from caponplus.cli import build_run_config, main
-from caponplus.estimation import debiased_power, nll_profile, scm
-from caponplus.linalg import cholesky, quadratic_form, solve_hpd
+from caponplus.estimation import debiased_power, scm
+from caponplus.linalg import cholesky, quadratic_form
 from caponplus.montecarlo import (
     DEFAULT_GEOMETRY,
     Regime,
@@ -41,7 +41,7 @@ from caponplus.signalsim import (
     output_fourth_moment,
     synth_scene_snapshots,
 )
-from helpers import random_cvector, random_hpd
+from helpers import nll_profile, random_cvector, random_hpd, solve_hpd
 
 THREADS = 2
 FIG1_SNRS = (0.0, -2.0, -4.0, -6.0, -8.5)
@@ -213,7 +213,7 @@ def test_criterion_05_power_variance_and_scm_covariance():
     scene2 = dataclasses.replace(scene2, interferers=scene2.interferers[:1])
     model2 = build_cov_model(geom2, scene2)
     s_mat = model2.full
-    lower = cholesky(s_mat).lower
+    lower = cholesky(s_mat)
     t, n = 8, 120000
     rng = np.random.default_rng(557)
     vecs = np.empty((n, 4), dtype=complex)
@@ -252,7 +252,7 @@ def test_criterion_06_mle_equivalence():
         gamma = 0.0 if k % 4 == 0 else float(10.0 ** rng.uniform(-1.5, 1.0))
         t = int(rng.integers(m + 2, 64))
         model = cov_model_from_parts(a, gamma, q)
-        lower = cholesky(model.full).lower
+        lower = cholesky(model.full)
         gen = TrialRngs(7000 + k, 0).noise
         z = (gen.standard_normal((t, m)) + 1j * gen.standard_normal((t, m))) / np.sqrt(2)
         x = z @ lower.T
@@ -341,7 +341,7 @@ def _wishart_ratio(m: int, t0: int, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     q = random_hpd(rng, m)
     a = random_cvector(rng, m)
-    lower = cholesky(q).lower
+    lower = cholesky(q)
     quad_true = float(np.vdot(a, solve_hpd(q, a)).real)
     total = 0.0
     chunk = max(1, min(trials, 4 * 10**6 // (t0 * m)))

@@ -20,9 +20,9 @@ from caponplus.beamformers import (
     mmse_weights,
 )
 from caponplus.errors import DimensionMismatch, DomainError, NotPositiveDefinite
-from caponplus.linalg import quadratic_form, solve_hpd
-from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, synth_snapshots
-from helpers import random_model
+from caponplus.linalg import quadratic_form
+from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind
+from helpers import random_model, solve_hpd, synth_snapshots
 
 
 def make_batch(x):

@@ -20,20 +20,19 @@ from caponplus.estimation import (
     debiased_power,
     debiased_power_scaled,
     kurtosis_estimate,
-    negative_log_likelihood,
-    nll_profile,
     output_moments,
     scm,
 )
-from caponplus.linalg import cholesky, quadratic_form, solve_hpd
-from caponplus.signalsim import (
-    SnapshotBatch,
-    TrialRngs,
-    WaveformKind,
-    draw_waveform,
+from caponplus.linalg import cholesky, quadratic_form
+from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, draw_waveform
+from helpers import (
+    nll_profile,
+    random_cvector,
+    random_hpd,
+    random_model,
+    solve_hpd,
     synth_snapshots,
 )
-from helpers import random_cvector, random_hpd, random_model
 
 
 def make_batch(x):
@@ -171,7 +170,7 @@ class TestNegativeLogLikelihood:
     def test_gamma_zero_reference_value(self):
         rng = np.random.default_rng(5)
         q, a, _gamma, sample_cov, _t = self._instance(rng)
-        got = negative_log_likelihood(0.0, q, sample_cov, a)
+        got = nll_profile(q, sample_cov, a)(0.0)
         qinv = np.linalg.inv(q)
         ref = np.trace(qinv @ sample_cov.matrix).real + np.linalg.slogdet(q)[1]
         assert got == pytest.approx(ref, rel=1e-10)
@@ -185,7 +184,7 @@ class TestNegativeLogLikelihood:
                 np.trace(np.linalg.inv(sigma) @ sample_cov.matrix).real
                 + np.linalg.slogdet(sigma)[1]
             )
-            assert negative_log_likelihood(gamma, q, sample_cov, a) == pytest.approx(
+            assert nll_profile(q, sample_cov, a)(gamma) == pytest.approx(
                 ref, rel=1e-9
             )
 
@@ -301,7 +300,7 @@ class TestDebiasedPowerScaled:
         rng = np.random.default_rng(11)
         q = random_hpd(rng, m)
         a = random_cvector(rng, m)
-        lower = cholesky(q).lower
+        lower = cholesky(q)
         quad_true = float(np.vdot(a, solve_hpd(q, a)).real)
         acc = 0.0
         chunk = 20000

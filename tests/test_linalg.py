@@ -7,15 +7,14 @@ from caponplus.errors import (
     NonPositiveQuadraticForm,
     NotPositiveDefinite,
 )
-from caponplus.linalg import (
-    cholesky,
-    hermitian_matrix,
-    quadratic_form,
+from caponplus.linalg import cholesky, hermitian_matrix, quadratic_form, solve_chol
+from helpers import (
+    random_cvector,
+    random_hpd,
     rank1_update_inverse,
-    solve_chol,
+    reference_cholesky,
     solve_hpd,
 )
-from helpers import random_cvector, random_hpd, reference_cholesky
 
 SQRT2 = 1.4142135623730951
 INV_SQRT2 = 0.7071067811865475
@@ -54,12 +53,12 @@ class TestHermitianMatrix:
 class TestCholesky:
     def test_identity(self):
         fac = cholesky(np.eye(2, dtype=complex))
-        assert np.allclose(fac.lower, np.eye(2))
+        assert np.allclose(fac, np.eye(2))
 
     def test_hand_2x2(self):
         fac = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex))
         expected = np.array([[SQRT2, 0.0], [INV_SQRT2, SQRT_3_2]])
-        assert np.allclose(fac.lower, expected, rtol=1e-14)
+        assert np.allclose(fac, expected, rtol=1e-14)
 
     def test_indefinite_reports_pivot(self):
         with pytest.raises(NotPositiveDefinite) as exc:
@@ -79,16 +78,31 @@ class TestCholesky:
         rng = np.random.default_rng(m)
         a = random_hpd(rng, m)
         fac = cholesky(a)
-        rec = fac.lower @ fac.lower.conj().T
+        rec = fac @ fac.conj().T
         assert np.linalg.norm(rec - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.all(fac.lower.diagonal().imag == 0.0)
-        assert np.all(fac.lower.diagonal().real > 0.0)
+        assert np.all(fac.diagonal().imag == 0.0)
+        assert np.all(fac.diagonal().real > 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cholesky(np.float64(2.0)),
+            lambda: cholesky(np.ones(3, dtype=complex)),
+            lambda: cholesky(np.ones((2, 3), dtype=complex)),
+            lambda: solve_chol(np.eye(2, dtype=complex), np.complex128(1.0)),
+        ],
+        ids=["cholesky-0d", "cholesky-1d", "cholesky-2x3", "solve_chol-0d-rhs"],
+    )
+    def test_rank_checked_before_shape(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
 
     def test_log_det(self):
         rng = np.random.default_rng(11)
         a = random_hpd(rng, 6)
         _sign, ref = np.linalg.slogdet(a)
-        assert cholesky(a).log_det() == pytest.approx(ref, rel=1e-12)
+        log_det = 2.0 * np.sum(np.log(cholesky(a).real.diagonal()))
+        assert log_det == pytest.approx(ref, rel=1e-12)
 
 
 def _pivot_index(factor, a):
@@ -109,7 +123,7 @@ class TestCholeskyMatchesReference:
         for _ in range(5):
             a = random_hpd(rng, m)
             ref = reference_cholesky(a)
-            got = cholesky(a).lower
+            got = cholesky(a)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
 

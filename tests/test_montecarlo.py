@@ -13,7 +13,10 @@ from caponplus.arraymodel import (
     capon_output_power,
     theory_report,
 )
+from caponplus.beamformers import capon_weights, mmse_weights
+from caponplus.cli import build_run_config
 from caponplus.errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
+from caponplus.linalg import cholesky, solve_chol
 from caponplus.montecarlo import (
     DEFAULT_GEOMETRY,
     PskAlphaMode,
@@ -26,7 +29,9 @@ from caponplus.montecarlo import (
     scene_from_db,
     snr_to_scene,
 )
+from caponplus.presets import PRESETS
 from caponplus.signalsim import WaveformKind
+from helpers import random_model
 
 SMALL_GEOM = ArrayGeometry(4, 0.5)
 SMALL_SCENE = SourceScene(
@@ -383,3 +388,32 @@ class TestFailureHandling:
         monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, very_flaky)
         with pytest.raises(TrialFailureError):
             run_scenario(config(trials=200))
+
+
+class TestContextSolvesOnce:
+    """The context's Capon and MMSE weights and the theory's Capon power come
+    from the model's single S solve, bit for bit equal to fresh solves."""
+
+    @staticmethod
+    def _check(model, w_cap, w_mmse, gamma_cap):
+        a = model.a
+        assert np.array_equal(w_cap, capon_weights(model.full, a))
+        assert np.array_equal(w_mmse, mmse_weights(model.gamma, model.full, a))
+        assert gamma_cap == 1.0 / float(np.vdot(a, solve_chol(cholesky(model.full), a)).real)
+        qinv_a = solve_chol(cholesky(model.incm), a)
+        assert np.array_equal(model.qinv_a, qinv_a)
+        assert model.ah_qinv_a == float(np.vdot(a, qinv_a).real)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig3", "fig4a", "fig5"])
+    def test_preset_contexts(self, preset):
+        cfg = build_run_config(PRESETS[preset]).scenario
+        for value in (cfg.sweep.values[0], cfg.sweep.values[-1]):
+            ctx = mc.build_context(cfg, value)
+            self._check(ctx.model, ctx.w_cap, ctx.w_mmse, ctx.theory.gamma_cap)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            _geom, _scene, model = random_model(rng)
+            self._check(model, model.sinv_a / model.ah_sinv_a, model.gamma * model.sinv_a,
+                        theory_report(model, 60).gamma_cap)

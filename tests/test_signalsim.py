@@ -20,16 +20,19 @@ from caponplus.signalsim import (
     StreamRole,
     TrialRngs,
     WaveformKind,
-    draw_interference_noise,
     draw_waveform,
     output_fourth_moment,
     output_kurtosis,
     synth_scene_secondary,
     synth_scene_snapshots,
+)
+from helpers import (
+    draw_interference_noise,
+    reference_synth_scene_secondary,
+    reference_synth_scene_snapshots,
     synth_secondary,
     synth_snapshots,
 )
-from helpers import reference_synth_scene_secondary, reference_synth_scene_snapshots
 
 PSK_SCENE = SourceScene(
     soi=SourceSpec(-20.0, 2.0),

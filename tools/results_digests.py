@@ -5,11 +5,13 @@
 
 Runs ``caponplus run --preset P --seed 7`` for each preset at 200 trials per
 point (fig2, the closed-form alpha sweep, at its own grid; fig5 and fig6 at
-T0 in {30, 60, 120}), with ``emit_theory`` off and on and with
-``--threads`` 1 and 2, and writes the results files to OUTDIR.  It prints one
+T0 in {30, 60, 120}), with ``emit_theory`` off and on.  It also runs fig1
+with 8-PSK sources and ``emit_theory`` on once per ``psk_alpha_mode``, which
+covers the oracle shrinkage rules no preset selects.  Every run is made at
+``--threads`` 1 and 2, and the results files go to OUTDIR.  It prints one
 ``<first 12 hex digits of SHA-256> <file>`` line per results file, so two
 trees give the same output exactly when their results are byte-identical.
-Exits 1 if a run fails or if a preset's threads-1 and threads-2 files differ.
+Exits 1 if a run fails or if a run's threads-1 and threads-2 files differ.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ SEED = 7
 TRIALS = 200
 T0_VALUES = [30.0, 60.0, 120.0]
 THREADS = (1, 2)
+PSK_ALPHA_MODES = ("kappa_minus_one", "exact", "measured")
 
 
 def _overrides(preset: str, emit_theory: bool) -> dict:
@@ -41,6 +44,17 @@ def _overrides(preset: str, emit_theory: bool) -> dict:
     return doc
 
 
+def _runs():
+    """``(preset, file stem, config overrides)`` of every digested run."""
+    for preset in sorted(PRESETS):
+        for emit_theory in (False, True):
+            yield preset, f"{preset}-theory{int(emit_theory)}", _overrides(preset, emit_theory)
+    for mode in PSK_ALPHA_MODES:
+        yield "fig1", f"fig1-psk8-{mode}", {
+            "emit_theory": True, "trials": TRIALS, "waveform": "psk8", "psk_alpha_mode": mode,
+        }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -48,27 +62,26 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
-    for preset in sorted(PRESETS):
-        for emit_theory in (False, True):
-            cfg = outdir / f"{preset}-theory{int(emit_theory)}.json"
-            cfg.write_text(json.dumps(_overrides(preset, emit_theory)))
-            digests = []
-            for threads in THREADS:
-                out = outdir / f"{preset}-theory{int(emit_theory)}-threads{threads}.csv"
-                stderr = io.StringIO()
-                with contextlib.redirect_stderr(stderr):
-                    code = cli.main(["run", str(cfg), "--preset", preset, "--seed", str(SEED),
-                                     "--out", str(out), "--threads", str(threads)])
-                if code != 0:
-                    print(f"FAILED (exit {code}) {out.name}: {stderr.getvalue().strip()}")
-                    status = 1
-                    continue
-                digest = hashlib.sha256(out.read_bytes()).hexdigest()[:12]
-                digests.append(digest)
-                print(f"{digest} {out.name}", flush=True)
-            if len(set(digests)) > 1:
-                print(f"MISMATCH {preset} theory{int(emit_theory)}: threads 1 and 2 differ")
+    for preset, stem, overrides in _runs():
+        cfg = outdir / f"{stem}.json"
+        cfg.write_text(json.dumps(overrides))
+        digests = []
+        for threads in THREADS:
+            out = outdir / f"{stem}-threads{threads}.csv"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["run", str(cfg), "--preset", preset, "--seed", str(SEED),
+                                 "--out", str(out), "--threads", str(threads)])
+            if code != 0:
+                print(f"FAILED (exit {code}) {out.name}: {stderr.getvalue().strip()}")
                 status = 1
+                continue
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()[:12]
+            digests.append(digest)
+            print(f"{digest} {out.name}", flush=True)
+        if len(set(digests)) > 1:
+            print(f"MISMATCH {stem}: threads 1 and 2 differ")
+            status = 1
     return status
 
 
