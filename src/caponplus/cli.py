@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -110,6 +111,14 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _finite_float(text: str) -> float:
+    """JSON number hook: :class:`ParseError` for NaN, +-Infinity and overflow such as 1e999."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"config: number {text} is not a finite float")
+    return value
+
+
 def _load_document(source) -> dict:
     """Read a JSON object from a path, ``"-"`` (stdin), or a file-like object."""
     try:
@@ -124,7 +133,7 @@ def _load_document(source) -> dict:
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -194,7 +203,7 @@ def _fmt(value) -> str:
 
 def _result_rows(report: ScenarioReport) -> list[dict]:
     rows = []
-    var = report.sweep_variable.value
+    var = report.config.sweep.variable.value
     for point in report.points:
         for agg in point.aggregates:
             rows.append(

@@ -2,20 +2,23 @@
 
 :func:`trial_records` is the one place that scores a trial: the relative
 power bias ``(gamma_hat - gamma) / gamma``, the power NMSE (its square) and
-the waveform NMSE ``sum |s_hat - s|^2 / sum |s|^2``.
+the waveform NMSE ``sum |s_hat - s|^2 / sum |s|^2``.  Each record is the
+plain tuple ``(method, rel_bias, se_nmse, sp_nmse)``; :func:`aggregate` takes
+a flat list of them and keeps the order it is given.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DegenerateSample, DomainError, InsufficientTrials
 
 __all__ = [
-    "METHOD_ORDER",
     "TrialRecord",
     "AggregateRecord",
     "mean_abs_sq",
@@ -23,37 +26,8 @@ __all__ = [
     "aggregate",
 ]
 
-# Canonical method ordering for aggregates and result files.
-METHOD_ORDER = (
-    "CB",
-    "Capon",
-    "MMSE",
-    "CaponPlus",
-    "Debiased",
-    "CBTheory",
-    "CaponTheory",
-    "MMSETheory",
-    "CaponPlusTheory",
-)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Metrics of one method in one Monte-Carlo trial."""
-
-    method: str
-    trial_index: int
-    rel_bias_term: float
-    se_nmse: float
-    sp_nmse: float
-    alpha_used: float
-
-    def __post_init__(self):
-        vals = (self.rel_bias_term, self.se_nmse, self.sp_nmse, self.alpha_used)
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"trial metrics must be finite, got {vals}")
-        if self.se_nmse < 0.0 or self.sp_nmse < 0.0:
-            raise DomainError("NMSE metrics are non-negative")
+# One method's metrics in one trial: (method, rel_bias, se_nmse, sp_nmse).
+TrialRecord = tuple[str, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -76,10 +50,8 @@ def mean_abs_sq(out: np.ndarray) -> float:
     return float(np.vdot(out, out).real) / out.size
 
 
-def trial_records(
-    trial_index: int, gamma: float, truth: np.ndarray, entries
-) -> list[TrialRecord]:
-    """Score one trial: one record per ``(method, output, gamma_hat, alpha_used)``.
+def trial_records(gamma: float, truth: np.ndarray, entries) -> list[TrialRecord]:
+    """Score one trial: one record per ``(method, output, gamma_hat)``.
 
     ``output`` is the method's waveform estimate of ``truth`` and
     ``gamma_hat`` its power estimate, or ``None`` for the output power.  The
@@ -91,21 +63,12 @@ def trial_records(
     if truth_energy <= 0.0:
         raise DegenerateSample("true waveform has zero energy")
     records = []
-    for method, out, gamma_hat, alpha_used in entries:
+    for method, out, gamma_hat in entries:
         if gamma_hat is None:
             gamma_hat = mean_abs_sq(out)
         rel = (gamma_hat - gamma) / gamma
         err = out - truth
-        records.append(
-            TrialRecord(
-                method=method,
-                trial_index=trial_index,
-                rel_bias_term=rel,
-                se_nmse=float(np.vdot(err, err).real) / truth_energy,
-                sp_nmse=rel * rel,
-                alpha_used=alpha_used,
-            )
-        )
+        records.append((method, rel, float(np.vdot(err, err).real) / truth_energy, rel * rel))
     return records
 
 
@@ -117,28 +80,25 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def aggregate(records: list[TrialRecord]) -> list[AggregateRecord]:
-    """Per-method means and standard errors, in canonical method order.
+    """Per-method means and standard errors.
 
-    Records are summed in trial-index order so that the result is bitwise
-    reproducible regardless of how the input list was assembled.
+    Methods come out in the order they first appear in ``records``, and each
+    method's metrics are summed in list order, so the list's order alone fixes
+    every output bit.  Columns are read with ``np.fromiter``: a ``zip(*recs)``
+    transpose makes one iterator per record, which the garbage collector slows.
     """
-    by_method: dict[str, list[TrialRecord]] = {}
+    by_method: dict[str, list[TrialRecord]] = defaultdict(list)
     for rec in records:
-        by_method.setdefault(rec.method, []).append(rec)
+        by_method[rec[0]].append(rec)
     out = []
-    methods = sorted(
-        by_method,
-        key=lambda name: (METHOD_ORDER.index(name) if name in METHOD_ORDER else len(METHOD_ORDER), name),
-    )
-    for method in methods:
-        recs = sorted(by_method[method], key=lambda r: r.trial_index)
+    for method, recs in by_method.items():
         if len(recs) < 2:
             raise InsufficientTrials(
                 f"method {method!r} has {len(recs)} record(s); need at least 2"
             )
-        rel = np.array([r.rel_bias_term for r in recs])
-        se = np.array([r.se_nmse for r in recs])
-        sp = np.array([r.sp_nmse for r in recs])
+        rel, se, sp = (np.fromiter(map(itemgetter(k), recs), float, len(recs)) for k in (1, 2, 3))
+        if not all(np.isfinite(col).all() for col in (rel, se, sp)):
+            raise DomainError(f"trial metrics of {method!r} must be finite")
         (m_rel, e_rel), (m_se, e_se), (m_sp, e_sp) = map(_mean_stderr, (rel, se, sp))
         out.append(
             AggregateRecord(

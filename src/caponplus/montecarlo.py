@@ -39,8 +39,8 @@ it needs no Monte-Carlo trials.
 
 Reports are a pure function of the configuration: trials are seeded by
 ``(master_seed, trial_index)``, run independently (optionally across
-processes), and aggregated in trial-index order, so the thread count never
-changes any output bit.
+processes), and their records are aggregated as one list in trial order, so
+the thread count never changes any output bit.
 
 A run with ``threads > 1`` forks one worker pool and keeps it for every
 sweep point.  The parent builds each point's :class:`SweepContext` once,
@@ -67,7 +67,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .arraymodel import (
     ArrayGeometry,
     CovarianceModel,
@@ -186,10 +185,10 @@ class ScenarioConfig:
         """Raise :class:`ConfigError` listing every violated invariant."""
         problems: list[str] = []
         m = self.geom.antennas
-        sweep_var = self.sweep.variable
+        sweep_var, values = self.sweep.variable, self.sweep.values
         if self.master_seed < 0:
             problems.append(f"master_seed must be >= 0, got {self.master_seed}")
-        if not self.sweep.values:
+        if not values:
             problems.append("sweep.values must not be empty")
         if (self.regime is Regime.ALPHA_SWEEP) != (sweep_var is SweepVariable.ALPHA):
             problems.append("the alpha sweep variable pairs exclusively with the alpha_sweep regime")
@@ -201,15 +200,15 @@ class ScenarioConfig:
             problems.append("sweeping T0 is only meaningful in regimes c and d")
         if sweep_var is SweepVariable.SNR_DB and self.base_scene.noise_var != 1.0:
             problems.append("SNR sweeps require unit noise variance in the base scene")
-        if sweep_var is SweepVariable.ALPHA and any(v < 0.0 for v in self.sweep.values):
-            problems.append("alpha sweep values must be >= 0")
+        if sweep_var is SweepVariable.ALPHA and not all(0.0 <= v < math.inf for v in values):
+            problems.append("alpha sweep values must be finite and >= 0")
         if self.regime is Regime.B and self.snapshots <= m:
             problems.append(
                 f"regime b needs snapshots > antennas, got T = {self.snapshots}, M = {m}"
             )
         if self.regime in (Regime.C, Regime.D):
             if sweep_var is SweepVariable.T0:
-                bad = [v for v in self.sweep.values if v != int(v) or int(v) <= m]
+                bad = [v for v in values if not math.isfinite(v) or v != int(v) or int(v) <= m]
                 if bad:
                     problems.append(
                         f"every swept T0 must be an integer > M = {m}, offending values: {bad}"
@@ -221,6 +220,14 @@ class ScenarioConfig:
                 )
         if problems:
             raise ConfigError("; ".join(problems))
+
+
+def _db_to_linear(db: float) -> float:
+    """``10 ** (db / 10)``; :class:`DomainError` where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db} dB overflows a float power ratio") from None
 
 
 def scene_from_db(
@@ -238,11 +245,11 @@ def scene_from_db(
             f"interferer_doas_deg has {len(interferer_doas_deg)} entries but "
             f"interferer_offsets_db has {len(interferer_offsets_db)}"
         )
-    soi_power = noise_var * 10.0 ** (snr_db / 10.0)
+    soi_power = noise_var * _db_to_linear(snr_db)
     return SourceScene(
         soi=SourceSpec(soi_doa_deg, soi_power),
         interferers=tuple(
-            SourceSpec(doa, soi_power * 10.0 ** (-off / 10.0))
+            SourceSpec(doa, soi_power * _db_to_linear(-off))
             for doa, off in zip(interferer_doas_deg, interferer_offsets_db)
         ),
         noise_var=noise_var,
@@ -258,7 +265,7 @@ def snr_to_scene(base_scene: SourceScene, snr_db: float) -> SourceScene:
         raise DomainError(
             f"SNR is defined against unit noise variance, scene has {base_scene.noise_var}"
         )
-    soi_power = 10.0 ** (snr_db / 10.0)
+    soi_power = _db_to_linear(snr_db)
     ratio = soi_power / base_scene.soi.power
     return SourceScene(
         soi=SourceSpec(base_scene.soi.doa_deg, soi_power),
@@ -343,18 +350,12 @@ def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[T
             gamma, ctx.theory.gamma_cap, config.snapshots, kurt
         )
 
-    return trial_records(
-        idx,
-        gamma,
-        batch.truth,
-        (
-            ("CB", apply_weights(ctx.w_cb, batch), None, 1.0),
-            ("Capon", out_cap, gamma_cap_hat, 1.0),
-            ("MMSE", apply_weights(ctx.w_mmse, batch), None,
-             (gamma / ctx.theory.gamma_cap) ** 2),
-            ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat, alpha),
-        ),
-    )
+    return trial_records(gamma, batch.truth, (
+        ("CB", apply_weights(ctx.w_cb, batch), None),
+        ("Capon", out_cap, gamma_cap_hat),
+        ("MMSE", apply_weights(ctx.w_mmse, batch), None),
+        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
+    ))
 
 
 def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
@@ -391,16 +392,16 @@ def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list
     alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
 
     entries = [
-        ("Capon", out_cap, gamma_cap_hat, 1.0),
-        ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat, mmse_scale**2),
-        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat, alpha),
+        ("Capon", out_cap, gamma_cap_hat),
+        ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat),
+        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
     ]
     if regime in (Regime.A, Regime.D):
         # Power-only estimator; its waveform column reports the power-matched
         # rescaling of the Capon output.
         deb_scale = math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
-        entries.append(("Debiased", deb_scale * out_cap, gamma_num, deb_scale**2))
-    return trial_records(idx, gamma, batch.truth, entries)
+        entries.append(("Debiased", deb_scale * out_cap, gamma_num))
+    return trial_records(gamma, batch.truth, entries)
 
 
 _TRIAL_FUNCS = {
@@ -424,17 +425,19 @@ def run_trial(
     return _TRIAL_FUNCS[config.regime](config, ctx, trial_index)
 
 
-def _run_chunk(args) -> list[list[TrialRecord] | None]:
-    """Records of trials ``start`` to ``stop - 1`` in index order; ``None``
-    for a trial whose sample covariance cannot be factored."""
+def _run_chunk(args) -> tuple[list[TrialRecord], int]:
+    """The records of trials ``start`` to ``stop - 1`` as one flat list in
+    trial order, which is the order :func:`aggregate` sums them in, and the
+    number of those trials whose sample covariance cannot be factored."""
     config, sweep_value, ctx, start, stop = args
-    out = []
+    records: list[TrialRecord] = []
+    n_failed = 0
     for idx in range(start, stop):
         try:
-            out.append(run_trial(config, sweep_value, idx, ctx))
+            records.extend(run_trial(config, sweep_value, idx, ctx))
         except NotPositiveDefinite:
-            out.append(None)
-    return out
+            n_failed += 1
+    return records, n_failed
 
 
 def _theory_rows(config: ScenarioConfig, ctx: SweepContext) -> list[AggregateRecord]:
@@ -496,11 +499,6 @@ class ScenarioReport:
     config: ScenarioConfig
     points: list[SweepPointResult]
     wall_time_s: float
-    version: str = __version__
-
-    @property
-    def sweep_variable(self) -> SweepVariable:
-        return self.config.sweep.variable
 
 
 def run_scenario(
@@ -557,12 +555,9 @@ def _mc_point(config: ScenarioConfig, sweep_value: float, map_chunks, chunk: int
             for s in range(0, trials, chunk)]
     records: list[TrialRecord] = []
     n_failed = 0
-    for part in map_chunks(_run_chunk, args):
-        for recs in part:
-            if recs is None:
-                n_failed += 1
-            else:
-                records.extend(recs)
+    for part, failed in map_chunks(_run_chunk, args):
+        records.extend(part)
+        n_failed += failed
     if n_failed > MAX_FAILURE_SHARE * trials:
         raise TrialFailureError(
             f"{n_failed} of {trials} trials failed at sweep value "

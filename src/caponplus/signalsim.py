@@ -358,12 +358,7 @@ def output_fourth_moment(
     components contribute no excess, constant-modulus ones contribute
     ``-p_i^2`` each.
     """
-    parts = output_power_components(geom, scene, w)
-    total = parts.sum()
-    fourth = 2.0 * total**2
-    if kind is WaveformKind.PSK8:
-        fourth -= np.sum(parts[:-1] ** 2)
-    return float(fourth)
+    return _fourth_moment(output_power_components(geom, scene, w), kind)
 
 
 def output_kurtosis(
@@ -371,5 +366,13 @@ def output_kurtosis(
 ) -> float:
     """Population kurtosis of ``w^H x(t)``: zero for Gaussian scenes, negative for PSK."""
     parts = output_power_components(geom, scene, w)
+    return _fourth_moment(parts, kind) / parts.sum() ** 2 - 2.0
+
+
+def _fourth_moment(parts: np.ndarray, kind: WaveformKind) -> float:
+    """:func:`output_fourth_moment` from the output's component powers."""
     total = parts.sum()
-    return output_fourth_moment(geom, scene, kind, w) / total**2 - 2.0
+    fourth = 2.0 * total**2
+    if kind is WaveformKind.PSK8:
+        fourth -= np.sum(parts[:-1] ** 2)
+    return float(fourth)

@@ -212,6 +212,31 @@ class TestMain:
         cfg = write_config(tmp_path, TINY)
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("preset, doc", [
+        ("fig5", {"sweep": {"variable": "t0", "values": [float("nan")]}}),
+        ("fig5", {"sweep": {"variable": "t0", "values": [float("inf")]}}),
+        ("fig5", {"sweep": {"variable": "t0", "values": [-float("inf")]}}),
+        ("fig2", {"sweep": {"variable": "alpha", "values": [float("nan"), 0.5]}}),
+        ("fig5", {"snr_db": 4000}),
+        ("fig1", {"trials": 100, "sweep": {"variable": "snr_db", "values": [4000]}}),
+        ("fig1", {"interferer_offsets_db": [2, 4, -4000]}),
+    ])
+    def test_nonfinite_or_overflowing_numbers_exit_one(self, tmp_path, capsys, preset, doc):
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", cfg, "--preset", preset, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_float_literal_overflow_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"snr_db": 1e999}')
+        with pytest.raises(ParseError, match="1e999"):
+            parse_config(str(path))
+        assert main(["run", str(path), "--preset", "fig5"]) == 1
+        assert capsys.readouterr().err.count("error: ") == 1
+
     def test_alpha_sweep_preset_runs_fast(self, tmp_path):
         out = tmp_path / "fig2.csv"
         assert main(["run", "--preset", "fig2", "--out", str(out)]) == 0

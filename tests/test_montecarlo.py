@@ -82,6 +82,14 @@ class TestSnrToScene:
                     orig.power / base.soi.power
                 )
 
+    def test_overflowing_db_raises_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            snr_to_scene(scene_from_db(0.0), 4000.0)
+        with pytest.raises(DomainError, match="overflows"):
+            scene_from_db(4000.0)
+        with pytest.raises(DomainError, match="overflows"):
+            scene_from_db(0.0, interferer_offsets_db=(2.0, 4.0, -4000.0))
+
     def test_requires_unit_noise(self):
         bad = SourceScene(soi=SourceSpec(0.0, 1.0), interferers=(), noise_var=2.0)
         with pytest.raises(DomainError):
@@ -112,6 +120,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             config(regime=Regime.ALPHA_SWEEP).validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_t0_and_alpha_rejected(self, bad):
+        t0 = config(regime=Regime.C, sweep=SweepSpec(SweepVariable.T0, (bad, 30.0)))
+        with pytest.raises(ConfigError, match="T0"):
+            t0.validate()
+        alpha = config(regime=Regime.ALPHA_SWEEP,
+                       sweep=SweepSpec(SweepVariable.ALPHA, (bad, 0.5)))
+        with pytest.raises(ConfigError, match="alpha sweep values must be finite"):
+            alpha.validate()
+
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="master_seed must be >= 0"):
             config(master_seed=-1).validate()
@@ -138,20 +156,29 @@ class TestRunTrial:
 
     def test_oracle_methods(self):
         records = run_trial(config(), 0.0, 0)
-        assert [r.method for r in records] == ["CB", "Capon", "MMSE", "CaponPlus"]
+        assert [r[0] for r in records] == ["CB", "Capon", "MMSE", "CaponPlus"]
 
     def test_scenario_a_has_debiased_row(self):
         records = run_trial(config(regime=Regime.A), 0.0, 0)
-        assert [r.method for r in records] == ["Capon", "MMSE", "CaponPlus", "Debiased"]
+        assert [r[0] for r in records] == ["Capon", "MMSE", "CaponPlus", "Debiased"]
 
     def test_scenario_b_methods(self):
         records = run_trial(config(regime=Regime.B, snapshots=32), 0.0, 0)
-        assert [r.method for r in records] == ["Capon", "MMSE", "CaponPlus"]
+        assert [r[0] for r in records] == ["Capon", "MMSE", "CaponPlus"]
 
     def test_scenario_d_has_debiased_row(self):
         cfg = config(regime=Regime.D, secondary_snapshots=16)
         records = run_trial(cfg, 0.0, 0)
-        assert set(r.method for r in records) == {"Capon", "MMSE", "CaponPlus", "Debiased"}
+        assert set(r[0] for r in records) == {"Capon", "MMSE", "CaponPlus", "Debiased"}
+
+    @pytest.mark.parametrize("regime", [Regime.ORACLE, Regime.A, Regime.B, Regime.C, Regime.D])
+    def test_records_are_plain_tuples(self, regime):
+        cfg = config(regime=regime, snapshots=32, secondary_snapshots=16)
+        for record in run_trial(cfg, 0.0, 0):
+            assert type(record) is tuple
+            method, *metrics = record
+            assert isinstance(method, str)
+            assert len(metrics) == 3 and all(type(v) is float for v in metrics)
 
 
 class TestDeterminism:
@@ -288,8 +315,9 @@ class TestPskAlphaModes:
         for mode in PskAlphaMode:
             cfg = config(waveform=WaveformKind.PSK8, psk_alpha_mode=mode,
                          sweep=SweepSpec(SweepVariable.SNR_DB, (-3.0,)))
-            records = run_trial(cfg, -3.0, 4)
-            alphas[mode] = [r for r in records if r.method == "CaponPlus"][0].alpha_used
+            rel = {method: rel for method, rel, _, _ in run_trial(cfg, -3.0, 4)}
+            # CaponPlus scales the Capon power estimate by alpha
+            alphas[mode] = (1.0 + rel["CaponPlus"]) / (1.0 + rel["Capon"])
         scene = snr_to_scene(SMALL_SCENE, -3.0)
         model = build_cov_model(SMALL_GEOM, scene)
         gamma_cap = capon_output_power(model)
@@ -364,18 +392,31 @@ class TestEmitTheory:
 
 
 class TestFailureHandling:
+    """Failed trials are counted and left out alike through the serial map and
+    the worker pool, whose forked workers inherit the patched trial table."""
+
+    # At threads = 2 the 1000 trials run in chunks of 125: trials 0, 124, 125
+    # and 999 open or close a chunk; at threads = 1, 0 and 999 do.
+    FAILING = (0, 3, 124, 125, 999)
+
     def test_failures_counted_and_excluded(self, monkeypatch):
         original = mc._TRIAL_FUNCS[Regime.ORACLE]
 
         def flaky(cfg, ctx, idx):
-            if idx == 3:
+            if idx in self.FAILING:
                 raise NotPositiveDefinite("synthetic failure", pivot_index=0)
             return original(cfg, ctx, idx)
 
         monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, flaky)
-        rep = run_scenario(config(trials=1000))
-        assert rep.points[0].n_failed == 1
-        assert rep.points[0].n_trials == 999
+        cfg = config(trials=1000)
+        ctx = mc.build_context(cfg, 0.0)
+        kept = [r for i in range(1000) if i not in self.FAILING
+                for r in original(cfg, ctx, i)]
+        for threads in (1, 2):
+            point = run_scenario(cfg, threads=threads).points[0]
+            assert point.n_failed == len(self.FAILING)
+            assert point.n_trials == 1000 - len(self.FAILING)
+            assert point.aggregates == mc.aggregate(kept)
 
     def test_failure_threshold_hard_error(self, monkeypatch):
         original = mc._TRIAL_FUNCS[Regime.ORACLE]
@@ -386,8 +427,9 @@ class TestFailureHandling:
             return original(cfg, ctx, idx)
 
         monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, very_flaky)
-        with pytest.raises(TrialFailureError):
-            run_scenario(config(trials=200))
+        for threads in (1, 2):
+            with pytest.raises(TrialFailureError):
+                run_scenario(config(trials=200), threads=threads)
 
 
 class TestContextSolvesOnce:

@@ -7,10 +7,12 @@ Runs ``caponplus run --preset P --seed 7`` for each preset at 200 trials per
 point (fig2, the closed-form alpha sweep, at its own grid; fig5 and fig6 at
 T0 in {30, 60, 120}), with ``emit_theory`` off and on.  It also runs fig1
 with 8-PSK sources and ``emit_theory`` on once per ``psk_alpha_mode``, which
-covers the oracle shrinkage rules no preset selects.  Every run is made at
-``--threads`` 1 and 2, and the results files go to OUTDIR.  It prints one
-``<first 12 hex digits of SHA-256> <file>`` line per results file, so two
-trees give the same output exactly when their results are byte-identical.
+covers the oracle shrinkage rules no preset selects, and fig1 and fig6 with
+``emit_theory`` on and ``--format json``, which covers the JSON writer.
+Every run is made at ``--threads`` 1 and 2, and the results files go to
+OUTDIR.  It prints one ``<first 12 hex digits of SHA-256> <file>`` line per
+results file, so two trees give the same output exactly when their results
+are byte-identical.
 Exits 1 if a run fails or if a run's threads-1 and threads-2 files differ.
 """
 
@@ -33,6 +35,7 @@ TRIALS = 200
 T0_VALUES = [30.0, 60.0, 120.0]
 THREADS = (1, 2)
 PSK_ALPHA_MODES = ("kappa_minus_one", "exact", "measured")
+JSON_PRESETS = ("fig1", "fig6")
 
 
 def _overrides(preset: str, emit_theory: bool) -> dict:
@@ -45,14 +48,16 @@ def _overrides(preset: str, emit_theory: bool) -> dict:
 
 
 def _runs():
-    """``(preset, file stem, config overrides)`` of every digested run."""
+    """``(preset, file stem, config overrides, format)`` of every digested run."""
     for preset in sorted(PRESETS):
         for emit_theory in (False, True):
-            yield preset, f"{preset}-theory{int(emit_theory)}", _overrides(preset, emit_theory)
+            yield preset, f"{preset}-theory{int(emit_theory)}", _overrides(preset, emit_theory), "csv"
     for mode in PSK_ALPHA_MODES:
         yield "fig1", f"fig1-psk8-{mode}", {
             "emit_theory": True, "trials": TRIALS, "waveform": "psk8", "psk_alpha_mode": mode,
-        }
+        }, "csv"
+    for preset in JSON_PRESETS:
+        yield preset, f"{preset}-theory1", _overrides(preset, True), "json"
 
 
 def main(argv: list[str]) -> int:
@@ -62,16 +67,17 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     status = 0
-    for preset, stem, overrides in _runs():
+    for preset, stem, overrides, fmt in _runs():
         cfg = outdir / f"{stem}.json"
         cfg.write_text(json.dumps(overrides))
         digests = []
         for threads in THREADS:
-            out = outdir / f"{stem}-threads{threads}.csv"
+            out = outdir / f"{stem}-threads{threads}.{fmt}"
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
                 code = cli.main(["run", str(cfg), "--preset", preset, "--seed", str(SEED),
-                                 "--out", str(out), "--threads", str(threads)])
+                                 "--out", str(out), "--threads", str(threads),
+                                 "--format", fmt])
             if code != 0:
                 print(f"FAILED (exit {code}) {out.name}: {stderr.getvalue().strip()}")
                 status = 1
