@@ -261,16 +261,22 @@ def waveform_mse_theory(model: CovarianceModel, w: np.ndarray) -> float:
         w^H S w + gamma (1 - 2 Re[w^H a])   and
         w^H Q w + gamma |w^H a - 1|^2,
 
-    which are cross-checked to 1e-9 relative before the (numerically benign,
-    nonnegative-term) second form is returned.
+    which are cross-checked to 1e-9 of the largest term entering either form
+    before the (numerically benign, nonnegative-term) second form is
+    returned.  The first form cancels terms of size ``gamma``, so at high SNR
+    its rounding is that of ``gamma``, not that of the result.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != model.a.shape:
         raise DimensionMismatch(f"weight shape {w.shape} != steering shape {model.a.shape}")
     wa = np.vdot(w, model.a)
-    form_full = quadratic_form(model.full, w) + model.gamma * (1.0 - 2.0 * wa.real)
-    form_incm = quadratic_form(model.incm, w) + model.gamma * abs(wa - 1.0) ** 2
-    scale = max(abs(form_full), abs(form_incm), 1e-300)
+    full_qf = quadratic_form(model.full, w)
+    full_soi = model.gamma * (1.0 - 2.0 * wa.real)
+    incm_qf = quadratic_form(model.incm, w)
+    incm_soi = model.gamma * abs(wa - 1.0) ** 2
+    form_full = full_qf + full_soi
+    form_incm = incm_qf + incm_soi
+    scale = max(abs(full_qf), abs(full_soi), abs(incm_qf), incm_soi, 1e-300)
     if abs(form_full - form_incm) > _DUAL_FORM_RTOL * scale:
         raise DomainError(
             f"waveform MSE dual forms disagree: {form_full!r} vs {form_incm!r}"

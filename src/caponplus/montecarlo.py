@@ -43,9 +43,11 @@ processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
 A run with ``threads > 1`` forks one worker pool and keeps it for every
-sweep point.  The parent builds each point's :class:`SweepContext` once,
-sends it with that point's chunks of trials, and reuses it for the theory
-rows.  Chunks are submitted one point at a time, which keeps the results
+sweep point.  The pool has at most one worker per CPU the process may run
+on: ``ProcessPoolExecutor`` forks all its workers at once, so an unbounded
+``threads`` would fork that many processes.  The parent builds each point's
+:class:`SweepContext` once, sends it with that point's chunks of trials, and
+reuses it for the theory rows.  Chunks are submitted one point at a time, which keeps the results
 held in flight, and so the peak memory, to one point's worth.
 
 Trials stay one at a time, each with its own ``(seed, trial, role)``
@@ -60,6 +62,7 @@ import contextlib
 import enum
 import math
 import multiprocessing
+import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -198,8 +201,15 @@ class ScenarioConfig:
             problems.append(f"trials must be >= 100, got {self.trials}")
         if sweep_var is SweepVariable.T0 and self.regime not in (Regime.C, Regime.D):
             problems.append("sweeping T0 is only meaningful in regimes c and d")
-        if sweep_var is SweepVariable.SNR_DB and self.base_scene.noise_var != 1.0:
-            problems.append("SNR sweeps require unit noise variance in the base scene")
+        if sweep_var is SweepVariable.SNR_DB:
+            if self.base_scene.noise_var != 1.0:
+                problems.append("SNR sweeps require unit noise variance in the base scene")
+            else:
+                for v in values:
+                    try:
+                        snr_to_scene(self.base_scene, v)
+                    except DomainError as exc:
+                        problems.append(f"SNR sweep value {v}: {exc}")
         if sweep_var is SweepVariable.ALPHA and not all(0.0 <= v < math.inf for v in values):
             problems.append("alpha sweep values must be finite and >= 0")
         if self.regime is Regime.B and self.snapshots <= m:
@@ -501,15 +511,24 @@ class ScenarioReport:
     wall_time_s: float
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_scenario(
     config: ScenarioConfig, threads: int = 1, emit_theory: bool = False
 ) -> ScenarioReport:
     """Run every sweep point of a scenario and aggregate the results.
 
-    The report is deterministic for a fixed ``master_seed`` no matter how
-    many worker processes execute the trials.  Trials whose sample
-    covariance cannot be factored are excluded and counted; more than 1%
-    failures at any sweep point raises :class:`TrialFailureError`.
+    The trials run in ``threads`` worker processes, capped at the number of
+    CPUs this process may run on.  The report is deterministic for a fixed
+    ``master_seed`` no matter how many worker processes execute the trials.
+    Trials whose sample covariance cannot be factored are excluded and
+    counted; more than 1% failures at any sweep point raises
+    :class:`TrialFailureError`.
     """
     config.validate()
     started = time.perf_counter()
@@ -527,12 +546,13 @@ def run_scenario(
             for alpha in config.sweep.values
         ]
     else:
-        parallel = threads > 1
-        chunk = math.ceil(config.trials / (threads * 4)) if parallel else config.trials
+        workers = min(threads, _usable_cpus())
+        parallel = workers > 1
+        chunk = math.ceil(config.trials / (workers * 4)) if parallel else config.trials
         # Forked workers inherit the imported package, so the calling script
         # needs no ``__main__`` guard.
         with (
-            ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("fork"))
+            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             if parallel
             else contextlib.nullcontext()
         ) as pool:

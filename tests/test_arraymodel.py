@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from caponplus.arraymodel import (
 )
 from caponplus.errors import DomainError
 from caponplus.linalg import quadratic_form
+from caponplus.montecarlo import scene_from_db
 from helpers import (
     bias_theory,
     power_variance_gaussian,
@@ -274,6 +277,27 @@ class TestWaveformMseAndBias:
             assert full_form == pytest.approx(incm_form, rel=1e-9, abs=1e-12)
             # the library op itself cross-checks and returns the INCM form
             assert waveform_mse_theory(model, w) == pytest.approx(incm_form, rel=1e-12)
+
+    def test_dual_form_guard_scales_with_gamma(self):
+        # At 120 dB the full-covariance form cancels terms of size gamma =
+        # 1e12; its rounding is judged against those terms, not the result.
+        geom = ArrayGeometry(25)
+        for snr_db in (60.0, 90.0, 120.0):
+            model = build_cov_model(geom, scene_from_db(snr_db))
+            for w in (model.sinv_a / model.ah_sinv_a, model.gamma * model.sinv_a):
+                wa = np.vdot(w, model.a)
+                incm_form = quadratic_form(model.incm, w) + model.gamma * abs(wa - 1.0) ** 2
+                assert waveform_mse_theory(model, w) == incm_form
+
+    def test_corrupted_full_covariance_still_raises(self):
+        model = build_cov_model(ArrayGeometry(25), scene_from_db(0.0))
+        corrupted = dataclasses.replace(
+            model, full=model.full + 1e-6 * np.eye(model.a.size)
+        )
+        w = model.sinv_a / model.ah_sinv_a
+        waveform_mse_theory(model, w)
+        with pytest.raises(DomainError, match="dual forms disagree"):
+            waveform_mse_theory(corrupted, w)
 
     def test_cb_bias_closed_form(self):
         rng = np.random.default_rng(12)

@@ -229,6 +229,34 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_snr_sweep_value_rejected_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        import caponplus.montecarlo as mc
+
+        contexts = []
+        monkeypatch.setattr(mc, "build_context", lambda *a: contexts.append(a))
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, {"sweep": {"variable": "snr_db", "values": [0.0, 4000]}})
+        assert main(["run", cfg, "--preset", "fig1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "4000" in err
+        assert not out.exists()
+        assert contexts == []
+
+    def test_high_snr_theory_rows_exit_zero(self, tmp_path):
+        # The waveform-MSE dual forms cancel terms of size gamma = 1e12 at
+        # 120 dB; their cross-check scales with those terms.
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, {
+            "trials": 100, "seed": 3, "emit_theory": True,
+            "sweep": {"variable": "snr_db", "values": [60, 90, 120]},
+        })
+        assert main(["run", cfg, "--preset", "fig1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert sum(row[2] == "CaponTheory" for row in rows[1:]) == 3
+
     def test_float_literal_overflow_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"snr_db": 1e999}')

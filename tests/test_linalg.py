@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import caponplus
+from caponplus import linalg
 from caponplus.errors import (
     DimensionMismatch,
     DomainError,
@@ -275,3 +281,59 @@ class TestRank1UpdateInverse:
     def test_rejects_negative_gamma(self):
         with pytest.raises(DomainError):
             rank1_update_inverse(np.ones(2, dtype=complex), 1.0, -0.5)
+
+
+class TestScipyKernels:
+    """``linalg`` loads scipy's compiled LAPACK/BLAS wrappers from their files."""
+
+    def test_import_skips_scipy_linalg(self):
+        src = os.path.dirname(os.path.dirname(caponplus.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys, caponplus.cli; "
+                "print(*sorted(k for k in ('scipy.linalg', 'numpy.f2py', "
+                "'scipy.linalg._flapack', 'scipy.linalg._fblas') if k in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+
+    def test_same_objects_as_public_scipy(self):
+        from scipy.linalg import blas, lapack
+
+        assert linalg.zpotrf is lapack.zpotrf
+        assert linalg.zpotrs is lapack.zpotrs
+        assert linalg.zherk is blas.zherk
+
+    @staticmethod
+    def _outputs(kernels, m, rng):
+        zpotrf, zpotrs, zherk = kernels
+        x = rng.standard_normal((2 * m, m)) + 1j * rng.standard_normal((2 * m, m))
+        c = zherk(1.0 / (2 * m), x.T, lower=1)
+        a = c + np.tril(c, -1).conj().T
+        lower, info = zpotrf(a, lower=1)
+        b = random_cvector(rng, m)
+        return c, lower, info, zpotrs(lower, b, lower=1)[0]
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 25, 40, 64])
+    def test_bit_equal_to_public_scipy(self, m):
+        from scipy.linalg import blas, lapack
+
+        public = (lapack.zpotrf, lapack.zpotrs, blas.zherk)
+        ours = (linalg.zpotrf, linalg.zpotrs, linalg.zherk)
+        got = self._outputs(ours, m, np.random.default_rng(500 + m))
+        ref = self._outputs(public, m, np.random.default_rng(500 + m))
+        assert got[2] == ref[2] == 0
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+    def test_falls_back_when_no_file_is_found(self, tmp_path):
+        from scipy.linalg import blas, lapack
+
+        kernels = linalg._scipy_kernels([str(tmp_path)])
+        assert kernels == (lapack.zpotrf, lapack.zpotrs, blas.zherk)
+        for m in (2, 25, 64):
+            got = self._outputs(kernels, m, np.random.default_rng(600 + m))
+            ref = self._outputs((linalg.zpotrf, linalg.zpotrs, linalg.zherk), m,
+                                np.random.default_rng(600 + m))
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)

@@ -130,6 +130,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha sweep values must be finite"):
             alpha.validate()
 
+    def test_every_unscalable_snr_listed(self):
+        cfg = config(sweep=SweepSpec(SweepVariable.SNR_DB, (0.0, 4000.0, -4000.0)))
+        with pytest.raises(ConfigError) as info:
+            cfg.validate()
+        assert "SNR sweep value 4000.0" in str(info.value)
+        assert "SNR sweep value -4000.0" in str(info.value)
+        assert "SNR sweep value 0.0" not in str(info.value)
+
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="master_seed must be >= 0"):
             config(master_seed=-1).validate()
@@ -430,6 +438,40 @@ class TestFailureHandling:
         for threads in (1, 2):
             with pytest.raises(TrialFailureError):
                 run_scenario(config(trials=200), threads=threads)
+
+
+class TestWorkerCap:
+    """The pool gets at most one worker per usable CPU.  No process is
+    started: the executor is replaced by a recorder that maps in-process."""
+
+    def test_threads_capped_by_affinity(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context=None):
+                self.max_workers, self.chunks = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                self.chunks += len(args)
+                return map(fn, args)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        cfg = config(trials=200)
+        serial = run_scenario(cfg, threads=1).points
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_scenario(cfg, threads=100_000).points == serial
+        assert pools == []
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert run_scenario(cfg, threads=100_000).points == serial
+        # 200 trials over 3 workers: chunks of ceil(200 / 12) = 17 trials.
+        assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
 
 
 class TestContextSolvesOnce:
