@@ -51,9 +51,11 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     is positive definite (and hence solvable) only when ``T > M`` with data
     in general position.
 
-    One BLAS ``zherk`` call forms the lower triangle and the upper one is its
-    conjugate mirror.  ``zherk`` runs on one thread at every ``T`` used here
-    (30 to 1000 on a 25-element array), while the general product
+    One BLAS ``zherk`` call forms the lower triangle and leaves the strict
+    upper one at the zeros its wrapper allocates ``c`` with.  Adding the
+    conjugate transpose then mirrors that triangle exactly and doubles the
+    real diagonal, which is put back.  ``zherk`` runs on one thread at every
+    ``T`` used here (30 to 1000 on a 25-element array), while the general product
     ``x^T conj(x)`` wakes more BLAS threads from ``T`` of about 110 and then
     spends up to two CPU seconds per wall second.  ``zherk`` is scipy's
     compiled BLAS wrapper as loaded by :mod:`.linalg`, which reads it from its
@@ -62,12 +64,10 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     (2-vCPU x86-64 host, numpy 2.4.6, scipy 1.17.1).
     """
     x = batch.snapshots
-    t, m = x.shape
-    lower = zherk(
-        1.0 / t, x.T, c=np.zeros((m, m), np.complex128, order="F"),
-        lower=1, overwrite_c=1,
-    )
-    mat = lower + np.tril(lower, -1).conj().T
+    t = x.shape[0]
+    lower = zherk(1.0 / t, x.T, lower=1)
+    mat = lower + lower.conj().T
+    np.fill_diagonal(mat, lower.diagonal())
     return SampleCovariance(matrix=mat, num_snapshots=t)
 
 
@@ -75,10 +75,13 @@ def output_moments(out: np.ndarray) -> tuple[float, float]:
     """Power and fourth moment ``(1/T) sum |s(t)|^2``, ``(1/T) sum |s(t)|^4``
     of a beamformer output ``s(t) = w^H x(t)``.
 
-    The power is the quadratic form of the sample covariance in ``w``.
+    The power is the quadratic form of the sample covariance in ``w``.  Each
+    mean is ``np.add.reduce`` over the samples divided by their count: the
+    pairwise sum and the division of ``np.mean``, without its call overhead.
     """
     abs_sq = out.real**2 + out.imag**2
-    return float(np.mean(abs_sq)), float(np.mean(abs_sq**2))
+    n = abs_sq.size
+    return float(np.add.reduce(abs_sq)) / n, float(np.add.reduce(abs_sq**2)) / n
 
 
 def kurtosis_estimate(samples: np.ndarray) -> float:

@@ -42,13 +42,19 @@ Reports are a pure function of the configuration: trials are seeded by
 processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
-A run with ``threads > 1`` forks one worker pool and keeps it for every
-sweep point.  The pool has at most one worker per CPU the process may run
-on: ``ProcessPoolExecutor`` forks all its workers at once, so an unbounded
-``threads`` would fork that many processes.  The parent builds each point's
-:class:`SweepContext` once, sends it with that point's chunks of trials, and
-reuses it for the theory rows.  Chunks are submitted one point at a time, which keeps the results
-held in flight, and so the peak memory, to one point's worth.
+A run builds every sweep point's :class:`SweepContext` up front, sends it
+with each of that point's chunks of trials, and reuses it for the theory
+rows.  The chunks of all points go, in sweep order, through one ``map``
+call: the builtin ``map`` at one thread, else the ``map`` of one forked
+worker pool kept for the whole run.  The pool has at most one worker per
+CPU the process may run on: ``ProcessPoolExecutor`` forks all its workers at
+once, so an unbounded ``threads`` would fork that many processes.  Each
+point is split into four chunks per worker and aggregated as soon as its
+last chunk arrives, while the workers go on with the next point's chunks,
+so the pool never drains between points.  Every chunk is queued at once,
+so when the parent falls behind, the records held in flight (four small
+tuples per trial) can grow towards the whole run's.  When a point fails,
+the chunks still queued are cancelled before the error leaves the run.
 
 Trials stay one at a time, each with its own ``(seed, trial, role)``
 streams.  Batching trials does not pay at the reference size ``M = 25``:
@@ -58,8 +64,8 @@ matrices cost 6.0 us per matrix, against 4.2 us for one ``zpotrf`` call.
 
 from __future__ import annotations
 
-import contextlib
 import enum
+import itertools
 import math
 import multiprocessing
 import os
@@ -199,6 +205,16 @@ class ScenarioConfig:
             problems.append(f"snapshots must be >= 1, got {self.snapshots}")
         if self.regime is not Regime.ALPHA_SWEEP and self.trials < 100:
             problems.append(f"trials must be >= 100, got {self.trials}")
+        if (
+            self.regime is Regime.ORACLE
+            and self.waveform is WaveformKind.PSK8
+            and self.psk_alpha_mode is PskAlphaMode.MEASURED
+            and self.snapshots < 2
+        ):
+            problems.append(
+                "psk_alpha_mode 'measured' estimates each trial's kurtosis from its "
+                f"snapshots and needs snapshots >= 2, got {self.snapshots}"
+            )
         if sweep_var is SweepVariable.T0 and self.regime not in (Regime.C, Regime.D):
             problems.append("sweeping T0 is only meaningful in regimes c and d")
         if sweep_var is SweepVariable.SNR_DB:
@@ -524,11 +540,13 @@ def run_scenario(
     """Run every sweep point of a scenario and aggregate the results.
 
     The trials run in ``threads`` worker processes, capped at the number of
-    CPUs this process may run on.  The report is deterministic for a fixed
-    ``master_seed`` no matter how many worker processes execute the trials.
-    Trials whose sample covariance cannot be factored are excluded and
-    counted; more than 1% failures at any sweep point raises
-    :class:`TrialFailureError`.
+    CPUs this process may run on, as one stream of chunks over every sweep
+    point (see the module docstring).  The report is deterministic for a
+    fixed ``master_seed`` no matter how many worker processes execute the
+    trials.  Trials whose sample covariance cannot be factored are excluded
+    and counted; more than 1% failures at any sweep point raises
+    :class:`TrialFailureError` as soon as that point's chunks are in, and
+    the chunks of later points that no worker has taken yet never run.
     """
     config.validate()
     started = time.perf_counter()
@@ -546,36 +564,40 @@ def run_scenario(
             for alpha in config.sweep.values
         ]
     else:
+        values, trials = config.sweep.values, config.trials
         workers = min(threads, _usable_cpus())
-        parallel = workers > 1
-        chunk = math.ceil(config.trials / (workers * 4)) if parallel else config.trials
+        chunk = math.ceil(trials / (workers * 4)) if workers > 1 else trials
+        per_point = math.ceil(trials / chunk)
+        contexts = [build_context(config, v) for v in values]
+        work = [(config, v, ctx, s, min(s + chunk, trials))
+                for v, ctx in zip(values, contexts) for s in range(0, trials, chunk)]
         # Forked workers inherit the imported package, so the calling script
         # needs no ``__main__`` guard.
-        with (
-            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            if parallel
-            else contextlib.nullcontext()
-        ) as pool:
-            map_chunks = pool.map if parallel else map
+        pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                if workers > 1 else None)
+        try:
+            parts = (pool.map if pool is not None else map)(_run_chunk, work)
             points = [
-                _mc_point(config, v, map_chunks, chunk, emit_theory)
-                for v in config.sweep.values
+                _mc_point(config, v, ctx, itertools.islice(parts, per_point), emit_theory)
+                for v, ctx in zip(values, contexts)
             ]
+        finally:
+            if pool is not None:
+                # A failing point leaves later chunks queued: drop them.
+                pool.shutdown(cancel_futures=True)
     return ScenarioReport(
         config=config, points=points, wall_time_s=time.perf_counter() - started
     )
 
 
-def _mc_point(config: ScenarioConfig, sweep_value: float, map_chunks, chunk: int,
-              emit_theory: bool) -> SweepPointResult:
-    """Run one sweep point's trials in chunks of ``chunk`` through ``map_chunks``."""
-    ctx = build_context(config, sweep_value)
+def _mc_point(config: ScenarioConfig, sweep_value: float, ctx: SweepContext,
+              parts, emit_theory: bool) -> SweepPointResult:
+    """Aggregate one sweep point from the ``(records, n_failed)`` of its
+    chunks, in trial order."""
     trials = config.trials
-    args = [(config, sweep_value, ctx, s, min(s + chunk, trials))
-            for s in range(0, trials, chunk)]
     records: list[TrialRecord] = []
     n_failed = 0
-    for part, failed in map_chunks(_run_chunk, args):
+    for part, failed in parts:
         records.extend(part)
         n_failed += failed
     if n_failed > MAX_FAILURE_SHARE * trials:

@@ -67,6 +67,10 @@ class WaveformKind(enum.Enum):
     PSK8 = "psk8"
 
 
+# The 8-PSK phasors exp(j 2 pi k / 8), k = 0..7; see draw_waveform.
+_PSK_PHASORS = np.exp(1j * (np.arange(8) * (2.0 * np.pi / 8.0)))
+
+
 class StreamRole(enum.IntEnum):
     SOI = 0
     INTERFERENCE = 1
@@ -256,7 +260,9 @@ def draw_waveform(
     drawn in order with one call: ``standard_normal((K, 2, count))`` (source
     k's real parts, then its imaginary parts) or
     ``integers(0, 8, size=(K, count))``.  This gives the same numbers as K
-    single-power calls in turn on the same generator.
+    single-power calls in turn on the same generator.  An 8-PSK sample's
+    phasor is looked up in a table of the eight ``exp(j 2 pi k / 8)``, which
+    holds the same bits as evaluating ``exp`` per sample.
     """
     powers = np.asarray(gamma, dtype=np.float64)
     if powers.size == 0 or not powers.min() > 0.0:
@@ -270,8 +276,8 @@ def draw_waveform(
         parts *= np.sqrt(powers / 2.0).reshape(k, 1, 1)
         waves = np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128)
     else:
-        phases = rng.integers(0, 8, size=(k, count)) * (2.0 * np.pi / 8.0)
-        waves = np.ascontiguousarray((np.sqrt(powers).reshape(k, 1) * np.exp(1j * phases)).T)
+        phasors = _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
+        waves = np.ascontiguousarray((np.sqrt(powers).reshape(k, 1) * phasors).T)
     return waves.reshape(count) if powers.ndim == 0 else waves.reshape(count, k)
 
 

@@ -19,7 +19,7 @@ from caponplus.errors import (
     NotPositiveDefinite,
 )
 from caponplus.estimation import SampleCovariance
-from caponplus.linalg import cholesky, quadratic_form, solve_chol
+from caponplus.linalg import cholesky, quadratic_form, solve_chol, zherk
 from caponplus.signalsim import (
     SnapshotBatch,
     StreamRole,
@@ -82,6 +82,23 @@ def reference_cholesky(a: np.ndarray) -> np.ndarray:
         lower[j, j] = d
         lower[j + 1 :, j] = col[1:] / d
     return lower
+
+
+def reference_scm(x: np.ndarray) -> np.ndarray:
+    """The reference for :func:`caponplus.estimation.scm`: ``zherk``'s lower
+    triangle into an explicitly zeroed ``c``, mirrored by adding the
+    conjugate transpose of its strict lower part (``np.tril(lower, -1)``)."""
+    t, m = x.shape
+    lower = zherk(
+        1.0 / t, x.T, c=np.zeros((m, m), np.complex128, order="F"), lower=1, overwrite_c=1
+    )
+    return lower + np.tril(lower, -1).conj().T
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array, in C order: equal
+    exactly when every element has the same bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _reference_stream(master_seed: int, trial_index: int, role: StreamRole) -> np.random.Generator:

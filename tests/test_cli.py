@@ -244,6 +244,25 @@ class TestMain:
         assert not out.exists()
         assert contexts == []
 
+    def test_measured_psk_alpha_with_one_snapshot_rejected_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # Each trial estimates the output kurtosis, which needs two samples.
+        import caponplus.montecarlo as mc
+
+        contexts = []
+        monkeypatch.setattr(mc, "build_context", lambda *a: contexts.append(a))
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, {
+            "waveform": "psk8", "psk_alpha_mode": "measured", "snapshots": 1, "trials": 100,
+        })
+        argv = ["run", cfg, "--preset", "fig1", "--out", str(out), "--threads", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "psk_alpha_mode 'measured'" in err and "snapshots >= 2" in err
+        assert not out.exists()
+        assert contexts == []
+
     def test_high_snr_theory_rows_exit_zero(self, tmp_path):
         # The waveform-MSE dual forms cancel terms of size gamma = 1e12 at
         # 120 dB; their cross-check scales with those terms.

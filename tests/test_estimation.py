@@ -26,10 +26,12 @@ from caponplus.estimation import (
 from caponplus.linalg import cholesky, quadratic_form
 from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, draw_waveform
 from helpers import (
+    bits,
     nll_profile,
     random_cvector,
     random_hpd,
     random_model,
+    reference_scm,
     solve_hpd,
     synth_snapshots,
 )
@@ -77,6 +79,14 @@ class TestScm:
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
         assert np.array_equal(got, got.conj().T)
 
+    @pytest.mark.parametrize("t", [26, 30, 60, 120, 500])
+    def test_bits_equal_tril_mirror(self, t):
+        rng = np.random.default_rng(100 + t)
+        x = rng.standard_normal((t, 25)) + 1j * rng.standard_normal((t, 25))
+        got = scm(make_batch(x)).matrix
+        assert np.array_equal(bits(got), bits(reference_scm(x)))
+        assert np.array_equal(got, got.conj().T)
+
 
 def beamform(w, x):
     """Output ``w^H x(t)`` of weight ``w`` on the snapshot rows of ``x``."""
@@ -102,6 +112,13 @@ class TestPowerEstimate:
             direct, _m4 = output_moments(beamform(w, x))
             via_scm = quadratic_form(scm(make_batch(x)).matrix, w)
             assert direct == pytest.approx(via_scm, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [1, 7, 60, 200, 1000])
+    def test_equals_numpy_means(self, t):
+        rng = np.random.default_rng(t)
+        out = random_cvector(rng, t)
+        p = out.real**2 + out.imag**2
+        assert output_moments(out) == (float(np.mean(p)), float(np.mean(p**2)))
 
 
 class TestFourthMoment:

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import time
+from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
 import numpy as np
 import pytest
@@ -137,6 +140,13 @@ class TestConfigValidation:
         assert "SNR sweep value 4000.0" in str(info.value)
         assert "SNR sweep value -4000.0" in str(info.value)
         assert "SNR sweep value 0.0" not in str(info.value)
+
+    def test_measured_psk_alpha_needs_two_snapshots(self):
+        measured = dict(waveform=WaveformKind.PSK8, psk_alpha_mode=PskAlphaMode.MEASURED)
+        with pytest.raises(ConfigError, match="snapshots >= 2, got 1"):
+            config(snapshots=1, **measured).validate()
+        config(snapshots=2, **measured).validate()
+        config(snapshots=1, waveform=WaveformKind.PSK8).validate()
 
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="master_seed must be >= 0"):
@@ -401,77 +411,112 @@ class TestEmitTheory:
 
 class TestFailureHandling:
     """Failed trials are counted and left out alike through the serial map and
-    the worker pool, whose forked workers inherit the patched trial table."""
+    the worker pool, whose forked workers inherit the patched trial table.
+    The sweep has three points; only point 1 fails, and every trial call is
+    counted per point in shared memory, so calls made in workers are seen."""
 
-    # At threads = 2 the 1000 trials run in chunks of 125: trials 0, 124, 125
-    # and 999 open or close a chunk; at threads = 1, 0 and 999 do.
+    SNRS = (0.0, 1.0, 2.0)
+    TRIALS = 1000
+    # At threads = 2 the 1000 trials of a point run in chunks of 125: trials
+    # 0, 124, 125 and 999 open or close a chunk; at threads = 1, 0 and 999 do.
     FAILING = (0, 3, 124, 125, 999)
+
+    def _run(self, monkeypatch, fails, threads, slow_point_2=False):
+        """Run the sweep with point 1's trial ``idx`` failing where
+        ``fails(idx)``; return the report, or the error it raised, and the
+        trial calls made at each point."""
+        original = mc._TRIAL_FUNCS[Regime.ORACLE]
+        powers = [snr_to_scene(SMALL_SCENE, v).soi.power for v in self.SNRS]
+        calls = [multiprocessing.Value("q", 0) for _ in self.SNRS]
+
+        def counted(cfg, ctx, idx):
+            point = powers.index(ctx.scene.soi.power)
+            with calls[point].get_lock():
+                calls[point].value += 1
+            if point == 1 and fails(idx):
+                raise NotPositiveDefinite("synthetic failure", pivot_index=0)
+            if point == 2 and slow_point_2:
+                time.sleep(0.0005)
+            return original(cfg, ctx, idx)
+
+        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, counted)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = config(trials=self.TRIALS, sweep=SweepSpec(SweepVariable.SNR_DB, self.SNRS))
+        try:
+            outcome = run_scenario(cfg, threads=threads)
+        except TrialFailureError as exc:
+            outcome = exc
+        return outcome, [c.value for c in calls]
 
     def test_failures_counted_and_excluded(self, monkeypatch):
         original = mc._TRIAL_FUNCS[Regime.ORACLE]
-
-        def flaky(cfg, ctx, idx):
-            if idx in self.FAILING:
-                raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            return original(cfg, ctx, idx)
-
-        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, flaky)
-        cfg = config(trials=1000)
-        ctx = mc.build_context(cfg, 0.0)
-        kept = [r for i in range(1000) if i not in self.FAILING
-                for r in original(cfg, ctx, i)]
+        cfg = config(trials=self.TRIALS)
+        expected = []
+        for point, snr in enumerate(self.SNRS):
+            ctx = mc.build_context(cfg, snr)
+            expected.append(mc.aggregate([
+                r for i in range(self.TRIALS) if point != 1 or i not in self.FAILING
+                for r in original(cfg, ctx, i)
+            ]))
         for threads in (1, 2):
-            point = run_scenario(cfg, threads=threads).points[0]
-            assert point.n_failed == len(self.FAILING)
-            assert point.n_trials == 1000 - len(self.FAILING)
-            assert point.aggregates == mc.aggregate(kept)
+            report, calls = self._run(monkeypatch, self.FAILING.__contains__, threads)
+            assert calls == [self.TRIALS] * 3
+            assert [p.n_failed for p in report.points] == [0, len(self.FAILING), 0]
+            assert [p.n_trials for p in report.points] == [
+                self.TRIALS, self.TRIALS - len(self.FAILING), self.TRIALS]
+            assert [p.aggregates for p in report.points] == expected
 
     def test_failure_threshold_hard_error(self, monkeypatch):
-        original = mc._TRIAL_FUNCS[Regime.ORACLE]
-
-        def very_flaky(cfg, ctx, idx):
-            if idx % 20 == 0:
-                raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            return original(cfg, ctx, idx)
-
-        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, very_flaky)
-        for threads in (1, 2):
-            with pytest.raises(TrialFailureError):
-                run_scenario(config(trials=200), threads=threads)
+        # 50 of 1000 trials fail at point 1, over the 1 % gate.
+        very_flaky = lambda idx: idx % 20 == 0  # noqa: E731
+        error, calls = self._run(monkeypatch, very_flaky, threads=1)
+        assert isinstance(error, TrialFailureError)
+        assert calls == [self.TRIALS, self.TRIALS, 0]
+        # Point 2's chunks are slow, so none ends before the error: only the
+        # chunks handed to the workers by then (one running in each worker,
+        # and the call queue's workers + EXTRA_QUEUED_CALLS) run, each whole.
+        error, calls = self._run(monkeypatch, very_flaky, threads=2, slow_point_2=True)
+        assert isinstance(error, TrialFailureError)
+        assert calls[:2] == [self.TRIALS, self.TRIALS]
+        chunk = 125
+        assert calls[2] % chunk == 0
+        assert calls[2] <= (2 + 2 + EXTRA_QUEUED_CALLS) * chunk < self.TRIALS
 
 
 class TestWorkerCap:
-    """The pool gets at most one worker per usable CPU.  No process is
-    started: the executor is replaced by a recorder that maps in-process."""
+    """The pool gets at most one worker per usable CPU, and one ``map`` call
+    carries every point's chunks.  No process is started: the executor is
+    replaced by a recorder that maps in-process."""
 
     def test_threads_capped_by_affinity(self, monkeypatch):
         pools = []
 
         class RecordingPool:
             def __init__(self, max_workers, mp_context=None):
-                self.max_workers, self.chunks = max_workers, 0
+                self.max_workers, self.maps, self.chunks = max_workers, 0, 0
+                self.shut_down = False
                 pools.append(self)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, args):
+                self.maps += 1
                 self.chunks += len(args)
                 return map(fn, args)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.shut_down = cancel_futures
+
         monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
-        cfg = config(trials=200)
+        cfg = config(trials=200, sweep=SweepSpec(SweepVariable.SNR_DB, (0.0, 1.0, 2.0)))
         serial = run_scenario(cfg, threads=1).points
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert run_scenario(cfg, threads=100_000).points == serial
         assert pools == []
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_scenario(cfg, threads=100_000).points == serial
-        # 200 trials over 3 workers: chunks of ceil(200 / 12) = 17 trials.
-        assert [(p.max_workers, p.chunks) for p in pools] == [(3, 12)]
+        # 200 trials over 3 workers: chunks of ceil(200 / 12) = 17 trials,
+        # 12 per point, all three points through one map call.
+        assert [(p.max_workers, p.maps, p.chunks, p.shut_down) for p in pools] == [
+            (3, 1, 36, True)]
 
 
 class TestContextSolvesOnce:

@@ -15,6 +15,7 @@ from caponplus.errors import DomainError
 from caponplus.estimation import kurtosis_estimate
 from caponplus.linalg import cholesky
 from caponplus.signalsim import (
+    _PSK_PHASORS,
     RngStream,
     SnapshotBatch,
     StreamRole,
@@ -27,6 +28,7 @@ from caponplus.signalsim import (
     synth_scene_snapshots,
 )
 from helpers import (
+    bits,
     draw_interference_noise,
     reference_synth_scene_secondary,
     reference_synth_scene_snapshots,
@@ -60,6 +62,11 @@ class TestDrawWaveform:
     def test_psk8_kurtosis_exactly_minus_one(self):
         s = draw_waveform(WaveformKind.PSK8, 3.0, 64, rngs().soi)
         assert kurtosis_estimate(s) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_psk8_phasor_table_bits(self):
+        for k in range(8):
+            expected = np.array([np.exp(1j * (k * (2.0 * np.pi / 8.0)))])
+            assert np.array_equal(bits(_PSK_PHASORS[k : k + 1]), bits(expected))
 
     def test_gaussian_mean_power(self):
         s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 1.7, 10**6, rngs().soi)
