@@ -95,8 +95,7 @@ def adaptive_capon_weights(scm: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, 
 
 def apply_weights(w: np.ndarray, batch: SnapshotBatch) -> np.ndarray:
     """Beamformer output ``s_hat(t) = w^H x(t)`` for every snapshot of the batch."""
-    if w.size != batch.num_antennas:
-        raise DimensionMismatch(
-            f"weights have {w.size} elements, snapshots have {batch.num_antennas}"
-        )
-    return batch.snapshots @ w.conj()
+    x = batch.snapshots
+    if w.size != x.shape[1]:
+        raise DimensionMismatch(f"weights have {w.size} elements, snapshots have {x.shape[1]}")
+    return x @ w.conj()

@@ -59,7 +59,8 @@ def trial_records(gamma: float, truth: np.ndarray, entries) -> list[TrialRecord]
     """
     if not gamma > 0.0:
         raise DomainError(f"true power must be positive, got {gamma}")
-    truth_energy = float(np.vdot(truth, truth).real)
+    vdot = np.vdot
+    truth_energy = float(vdot(truth, truth).real)
     if truth_energy <= 0.0:
         raise DegenerateSample("true waveform has zero energy")
     records = []
@@ -68,7 +69,7 @@ def trial_records(gamma: float, truth: np.ndarray, entries) -> list[TrialRecord]
             gamma_hat = mean_abs_sq(out)
         rel = (gamma_hat - gamma) / gamma
         err = out - truth
-        records.append((method, rel, float(np.vdot(err, err).real) / truth_energy, rel * rel))
+        records.append((method, rel, float(vdot(err, err).real) / truth_energy, rel * rel))
     return records
 
 

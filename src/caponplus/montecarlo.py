@@ -42,9 +42,12 @@ Reports are a pure function of the configuration: trials are seeded by
 processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
-A run builds every sweep point's :class:`SweepContext` up front, sends it
-with each of that point's chunks of trials, and reuses it for the theory
-rows.  The chunks of all points go, in sweep order, through one ``map``
+A run builds every sweep point's :class:`SweepContext` up front and reuses
+it for the theory rows.  A work item is ``(point, start, stop)``: a sweep
+point's index and a range of its trials.  The config and the contexts reach
+a forked worker once, through the pool's initializer, whose arguments a
+fork does not pickle; the serial path binds them to the same chunk function.
+The chunks of all points go, in sweep order, through one ``map``
 call: the builtin ``map`` at one thread, else the ``map`` of one forked
 worker pool kept for the whole run.  The pool has at most one worker per
 CPU the process may run on: ``ProcessPoolExecutor`` forks all its workers at
@@ -65,6 +68,7 @@ matrices cost 6.0 us per matrix, against 4.2 us for one ``zpotrf`` call.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import multiprocessing
@@ -205,6 +209,11 @@ class ScenarioConfig:
             problems.append(f"snapshots must be >= 1, got {self.snapshots}")
         if self.regime is not Regime.ALPHA_SWEEP and self.trials < 100:
             problems.append(f"trials must be >= 100, got {self.trials}")
+        if self.trials > 2**32:
+            problems.append(
+                "trials must be <= 2**32, the number of RNG stream trial indices, "
+                f"got {self.trials}"
+            )
         if (
             self.regime is Regime.ORACLE
             and self.waveform is WaveformKind.PSK8
@@ -315,6 +324,8 @@ class SweepContext:
     w_mmse: np.ndarray
     alpha_oracle: float
     w_cap_plus: np.ndarray
+    # oracle regime: each trial estimates alpha from its own output's kurtosis
+    measure_alpha: bool
 
 
 def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceModel,
@@ -356,6 +367,11 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         w_mmse=model.gamma * model.sinv_a,
         alpha_oracle=alpha_oracle,
         w_cap_plus=capon_plus_weights(w_cap, alpha_oracle),
+        measure_alpha=(
+            config.regime is Regime.ORACLE
+            and config.waveform is WaveformKind.PSK8
+            and config.psk_alpha_mode is PskAlphaMode.MEASURED
+        ),
     )
 
 
@@ -367,10 +383,7 @@ def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[T
     gamma_cap_hat = mean_abs_sq(out_cap)
 
     alpha = ctx.alpha_oracle
-    if (
-        config.waveform is WaveformKind.PSK8
-        and config.psk_alpha_mode is PskAlphaMode.MEASURED
-    ):
+    if ctx.measure_alpha:
         kurt = kurtosis_estimate(out_cap)
         alpha, _ = alpha_from_kurtosis(
             gamma, ctx.theory.gamma_cap, config.snapshots, kurt
@@ -451,11 +464,33 @@ def run_trial(
     return _TRIAL_FUNCS[config.regime](config, ctx, trial_index)
 
 
-def _run_chunk(args) -> tuple[list[TrialRecord], int]:
-    """The records of trials ``start`` to ``stop - 1`` as one flat list in
-    trial order, which is the order :func:`aggregate` sums them in, and the
-    number of those trials whose sample covariance cannot be factored."""
-    config, sweep_value, ctx, start, stop = args
+# One run's ``(config, sweep values, contexts)``, one value and one context
+# per sweep point; a work item names a point and a trial range of it.
+_Run = tuple[ScenarioConfig, Sequence[float], Sequence[SweepContext]]
+_WorkItem = tuple[int, int, int]
+
+# The run a forked pool worker serves, set by the pool's initializer.
+_worker_run: _Run | None = None
+
+
+def _init_worker(run: _Run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_chunk(item: _WorkItem) -> tuple[list[TrialRecord], int]:
+    """:func:`_run_chunk` in a pool worker, on the run it was forked with."""
+    return _run_chunk(_worker_run, item)
+
+
+def _run_chunk(run: _Run, item: _WorkItem) -> tuple[list[TrialRecord], int]:
+    """For ``item = (point, start, stop)``, the records of that sweep point's
+    trials ``start`` to ``stop - 1`` as one flat list in trial order, which is
+    the order :func:`aggregate` sums them in, and the number of those trials
+    whose sample covariance cannot be factored."""
+    config, values, contexts = run
+    point, start, stop = item
+    sweep_value, ctx = values[point], contexts[point]
     records: list[TrialRecord] = []
     n_failed = 0
     for idx in range(start, stop):
@@ -569,14 +604,18 @@ def run_scenario(
         chunk = math.ceil(trials / (workers * 4)) if workers > 1 else trials
         per_point = math.ceil(trials / chunk)
         contexts = [build_context(config, v) for v in values]
-        work = [(config, v, ctx, s, min(s + chunk, trials))
-                for v, ctx in zip(values, contexts) for s in range(0, trials, chunk)]
-        # Forked workers inherit the imported package, so the calling script
-        # needs no ``__main__`` guard.
-        pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        run = (config, values, contexts)
+        work = [(point, s, min(s + chunk, trials))
+                for point in range(len(values)) for s in range(0, trials, chunk)]
+        # Forked workers inherit the imported package and, through the
+        # initializer's arguments, the run, so neither is pickled and the
+        # calling script needs no ``__main__`` guard.
+        pool = (ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                    initializer=_init_worker, initargs=(run,))
                 if workers > 1 else None)
         try:
-            parts = (pool.map if pool is not None else map)(_run_chunk, work)
+            parts = (pool.map(_worker_chunk, work) if pool is not None
+                     else map(functools.partial(_run_chunk, run), work))
             points = [
                 _mc_point(config, v, ctx, itertools.islice(parts, per_point), emit_theory)
                 for v, ctx in zip(values, contexts)

@@ -21,9 +21,22 @@ arithmetic over all 256 trials x 4 roles of a trial block at once and caches
 the block.  ``TestStreamContract`` pins the result against the installed
 numpy.  Master seeds must be >= 0 and trial indices in ``[0, 2**32)``, the
 range in which the spawn key ``(trial_index, role)`` is two 32-bit words.
+:class:`RngStream` and :class:`TrialRngs` are frozen ``__slots__`` dataclasses
+that check these ranges once, when they are built.
 
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
+
+Scene synthesis
+---------------
+What a batch needs from the scene alone is computed once per
+``(geom, scene, kind)`` by the cached :func:`_scene_constants`: the source
+amplitudes (``sqrt(p / 2)`` per Gaussian source, ``sqrt(p)`` per 8-PSK
+source), the interferer steering matrix transposed, the SOI steering row and
+``sqrt(noise_var / 2)``.  The source powers are checked there; the sample
+count in every call.  Each trial then only draws and combines: the draws,
+their order and every arithmetic operation are those of evaluating the
+constants per call, so every batch keeps its bits.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ import enum
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -170,7 +184,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-@dataclass(frozen=True)
+def _check_coordinates(master_seed: int, trial_index: int) -> None:
+    if master_seed < 0:
+        raise DomainError(f"master seed must be >= 0, got {master_seed}")
+    if not 0 <= trial_index < 2**32:
+        raise DomainError(f"trial index must be in [0, 2**32), got {trial_index}")
+
+
+# Frozen, slotted dataclasses with a hand-written ``__init__`` that checks the
+# coordinates and fills the slots through their descriptors: a generated
+# frozen ``__init__`` sets each field with ``object.__setattr__``.
+@dataclass(frozen=True, slots=True, init=False)
 class RngStream:
     """Deterministic sub-stream coordinates ``(master_seed, trial_index, role)``."""
 
@@ -178,11 +202,11 @@ class RngStream:
     trial_index: int
     role: StreamRole
 
-    def __post_init__(self):
-        if self.master_seed < 0:
-            raise DomainError(f"master seed must be >= 0, got {self.master_seed}")
-        if not 0 <= self.trial_index < 2**32:
-            raise DomainError(f"trial index must be in [0, 2**32), got {self.trial_index}")
+    def __init__(self, master_seed: int, trial_index: int, role: StreamRole):
+        _check_coordinates(master_seed, trial_index)
+        _set_stream_seed(self, master_seed)
+        _set_stream_trial(self, trial_index)
+        _set_stream_role(self, role)
 
     def generator(self) -> np.random.Generator:
         block, t = divmod(self.trial_index, _BLOCK_TRIALS)
@@ -190,12 +214,22 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-@dataclass(frozen=True)
+_set_stream_seed = RngStream.master_seed.__set__
+_set_stream_trial = RngStream.trial_index.__set__
+_set_stream_role = RngStream.role.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TrialRngs:
     """The four per-trial role streams, instantiated lazily."""
 
     master_seed: int
     trial_index: int
+
+    def __init__(self, master_seed: int, trial_index: int):
+        _check_coordinates(master_seed, trial_index)
+        _set_trial_seed(self, master_seed)
+        _set_trial_index(self, trial_index)
 
     def stream(self, role: StreamRole) -> np.random.Generator:
         return RngStream(self.master_seed, self.trial_index, role).generator()
@@ -215,6 +249,10 @@ class TrialRngs:
     @property
     def secondary(self) -> np.random.Generator:
         return self.stream(StreamRole.SECONDARY)
+
+
+_set_trial_seed = TrialRngs.master_seed.__set__
+_set_trial_index = TrialRngs.trial_index.__set__
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,41 +303,88 @@ def draw_waveform(
     holds the same bits as evaluating ``exp`` per sample.
     """
     powers = np.asarray(gamma, dtype=np.float64)
+    waves = _draw(kind, _amplitudes(kind, powers), _checked_count(count), rng)
+    return waves.reshape(count) if powers.ndim == 0 else waves
+
+
+def _amplitudes(kind: WaveformKind, powers: np.ndarray) -> np.ndarray:
+    """Read-only per-source amplitudes of positive ``powers`` for :func:`_draw`:
+    ``sqrt(p / 2)`` of shape ``(K, 1, 1)`` (Gaussian) or ``sqrt(p)`` of shape
+    ``(K, 1)`` (8-PSK)."""
     if powers.size == 0 or not powers.min() > 0.0:
-        raise DomainError(f"waveform power must be positive, got {gamma}")
+        raise DomainError(f"waveform power must be positive, got {powers.tolist()}")
+    k = powers.size
+    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
+        amp = np.sqrt(powers / 2.0).reshape(k, 1, 1)
+    else:
+        amp = np.sqrt(powers).reshape(k, 1)
+    amp.flags.writeable = False
+    return amp
+
+
+def _checked_count(count: int) -> int:
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
-    k = powers.size
+    return count
+
+
+def _draw(kind: WaveformKind, amp: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`draw_waveform`'s ``(count, K)`` draw from :func:`_amplitudes`' ``amp``."""
+    k = amp.shape[0]
     if kind is WaveformKind.CIRCULAR_GAUSSIAN:
         parts = rng.standard_normal((k, 2, count))
         # s re and s im carry the bits of s (re + j im) for nonzero draws
-        parts *= np.sqrt(powers / 2.0).reshape(k, 1, 1)
-        waves = np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128)
-    else:
-        phasors = _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
-        waves = np.ascontiguousarray((np.sqrt(powers).reshape(k, 1) * phasors).T)
-    return waves.reshape(count) if powers.ndim == 0 else waves.reshape(count, k)
+        parts *= amp
+        return np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128).reshape(count, k)
+    phasors = _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
+    return np.ascontiguousarray((amp * phasors).T)
 
 
-def _scene_interference(
-    geom: ArrayGeometry,
-    scene: SourceScene,
+class _SceneConstants(NamedTuple):
+    soi_amp: np.ndarray  # _amplitudes of the SOI power
+    interferer_amp: np.ndarray | None  # _amplitudes of the interferer powers; None without any
+    steering_int_t: np.ndarray | None  # (K, M): the interferers' steering vectors as rows
+    soi_row: np.ndarray  # (1, M): the SOI steering vector
+    noise_amp: float  # sqrt(noise_var / 2), the scale of each real and imaginary noise part
+
+
+@functools.lru_cache(maxsize=256)
+def _scene_constants(
+    geom: ArrayGeometry, scene: SourceScene, kind: WaveformKind
+) -> _SceneConstants:
+    """Everything :func:`synth_scene_snapshots` and :func:`synth_scene_secondary`
+    compute from the scene alone, computed once per ``(geom, scene, kind)``."""
+    int_amp = steering_int_t = None
+    if scene.interferers:
+        powers = np.array([s.power for s in scene.interferers], dtype=np.float64)
+        int_amp = _amplitudes(kind, powers)
+        doas = tuple(s.doa_deg for s in scene.interferers)
+        steering_int_t = _steering_matrix_cached(geom, doas).T
+    return _SceneConstants(
+        soi_amp=_amplitudes(kind, np.asarray(scene.soi.power, dtype=np.float64)),
+        interferer_amp=int_amp,
+        steering_int_t=steering_int_t,
+        soi_row=_steering_cached(geom, float(scene.soi.doa_deg))[None, :],
+        noise_amp=np.sqrt(scene.noise_var / 2.0),
+    )
+
+
+def _interference_plus_noise(
+    consts: _SceneConstants,
     kind: WaveformKind,
     count: int,
     wave_rng: np.random.Generator,
     noise_rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-source interference waveforms (drawn in interferer order) plus white noise."""
-    m = geom.antennas
-    if scene.interferers:
-        a_int = _steering_matrix_cached(geom, tuple(s.doa_deg for s in scene.interferers))
-        waves = draw_waveform(kind, [s.power for s in scene.interferers], count, wave_rng)
-        e = waves @ a_int.T
+    m = consts.soi_row.shape[1]
+    if consts.interferer_amp is not None:
+        e = _draw(kind, consts.interferer_amp, count, wave_rng) @ consts.steering_int_t
     else:
         e = np.zeros((count, m), dtype=np.complex128)
     # real parts, then imaginary parts, as two (count, m) draws would give them
     noise = noise_rng.standard_normal((2, count, m))
-    noise *= np.sqrt(scene.noise_var / 2.0)
+    noise *= consts.noise_amp
     e.real += noise[0]
     e.imag += noise[1]
     return e
@@ -318,9 +403,11 @@ def synth_scene_snapshots(
     one waveform law to all sources, while the additive noise stays white
     Gaussian.
     """
-    s = draw_waveform(kind, scene.soi.power, count, rngs.soi)
-    e = _scene_interference(geom, scene, kind, count, rngs.interference, rngs.noise)
-    e += s[:, None] * _steering_cached(geom, float(scene.soi.doa_deg))[None, :]
+    consts = _scene_constants(geom, scene, kind)
+    _checked_count(count)
+    s = _draw(kind, consts.soi_amp, count, rngs.soi).reshape(count)
+    e = _interference_plus_noise(consts, kind, count, rngs.interference, rngs.noise)
+    e += s[:, None] * consts.soi_row
     return SnapshotBatch(snapshots=e, truth=s, contains_soi=True)
 
 
@@ -337,8 +424,10 @@ def synth_scene_secondary(
     ``secondary`` role stream, keeping the batch independent of the primary
     data of the same trial.
     """
+    consts = _scene_constants(geom, scene, kind)
+    _checked_count(count)
     rng = rngs.secondary
-    e = _scene_interference(geom, scene, kind, count, rng, rng)
+    e = _interference_plus_noise(consts, kind, count, rng, rng)
     return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
 
 

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import pickle
 import time
 from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
@@ -103,6 +104,12 @@ class TestConfigValidation:
     def test_trials_floor(self):
         with pytest.raises(ConfigError, match="trials"):
             config(trials=50).validate()
+
+    def test_trials_ceiling(self):
+        # trial indices 0 .. trials - 1 must fit the 32-bit stream index
+        config(trials=2**32).validate()
+        with pytest.raises(ConfigError, match=r"trials must be <= 2\*\*32, .*got 4294967297"):
+            config(trials=2**32 + 1).validate()
 
     def test_regime_b_needs_t_above_m(self):
         with pytest.raises(ConfigError, match="snapshots > antennas"):
@@ -465,6 +472,8 @@ class TestFailureHandling:
             assert [p.n_trials for p in report.points] == [
                 self.TRIALS, self.TRIALS - len(self.FAILING), self.TRIALS]
             assert [p.aggregates for p in report.points] == expected
+            # the run reached the workers through the fork, not through this process
+            assert mc._worker_run is None
 
     def test_failure_threshold_hard_error(self, monkeypatch):
         # 50 of 1000 trials fail at point 1, over the 1 % gate.
@@ -484,22 +493,28 @@ class TestFailureHandling:
 
 
 class TestWorkerCap:
-    """The pool gets at most one worker per usable CPU, and one ``map`` call
-    carries every point's chunks.  No process is started: the executor is
-    replaced by a recorder that maps in-process."""
+    """The pool gets at most one worker per usable CPU, one ``map`` call
+    carries every point's chunks, and a work item is ``(point, start, stop)``
+    only.  No process is started: the executor is replaced by a recorder that
+    runs the initializer and maps in-process."""
 
     def test_threads_capped_by_affinity(self, monkeypatch):
         pools = []
+        # the recorder's initializer sets the worker's run in this process
+        monkeypatch.setattr(mc, "_worker_run", None)
 
         class RecordingPool:
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
                 self.max_workers, self.maps, self.chunks = max_workers, 0, 0
                 self.shut_down = False
+                initializer(*initargs)
                 pools.append(self)
 
             def map(self, fn, args):
                 self.maps += 1
                 self.chunks += len(args)
+                assert all(len(item) == 3 and all(type(x) is int for x in item)
+                           for item in args)
                 return map(fn, args)
 
             def shutdown(self, wait=True, *, cancel_futures=False):
@@ -517,6 +532,17 @@ class TestWorkerCap:
         # 12 per point, all three points through one map call.
         assert [(p.max_workers, p.maps, p.chunks, p.shut_down) for p in pools] == [
             (3, 1, 36, True)]
+
+    def test_forked_workers_get_the_run_unpickled(self, monkeypatch):
+        def refuse(self, protocol):
+            raise pickle.PicklingError(f"{type(self).__name__} pickled")
+
+        cfg = config(trials=200, sweep=SweepSpec(SweepVariable.SNR_DB, (0.0, 1.0)))
+        serial = run_scenario(cfg, threads=1).points
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for cls in (mc.ScenarioConfig, mc.SweepContext):
+            monkeypatch.setattr(cls, "__reduce_ex__", refuse, raising=False)
+        assert run_scenario(cfg, threads=2).points == serial
 
 
 class TestContextSolvesOnce:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,31 @@ class TestStreamContract:
         with pytest.raises(DomainError):
             TrialRngs(0, -5).soi
 
+    @pytest.mark.parametrize("value", [RngStream(7, 3, StreamRole.NOISE), TrialRngs(7, 3)])
+    def test_fields_immutable(self, value):
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert (value.master_seed, value.trial_index) == (7, 3)
+        assert not hasattr(value, "__dict__")
+
+    def test_equal_coordinates_equal_and_hash_equal(self):
+        pairs = [
+            (RngStream(7, 3, StreamRole.NOISE), RngStream(7, 3, StreamRole.NOISE)),
+            (TrialRngs(2**70, 2**32 - 1), TrialRngs(2**70, 2**32 - 1)),
+        ]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert pickle.loads(pickle.dumps(a)) == a
+        assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 3, StreamRole.SOI)
+        assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 4, StreamRole.NOISE)
+        assert TrialRngs(7, 3) != TrialRngs(8, 3)
+        # a value equals only its own class, as a frozen dataclass does
+        assert TrialRngs(7, 3) != (7, 3)
+        assert RngStream(7, 3, StreamRole.SOI) != TrialRngs(7, 3)
+
 
 class TestSynthMatchesReference:
     """Bit-identity with the per-interferer generator seeded through numpy."""
@@ -336,6 +363,33 @@ class TestSynthMatchesReference:
             ref = reference_synth_scene_secondary(geom, scene, kind, count, seed, trial)
             assert np.array_equal(got.snapshots, ref.snapshots)
             assert got.truth.size == 0
+
+    def test_one_scene_under_each_kind_and_geometry(self):
+        """The per-scene constants are cached per (geom, scene, kind): the same
+        scene object drawn in turn under both kinds, then under two
+        geometries, matches the reference every time."""
+        scene = SourceScene(
+            soi=SourceSpec(-45.02, 0.7),
+            interferers=(SourceSpec(-30.0, 3.1), SourceSpec(20.0, 0.25)),
+            noise_var=0.37,
+        )
+        geom = ArrayGeometry(25, 0.5)
+        turns = [(geom, kind) for kind in WaveformKind]
+        turns += [(ArrayGeometry(m, 0.5), WaveformKind.PSK8) for m in (8, 25)]
+        for geom, kind in turns:
+            got = synth_scene_snapshots(geom, scene, kind, 60, TrialRngs(7, 300))
+            ref = reference_synth_scene_snapshots(geom, scene, kind, 60, 7, 300)
+            assert np.array_equal(got.snapshots, ref.snapshots), (geom, kind)
+            assert np.array_equal(got.truth, ref.truth), (geom, kind)
+            got = synth_scene_secondary(geom, scene, kind, 60, TrialRngs(7, 300))
+            ref = reference_synth_scene_secondary(geom, scene, kind, 60, 7, 300)
+            assert np.array_equal(got.snapshots, ref.snapshots), (geom, kind)
+
+    def test_bad_count_rejected(self):
+        scene = SourceScene(soi=SourceSpec(-45.02, 0.7), interferers=(SourceSpec(-30.0, 3.1),))
+        for synth in (synth_scene_snapshots, synth_scene_secondary):
+            with pytest.raises(DomainError, match="sample count"):
+                synth(GEOM, scene, WaveformKind.PSK8, 0, TrialRngs(7, 0))
 
 
 class TestSnapshotBatchInvariants:
