@@ -7,7 +7,9 @@ array covariance or the INCM), the MMSE weight ``w_MMSE = gamma S^{-1} a``
 which is the same vector scaled by ``gamma / gamma_cap``, and the shrunk
 Capon weight ``w_beta = sqrt(alpha) w_Cap`` whose output power is
 ``alpha``-times the Capon output power.  The CB, Capon and adaptive Capon
-weights pass the steering vector with unit gain, ``w^H a = 1``.
+weights pass the steering vector with unit gain, ``w^H a = 1``.  The exact
+Capon and MMSE weights are read off the ``S^{-1} a`` that
+:class:`~caponplus.arraymodel.CovarianceModel` holds.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .signalsim import SnapshotBatch
 
 __all__ = [
     "cb_weights",
-    "capon_weights",
-    "mmse_weights",
     "capon_plus_weights",
     "adaptive_capon_weights",
     "apply_weights",
@@ -50,25 +50,6 @@ def _capon_like(cov: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
     if denom <= 0.0:
         raise DomainError(f"a^H C^(-1) a must be positive, got {denom}")
     return cinv_a, float(denom)
-
-
-def capon_weights(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Capon/MPDR weight ``w = C^{-1} a / (a^H C^{-1} a)``.
-
-    ``cov`` may be the full array covariance or the INCM; by the
-    Sherman-Morrison identity both produce the same weight vector.
-    """
-    cinv_a, denom = _capon_like(cov, a)
-    return cinv_a / denom
-
-
-def mmse_weights(gamma: float, cov: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """MMSE weight ``w = gamma S^{-1} a`` for SOI power ``gamma`` and full
-    covariance ``S``."""
-    if gamma < 0.0:
-        raise DomainError(f"SOI power must be >= 0, got {gamma}")
-    cinv_a, _denom = _capon_like(cov, a)
-    return gamma * cinv_a
 
 
 def capon_plus_weights(w_cap: np.ndarray, alpha: float) -> np.ndarray:

@@ -5,12 +5,12 @@
 file.  Exit status: 0 on success, 1 on configuration errors, 2 when more
 than 1% of trials fail.
 
-Configs are JSON documents validated against the shipped schema
-(``config_schema.json``); missing keys fall back to the reference setup
-(25-element half-wavelength ULA, SOI at -45.02 deg, interferers 2/4/6 dB
-down, unit noise, T = 60, 15000 trials).  Angles are degrees and powers are
-dB relative to the unit-variance noise; the library itself works in linear
-units throughout.
+Configs are JSON objects.  Each key is checked against its row of
+:data:`CONFIG_KEYS` (listed below); missing keys fall back to the reference
+setup (25-element half-wavelength ULA, SOI at -45.02 deg, interferers 2/4/6
+dB down, unit noise, T = 60, 15000 trials).  Angles are degrees and powers
+are dB relative to the unit-variance noise; the library itself works in
+linear units throughout.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from importlib import resources
-
-import jsonschema
 
 from ._version import __version__
 from .arraymodel import ArrayGeometry
@@ -54,9 +50,9 @@ from .montecarlo import (
 from .presets import PRESETS
 from .signalsim import WaveformKind
 
-__all__ = ["RunConfig", "DEFAULT_CONFIG", "parse_config", "run", "emit_results", "main"]
-
-THREADS_ENV_VAR = "CAPONPLUS_THREADS"
+__all__ = [
+    "RunConfig", "DEFAULT_CONFIG", "CONFIG_KEYS", "parse_config", "run", "emit_results", "main",
+]
 
 RESULT_COLUMNS = (
     "sweep_variable",
@@ -95,6 +91,101 @@ DEFAULT_CONFIG: dict = {
     "emit_theory": False,
 }
 
+# Every config key: its JSON type, its allowed values or bound, and its
+# meaning.  An "integer" is a JSON int and a "number" an int or a float;
+# true and false are neither.  Arrays hold numbers, and an array's bound
+# holds for each item.  A bound is an interval; "sweep" needs both its keys.
+CONFIG_KEYS: dict[str, tuple[str, object, str]] = {
+    "regime": ("string", tuple(r.value for r in Regime),
+               "oracle (known statistics), adaptive scenarios a-d, or the closed-form alpha sweep"),
+    "antennas": ("integer", "[2, inf)", "number of ULA elements M"),
+    "spacing_wavelengths": ("number", "(0, inf)", "element spacing in wavelengths, d / lambda"),
+    "soi_doa_deg": ("number", "[-90, 90)", "direction of arrival of the SOI in degrees"),
+    "interferer_doas_deg": ("array", "[-90, 90)",
+                            "directions of arrival of the interferers in degrees"),
+    "interferer_offsets_db": ("array", None,
+                              "interferer powers in dB below the SOI power, one per interferer"),
+    "noise_var": ("number", "(0, inf)", "white noise variance (SNR sweeps require 1)"),
+    "waveform": ("string", tuple(w.value for w in WaveformKind), "waveform law of every source"),
+    "snapshots": ("integer", "[1, inf)", "primary snapshot count T"),
+    "secondary_snapshots": ("integer", "[0, inf)",
+                            "SOI-free snapshot count T0; regimes c/d need T0 > antennas "
+                            "unless T0 is swept"),
+    "trials": ("integer", None, "Monte-Carlo trials per sweep point (>= 100)"),
+    "seed": ("integer", "[0, inf)", "master seed of the reproducible trial streams"),
+    "snr_db": ("number", None, "SOI SNR in dB over unit noise when snr_db is not swept"),
+    "sweep": ("object", None, "the swept variable and its values"),
+    "sweep.variable": ("string", tuple(v.value for v in SweepVariable), "the swept variable"),
+    "sweep.values": ("array", "non-empty", "the sweep points"),
+    "psk_alpha_mode": ("string", tuple(m.value for m in PskAlphaMode),
+                       "oracle-regime shrinkage rule for PSK sources"),
+    "output_path": ("string", "non-empty", "results file to write"),
+    "output_format": ("string", ("csv", "json"), "results file format"),
+    "emit_theory": ("boolean", None, "append closed-form overlay rows to each sweep point"),
+}
+
+# Python's bool is an int; JSON's true and false are neither integer nor number.
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+               "array": list, "object": dict}
+
+
+def _requirement(rule) -> str:
+    """How a rule of :data:`CONFIG_KEYS` reads in messages and in the key list."""
+    if isinstance(rule, tuple):
+        return "one of " + ", ".join(rule)
+    return rule if rule == "non-empty" else f"in {rule}"
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``[-90, 90)`` or ``(0, inf)``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo <= value if interval[0] == "[" else lo < value) and (
+        value <= hi if interval[-1] == "]" else value < hi)
+
+
+def _problem(value, kind: str, rule) -> str | None:
+    """Why ``value`` breaks a row's type and rule, or None if it keeps them."""
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        need = f"of type {kind}"
+    elif isinstance(rule, tuple):
+        need = None if value in rule else _requirement(rule)
+    elif rule == "non-empty":
+        need = None if value else _requirement(rule)
+    else:  # an interval, which an array's items keep rather than the array
+        keeps = rule is None or kind == "array" or _within(value, rule)
+        need = None if keeps else _requirement(rule)
+    return need and f"must be {need}, got {json.dumps(value, default=repr)}"
+
+
+def _violations(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
+    """``(key path, message)`` for every way ``doc`` breaks :data:`CONFIG_KEYS`."""
+    found = []
+    for key, value in doc.items():
+        path = f"{prefix}{key}"
+        if "." in str(key) or path not in CONFIG_KEYS:
+            found.append((path, "unknown key"))
+            continue
+        kind, rule, _meaning = CONFIG_KEYS[path]
+        if problem := _problem(value, kind, rule):
+            found.append((path, problem))
+        elif kind == "object":
+            subkeys = [row.removeprefix(path + ".") for row in CONFIG_KEYS
+                       if row.startswith(path + ".")]
+            found += [(path, f"missing key {sub!r}") for sub in subkeys if sub not in value]
+            found += _violations(value, path + ".")
+        elif kind == "array":
+            item_rule = None if rule == "non-empty" else rule
+            found += [(f"{path}[{i}]", problem) for i, item in enumerate(value)
+                      if (problem := _problem(item, "number", item_rule))]
+    return found
+
+
+if __doc__:
+    __doc__ += "\nConfig keys (JSON type, bound or allowed values: meaning):\n\n" + "".join(
+        f"* ``{key}`` ({kind}{', ' + _requirement(rule) if rule else ''}): {meaning}\n"
+        for key, (kind, rule, meaning) in CONFIG_KEYS.items()
+    )
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -104,11 +195,6 @@ class RunConfig:
     output_path: str
     output_format: str
     emit_theory: bool
-
-
-def _schema() -> dict:
-    text = resources.files("caponplus").joinpath("config_schema.json").read_text()
-    return json.loads(text)
 
 
 def _finite_float(text: str) -> float:
@@ -143,23 +229,14 @@ def _load_document(source) -> dict:
     return doc
 
 
-def _validate_schema(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = []
-        for err in errors:
-            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            lines.append(f"{where}: {err.message}")
-        raise ValidationError("config rejected:\n  " + "\n  ".join(lines))
-
-
 def build_run_config(doc: dict) -> RunConfig:
     """Merge ``doc`` over the defaults and produce a validated :class:`RunConfig`."""
-    _validate_schema(doc)
+    violations = sorted(_violations(doc))
+    if violations:
+        raise ValidationError(
+            "config rejected:\n  " + "\n  ".join(f"{path}: {msg}" for path, msg in violations))
     cfg = {**DEFAULT_CONFIG, **doc}
-    sweep_doc = {**DEFAULT_CONFIG["sweep"], **cfg["sweep"]}
-    sweep = SweepSpec(SweepVariable(sweep_doc["variable"]), tuple(sweep_doc["values"]))
+    sweep = SweepSpec(SweepVariable(cfg["sweep"]["variable"]), tuple(cfg["sweep"]["values"]))
     # An SNR sweep builds the scene at 0 dB; each sweep point rescales it.
     snr_db = 0.0 if sweep.variable is SweepVariable.SNR_DB else cfg["snr_db"]
     try:
@@ -190,7 +267,7 @@ def build_run_config(doc: dict) -> RunConfig:
 
 
 def parse_config(source) -> RunConfig:
-    """Load, schema-check and semantically validate a JSON config."""
+    """Load, key-check and semantically validate a JSON config."""
     return build_run_config(_load_document(source))
 
 
@@ -264,18 +341,6 @@ def run(config: RunConfig, threads: int = 1) -> int:
     return 0
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return max(1, flag_value)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caponplus",
@@ -288,12 +353,10 @@ def _make_parser() -> argparse.ArgumentParser:
     runp.add_argument("--preset", choices=sorted(PRESETS), help="named base configuration")
     runp.add_argument("--seed", type=int, help="override the master seed")
     runp.add_argument("--out", help="override the output path")
-    runp.add_argument("--format", choices=["csv", "json"], help="override the output format")
-    runp.add_argument(
-        "--threads",
-        type=int,
-        help=f"worker processes for the trials (default: ${THREADS_ENV_VAR} or 1)",
-    )
+    runp.add_argument("--format", choices=CONFIG_KEYS["output_format"][1],
+                      help="override the output format")
+    runp.add_argument("--threads", type=int, default=1,
+                      help="worker processes for the trials (default: 1)")
     return parser
 
 
@@ -314,12 +377,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.format is not None:
             doc["output_format"] = args.format
         config = build_run_config(doc)
-        threads = _resolve_threads(args.threads)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run(config, threads=threads)
+        return run(config, threads=max(1, args.threads))
     except CaponPlusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

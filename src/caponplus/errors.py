@@ -53,7 +53,7 @@ class ParseError(CaponPlusError):
 
 
 class ValidationError(CaponPlusError):
-    """A configuration document violates the schema or semantic invariants."""
+    """A configuration document breaks its key table in ``cli`` or a scenario invariant."""
 
 
 class TrialFailureError(CaponPlusError):

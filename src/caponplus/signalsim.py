@@ -68,7 +68,6 @@ __all__ = [
     "draw_waveform",
     "synth_scene_snapshots",
     "synth_scene_secondary",
-    "output_power_components",
     "output_fourth_moment",
     "output_kurtosis",
 ]
@@ -278,10 +277,6 @@ class SnapshotBatch:
         elif self.truth.size != 0:
             raise DomainError("a batch without the SOI must have empty truth")
 
-    @property
-    def num_antennas(self) -> int:
-        return self.snapshots.shape[1]
-
 
 def draw_waveform(
     kind: WaveformKind, gamma: float | Sequence[float], count: int, rng: np.random.Generator
@@ -431,7 +426,7 @@ def synth_scene_secondary(
     return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
 
 
-def output_power_components(
+def _output_power_components(
     geom: ArrayGeometry, scene: SourceScene, w: np.ndarray
 ) -> np.ndarray:
     """Per-component powers of ``w^H x(t)``: SOI, each interferer, then noise."""
@@ -453,14 +448,14 @@ def output_fourth_moment(
     components contribute no excess, constant-modulus ones contribute
     ``-p_i^2`` each.
     """
-    return _fourth_moment(output_power_components(geom, scene, w), kind)
+    return _fourth_moment(_output_power_components(geom, scene, w), kind)
 
 
 def output_kurtosis(
     geom: ArrayGeometry, scene: SourceScene, kind: WaveformKind, w: np.ndarray
 ) -> float:
     """Population kurtosis of ``w^H x(t)``: zero for Gaussian scenes, negative for PSK."""
-    parts = output_power_components(geom, scene, w)
+    parts = _output_power_components(geom, scene, w)
     return _fourth_moment(parts, kind) / parts.sum() ** 2 - 2.0
 
 

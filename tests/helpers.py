@@ -174,6 +174,22 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_chol(cholesky(a), b)
 
 
+def capon_weights(cov: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Capon/MPDR weight ``w = C^{-1} a / (a^H C^{-1} a)`` from a fresh solve.
+
+    ``cov`` may be the full array covariance or the INCM; by the
+    Sherman-Morrison identity both produce the same weight vector.
+    """
+    cinv_a = solve_hpd(cov, a)
+    return cinv_a / float(np.vdot(a, cinv_a).real)
+
+
+def mmse_weights(gamma: float, cov: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """MMSE weight ``w = gamma S^{-1} a`` for SOI power ``gamma`` and full
+    covariance ``S``, from a fresh solve."""
+    return gamma * solve_hpd(cov, a)
+
+
 def rank1_update_inverse(
     qinv_a: np.ndarray, ah_qinv_a: float, gamma: float
 ) -> tuple[np.ndarray, float]:

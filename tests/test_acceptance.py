@@ -18,7 +18,6 @@ from caponplus.arraymodel import (
     capon_output_power,
     cov_model_from_parts,
 )
-from caponplus.beamformers import capon_weights
 from caponplus.cli import build_run_config, main
 from caponplus.estimation import debiased_power, scm
 from caponplus.linalg import cholesky, quadratic_form
@@ -41,7 +40,7 @@ from caponplus.signalsim import (
     output_fourth_moment,
     synth_scene_snapshots,
 )
-from helpers import nll_profile, random_cvector, random_hpd, solve_hpd
+from helpers import capon_weights, nll_profile, random_cvector, random_hpd, solve_hpd
 
 THREADS = 2
 FIG1_SNRS = (0.0, -2.0, -4.0, -6.0, -8.5)

@@ -1,7 +1,12 @@
 """The package's public surface: the top-level names and each submodule's ``__all__``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from importlib.metadata import packages_distributions
+from pathlib import Path
 
 import caponplus
 
@@ -39,3 +44,20 @@ def test_every_submodule_all_entry_resolves():
         stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
     assert stale == []
+
+
+def test_cli_import_loads_no_third_party_package_but_numpy_and_scipy():
+    """A fresh ``import caponplus.cli`` loads only the standard library,
+    numpy, scipy and the package itself, so ``pyproject.toml``'s runtime
+    dependencies can stay numpy and scipy."""
+    code = ("import sys; before = set(sys.modules); import caponplus.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    paths = [str(Path(caponplus.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert {"caponplus", "numpy", "scipy"} <= loaded
+    others = loaded - set(sys.stdlib_module_names) - {"caponplus", "numpy", "scipy"}
+    # What is left and ships in no distribution is made at run time, such
+    # as Cython's shared-type modules and the platform's _sysconfigdata.
+    assert others & set(packages_distributions()) == set()

@@ -199,7 +199,7 @@ class TestTheoryReport:
             _geom, _scene, model = random_model(rng)
             t = int(rng.integers(2, 300))
             rep = theory_report(model, t)
-            from caponplus.beamformers import capon_weights
+            from helpers import capon_weights
 
             w = capon_weights(model.full, model.a)
             var = power_variance_gaussian(model, w, t)

@@ -15,14 +15,12 @@ from caponplus.beamformers import (
     adaptive_capon_weights,
     apply_weights,
     capon_plus_weights,
-    capon_weights,
     cb_weights,
-    mmse_weights,
 )
 from caponplus.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from caponplus.linalg import quadratic_form
 from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind
-from helpers import random_model, solve_hpd, synth_snapshots
+from helpers import capon_weights, mmse_weights, random_model, solve_hpd, synth_snapshots
 
 
 def make_batch(x):

@@ -191,16 +191,6 @@ class TestMain:
         rows = json.loads(out.read_text())
         assert list(rows[0].keys()) == list(RESULT_COLUMNS)
 
-    def test_threads_env_var(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, TINY)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("CAPONPLUS_THREADS", "2")
-        assert main(["run", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("CAPONPLUS_THREADS", "not-a-number")
-        assert main(["run", cfg, "--out", str(out2)]) == 1
-        # flag wins over the broken env var
-        assert main(["run", cfg, "--out", str(out2), "--threads", "1"]) == 0
-
     def test_trial_failures_exit_code_two(self, tmp_path, monkeypatch):
         import caponplus.cli as cli_mod
         from caponplus.errors import TrialFailureError
@@ -275,6 +265,25 @@ class TestMain:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert sum(row[2] == "CaponTheory" for row in rows[1:]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("snapshots", 60.0),
+        ("trials", 150.0),
+        ("antennas", 8.0),
+        ("seed", 7.0),
+        ("secondary_snapshots", 40.0),
+    ])
+    def test_integral_float_for_integer_key_exits_one(self, tmp_path, capsys, key, value):
+        doc = {"regime": "c", "antennas": 8, "snapshots": 60, "secondary_snapshots": 40,
+               "trials": 150, "seed": 7, "sweep": {"variable": "snr_db", "values": [0.0]}}
+        assert build_run_config(doc).scenario.regime is Regime.C
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, {**doc, key: value})
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_float_literal_overflow_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

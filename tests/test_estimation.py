@@ -7,7 +7,7 @@ from caponplus.arraymodel import (
     cov_model_from_parts,
     theory_report,
 )
-from caponplus.beamformers import adaptive_capon_weights, apply_weights, capon_weights
+from caponplus.beamformers import adaptive_capon_weights, apply_weights
 from caponplus.errors import (
     DegenerateDenominator,
     DegenerateSample,
@@ -27,6 +27,7 @@ from caponplus.linalg import cholesky, quadratic_form
 from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, draw_waveform
 from helpers import (
     bits,
+    capon_weights,
     nll_profile,
     random_cvector,
     random_hpd,

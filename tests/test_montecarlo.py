@@ -17,7 +17,6 @@ from caponplus.arraymodel import (
     capon_output_power,
     theory_report,
 )
-from caponplus.beamformers import capon_weights, mmse_weights
 from caponplus.cli import build_run_config
 from caponplus.errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
 from caponplus.linalg import cholesky, solve_chol
@@ -35,7 +34,7 @@ from caponplus.montecarlo import (
 )
 from caponplus.presets import PRESETS
 from caponplus.signalsim import WaveformKind
-from helpers import random_model
+from helpers import capon_weights, mmse_weights, random_model
 
 SMALL_GEOM = ArrayGeometry(4, 0.5)
 SMALL_SCENE = SourceScene(
