@@ -156,7 +156,7 @@ def cov_model_from_parts(a: np.ndarray, gamma: float, incm: np.ndarray) -> Covar
     a = np.asarray(a, dtype=np.complex128)
     if gamma < 0.0:
         raise DomainError(f"SOI power must be >= 0, got {gamma}")
-    incm = hermitian_matrix(incm, posdef_hint=True)
+    incm = hermitian_matrix(incm)
     if incm.shape[0] != a.size:
         raise DimensionMismatch(
             f"INCM is {incm.shape}, steering vector has length {a.size}"

@@ -2,15 +2,16 @@
 
 ``caponplus run [config.json] [--preset NAME] [--seed N] [--out PATH]
 [--format csv|json] [--threads N]`` runs one scenario and writes a results
-file.  Exit status: 0 on success, 1 on configuration errors, 2 when more
-than 1% of trials fail.
+file.  Exit status: 0 on success, 2 when more than 1% of trials fail, 1 on
+any other error, such as a bad config or an output path that cannot be
+written.
 
 Configs are JSON objects.  Each key is checked against its row of
-:data:`CONFIG_KEYS` (listed below); missing keys fall back to the reference
-setup (25-element half-wavelength ULA, SOI at -45.02 deg, interferers 2/4/6
-dB down, unit noise, T = 60, 15000 trials).  Angles are degrees and powers
-are dB relative to the unit-variance noise; the library itself works in
-linear units throughout.
+:data:`CONFIG_KEYS` (listed below), and a missing key takes the row's
+default.  The defaults reproduce the Gaussian known-statistics sweep (preset
+fig1) in the reference scene.  Angles are degrees and powers are dB relative
+to the unit-variance noise; the library itself works in linear units
+throughout.
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from ._version import __version__
 from .arraymodel import ArrayGeometry
-from .errors import (
-    CaponPlusError,
-    ConfigError,
-    ParseError,
-    TrialFailureError,
-    ValidationError,
-)
+from .errors import CaponPlusError, ConfigError, DomainError, TrialFailureError
+from .metrics import AggregateRecord
 from .montecarlo import (
     DEFAULT_GEOMETRY,
     DEFAULT_INTERFERER_DOAS_DEG,
@@ -51,78 +48,55 @@ from .presets import PRESETS
 from .signalsim import WaveformKind
 
 __all__ = [
-    "RunConfig", "DEFAULT_CONFIG", "CONFIG_KEYS", "parse_config", "run", "emit_results", "main",
+    "RunConfig", "DEFAULT_CONFIG", "CONFIG_KEYS", "parse_config", "emit_results", "main",
 ]
 
 RESULT_COLUMNS = (
-    "sweep_variable",
-    "sweep_value",
-    "method",
-    "mean_rel_bias",
-    "stderr_rel_bias",
-    "mean_se_nmse",
-    "stderr_se_nmse",
-    "mean_sp_nmse",
-    "stderr_sp_nmse",
-    "n_trials",
-    "n_failed",
+    "sweep_variable", "sweep_value", *(f.name for f in fields(AggregateRecord)), "n_failed",
 )
 
-# Defaults reproduce the Gaussian known-statistics sweep (preset fig1) in the
-# reference scene.
-DEFAULT_CONFIG: dict = {
-    "regime": PRESETS["fig1"]["regime"],
-    "antennas": DEFAULT_GEOMETRY.antennas,
-    "spacing_wavelengths": DEFAULT_GEOMETRY.d_over_lambda,
-    "soi_doa_deg": DEFAULT_SOI_DOA_DEG,
-    "interferer_doas_deg": list(DEFAULT_INTERFERER_DOAS_DEG),
-    "interferer_offsets_db": list(DEFAULT_INTERFERER_OFFSETS_DB),
-    "noise_var": DEFAULT_NOISE_VAR,
-    "waveform": PRESETS["fig1"]["waveform"],
-    "snapshots": 60,
-    "secondary_snapshots": 0,
-    "trials": PRESETS["fig1"]["trials"],
-    "seed": 20250810,
-    "snr_db": 0.0,
-    "sweep": PRESETS["fig1"]["sweep"],
-    "psk_alpha_mode": "kappa_minus_one",
-    "output_path": "results.csv",
-    "output_format": "csv",
-    "emit_theory": False,
-}
-
-# Every config key: its JSON type, its allowed values or bound, and its
-# meaning.  An "integer" is a JSON int and a "number" an int or a float;
-# true and false are neither.  Arrays hold numbers, and an array's bound
-# holds for each item.  A bound is an interval; "sweep" needs both its keys.
-CONFIG_KEYS: dict[str, tuple[str, object, str]] = {
-    "regime": ("string", tuple(r.value for r in Regime),
+# Every config key: its JSON type, its allowed values or bound, its default
+# and its meaning.  An "integer" is a JSON int and a "number" an int or a
+# float; true and false are neither.  Arrays hold numbers, and an array's
+# bound holds for each item.  A bound is an interval.  "sweep" needs both
+# its keys, which have no default of their own (None).
+_FIG1 = PRESETS["fig1"]
+CONFIG_KEYS: dict[str, tuple[str, object, object, str]] = {
+    "regime": ("string", tuple(r.value for r in Regime), _FIG1["regime"],
                "oracle (known statistics), adaptive scenarios a-d, or the closed-form alpha sweep"),
-    "antennas": ("integer", "[2, inf)", "number of ULA elements M"),
-    "spacing_wavelengths": ("number", "(0, inf)", "element spacing in wavelengths, d / lambda"),
-    "soi_doa_deg": ("number", "[-90, 90)", "direction of arrival of the SOI in degrees"),
-    "interferer_doas_deg": ("array", "[-90, 90)",
+    "antennas": ("integer", "[2, inf)", DEFAULT_GEOMETRY.antennas, "number of ULA elements M"),
+    "spacing_wavelengths": ("number", "(0, inf)", DEFAULT_GEOMETRY.d_over_lambda,
+                            "element spacing in wavelengths, d / lambda"),
+    "soi_doa_deg": ("number", "[-90, 90)", DEFAULT_SOI_DOA_DEG,
+                    "direction of arrival of the SOI in degrees"),
+    "interferer_doas_deg": ("array", "[-90, 90)", list(DEFAULT_INTERFERER_DOAS_DEG),
                             "directions of arrival of the interferers in degrees"),
-    "interferer_offsets_db": ("array", None,
+    "interferer_offsets_db": ("array", None, list(DEFAULT_INTERFERER_OFFSETS_DB),
                               "interferer powers in dB below the SOI power, one per interferer"),
-    "noise_var": ("number", "(0, inf)", "white noise variance (SNR sweeps require 1)"),
-    "waveform": ("string", tuple(w.value for w in WaveformKind), "waveform law of every source"),
-    "snapshots": ("integer", "[1, inf)", "primary snapshot count T"),
-    "secondary_snapshots": ("integer", "[0, inf)",
+    "noise_var": ("number", "(0, inf)", DEFAULT_NOISE_VAR,
+                  "white noise variance (SNR sweeps require 1)"),
+    "waveform": ("string", tuple(w.value for w in WaveformKind), _FIG1["waveform"],
+                 "waveform law of every source"),
+    "snapshots": ("integer", "[1, inf)", 60, "primary snapshot count T"),
+    "secondary_snapshots": ("integer", "[0, inf)", 0,
                             "SOI-free snapshot count T0; regimes c/d need T0 > antennas "
                             "unless T0 is swept"),
-    "trials": ("integer", None, "Monte-Carlo trials per sweep point (>= 100)"),
-    "seed": ("integer", "[0, inf)", "master seed of the reproducible trial streams"),
-    "snr_db": ("number", None, "SOI SNR in dB over unit noise when snr_db is not swept"),
-    "sweep": ("object", None, "the swept variable and its values"),
-    "sweep.variable": ("string", tuple(v.value for v in SweepVariable), "the swept variable"),
-    "sweep.values": ("array", "non-empty", "the sweep points"),
-    "psk_alpha_mode": ("string", tuple(m.value for m in PskAlphaMode),
+    "trials": ("integer", None, _FIG1["trials"], "Monte-Carlo trials per sweep point (>= 100)"),
+    "seed": ("integer", "[0, inf)", 20250810, "master seed of the reproducible trial streams"),
+    "snr_db": ("number", None, 0.0, "SOI SNR in dB over unit noise when snr_db is not swept"),
+    "sweep": ("object", None, _FIG1["sweep"], "the swept variable and its values"),
+    "sweep.variable": ("string", tuple(v.value for v in SweepVariable), None,
+                       "the swept variable"),
+    "sweep.values": ("array", "non-empty", None, "the sweep points"),
+    "psk_alpha_mode": ("string", tuple(m.value for m in PskAlphaMode), "kappa_minus_one",
                        "oracle-regime shrinkage rule for PSK sources"),
-    "output_path": ("string", "non-empty", "results file to write"),
-    "output_format": ("string", ("csv", "json"), "results file format"),
-    "emit_theory": ("boolean", None, "append closed-form overlay rows to each sweep point"),
+    "output_path": ("string", "non-empty", "results.csv", "results file to write"),
+    "output_format": ("string", ("csv", "json"), "csv", "results file format"),
+    "emit_theory": ("boolean", None, False,
+                    "append closed-form overlay rows to each sweep point"),
 }
+
+DEFAULT_CONFIG: dict = {key: row[2] for key, row in CONFIG_KEYS.items() if "." not in key}
 
 # Python's bool is an int; JSON's true and false are neither integer nor number.
 _JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
@@ -165,7 +139,7 @@ def _violations(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
         if "." in str(key) or path not in CONFIG_KEYS:
             found.append((path, "unknown key"))
             continue
-        kind, rule, _meaning = CONFIG_KEYS[path]
+        kind, rule, _default, _meaning = CONFIG_KEYS[path]
         if problem := _problem(value, kind, rule):
             found.append((path, problem))
         elif kind == "object":
@@ -181,9 +155,10 @@ def _violations(doc: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 
 if __doc__:
-    __doc__ += "\nConfig keys (JSON type, bound or allowed values: meaning):\n\n" + "".join(
-        f"* ``{key}`` ({kind}{', ' + _requirement(rule) if rule else ''}): {meaning}\n"
-        for key, (kind, rule, meaning) in CONFIG_KEYS.items()
+    __doc__ += "\nConfig keys (JSON type, bound or allowed values, default: meaning):\n\n" + "".join(
+        f"* ``{key}`` ({kind}{', ' + _requirement(rule) if rule else ''}"
+        f"{'' if default is None else ', default ' + json.dumps(default)}): {meaning}\n"
+        for key, (kind, rule, default, meaning) in CONFIG_KEYS.items()
     )
 
 
@@ -198,10 +173,10 @@ class RunConfig:
 
 
 def _finite_float(text: str) -> float:
-    """JSON number hook: :class:`ParseError` for NaN, +-Infinity and overflow such as 1e999."""
+    """JSON number hook: :class:`ConfigError` for NaN, +-Infinity and overflow such as 1e999."""
     value = float(text)
     if not math.isfinite(value):
-        raise ParseError(f"config: number {text} is not a finite float")
+        raise ConfigError(f"config: number {text} is not a finite float")
     return value
 
 
@@ -217,15 +192,15 @@ def _load_document(source) -> dict:
                 text = fh.read()
             origin = str(source)
     except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
-        raise ParseError(
+        raise ConfigError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{origin}: config must be a JSON object")
+        raise ConfigError(f"{origin}: config must be a JSON object")
     return doc
 
 
@@ -233,7 +208,7 @@ def build_run_config(doc: dict) -> RunConfig:
     """Merge ``doc`` over the defaults and produce a validated :class:`RunConfig`."""
     violations = sorted(_violations(doc))
     if violations:
-        raise ValidationError(
+        raise ConfigError(
             "config rejected:\n  " + "\n  ".join(f"{path}: {msg}" for path, msg in violations))
     cfg = {**DEFAULT_CONFIG, **doc}
     sweep = SweepSpec(SweepVariable(cfg["sweep"]["variable"]), tuple(cfg["sweep"]["values"]))
@@ -256,8 +231,8 @@ def build_run_config(doc: dict) -> RunConfig:
             psk_alpha_mode=PskAlphaMode(cfg["psk_alpha_mode"]),
         )
         scenario.validate()
-    except (ConfigError, CaponPlusError) as exc:
-        raise ValidationError(str(exc)) from exc
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     return RunConfig(
         scenario=scenario,
         output_path=cfg["output_path"],
@@ -279,26 +254,29 @@ def _fmt(value) -> str:
 
 
 def _result_rows(report: ScenarioReport) -> list[dict]:
-    rows = []
     var = report.config.sweep.variable.value
-    for point in report.points:
-        for agg in point.aggregates:
-            rows.append(
-                {
-                    "sweep_variable": var,
-                    "sweep_value": float(point.sweep_value),
-                    "method": agg.method,
-                    "mean_rel_bias": float(agg.mean_rel_bias),
-                    "stderr_rel_bias": float(agg.stderr_rel_bias),
-                    "mean_se_nmse": float(agg.mean_se_nmse),
-                    "stderr_se_nmse": float(agg.stderr_se_nmse),
-                    "mean_sp_nmse": float(agg.mean_sp_nmse),
-                    "stderr_sp_nmse": float(agg.stderr_sp_nmse),
-                    "n_trials": int(agg.n_trials),
-                    "n_failed": int(point.n_failed),
-                }
-            )
-    return rows
+    return [
+        {"sweep_variable": var, "sweep_value": float(point.sweep_value), **asdict(agg),
+         "n_failed": point.n_failed}
+        for point in report.points for agg in point.aggregates
+    ]
+
+
+def _write_results(path: str, payload: str, mode: str = "w") -> None:
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise CaponPlusError(f"cannot write results to {path}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Fail now, rather than after the trials, where the results cannot be
+    written, as into a missing directory; leave no new file behind."""
+    existed = os.path.lexists(path)
+    _write_results(path, "", "a")
+    if not existed:
+        os.remove(path)
 
 
 def emit_results(report: ScenarioReport, output_format: str, path: str) -> None:
@@ -314,31 +292,8 @@ def emit_results(report: ScenarioReport, output_format: str, path: str) -> None:
     elif output_format == "json":
         payload = json.dumps(rows, indent=2) + "\n"
     else:
-        raise ValidationError(f"unknown output format {output_format!r}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise CaponPlusError(f"cannot write results to {path}: {exc}") from exc
-
-
-def run(config: RunConfig, threads: int = 1) -> int:
-    """Execute a validated run config; returns the process exit status."""
-    try:
-        report = run_scenario(config.scenario, threads=threads, emit_theory=config.emit_theory)
-    except TrialFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    emit_results(report, config.output_format, config.output_path)
-    print(
-        f"wrote {config.output_path} ({len(report.points)} sweep points, "
-        f"{report.wall_time_s:.1f}s, caponplus {__version__})",
-        file=sys.stderr,
-    )
-    return 0
+        raise ConfigError(f"unknown output format {output_format!r}")
+    _write_results(path, payload)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -361,30 +316,30 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``caponplus`` with ``argv``; returns the process exit status."""
     args = _make_parser().parse_args(argv)
+    doc: dict = dict(PRESETS[args.preset]) if args.preset else {}
+    overrides = {"seed": args.seed, "output_path": args.out, "output_format": args.format}
     try:
-        doc: dict = {}
-        if args.preset:
-            doc.update(PRESETS[args.preset])
         if args.config:
             doc.update(_load_document(args.config))
         elif not args.preset:
-            raise ValidationError("provide a config file, - for stdin, or --preset")
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.out is not None:
-            doc["output_path"] = args.out
-        if args.format is not None:
-            doc["output_format"] = args.format
+            raise ConfigError("provide a config file, - for stdin, or --preset")
+        doc.update((key, value) for key, value in overrides.items() if value is not None)
         config = build_run_config(doc)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(config, threads=max(1, args.threads))
+        _check_writable(config.output_path)
+        report = run_scenario(config.scenario, threads=max(1, args.threads),
+                              emit_theory=config.emit_theory)
+        emit_results(report, config.output_format, config.output_path)
     except CaponPlusError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, TrialFailureError) else 1
+    print(
+        f"wrote {config.output_path} ({len(report.points)} sweep points, "
+        f"{report.wall_time_s:.1f}s, caponplus {__version__})",
+        file=sys.stderr,
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -45,15 +45,8 @@ class InsufficientTrials(CaponPlusError):
 
 
 class ConfigError(CaponPlusError):
-    """A scenario or run configuration violates its invariants."""
-
-
-class ParseError(CaponPlusError):
-    """A configuration document could not be read or decoded."""
-
-
-class ValidationError(CaponPlusError):
-    """A configuration document breaks its key table in ``cli`` or a scenario invariant."""
+    """A configuration cannot be read or decoded, breaks the key table in
+    ``cli``, or violates a scenario invariant."""
 
 
 class TrialFailureError(CaponPlusError):

@@ -72,13 +72,13 @@ zpotrf, zpotrs, zherk = _scipy_kernels(
 )
 
 
-def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:
-    """Validate and return an M x M Hermitian matrix.
+def hermitian_matrix(elements) -> np.ndarray:
+    """Validate and return an M x M Hermitian matrix with a positive diagonal.
 
     Conjugate symmetry must hold within ``1e-12 * max|A|``, so that rounding
     in a product such as ``G D G^H`` passes at any scale; the residue is then
-    removed exactly by averaging with the conjugate transpose.  With
-    ``posdef_hint`` the diagonal must additionally be strictly positive.
+    removed exactly by averaging with the conjugate transpose.  A diagonal
+    entry at or below zero rules out positive definiteness.
     """
     a = np.asarray(elements, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -91,9 +91,9 @@ def hermitian_matrix(elements, posdef_hint: bool = False) -> np.ndarray:
             f"matrix is not conjugate-symmetric: max |A - A^H| = {asym:.3e}"
         )
     a = 0.5 * (a + a.conj().T)
-    if posdef_hint and np.any(a.real.diagonal() <= 0.0):
+    if np.any(a.real.diagonal() <= 0.0):
         raise NotPositiveDefinite(
-            "positive definite hint violated: non-positive diagonal entry",
+            "matrix has a non-positive diagonal entry",
             pivot_index=int(np.argmin(a.real.diagonal())),
         )
     return a

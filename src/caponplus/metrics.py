@@ -36,10 +36,10 @@ class AggregateRecord:
 
     method: str
     mean_rel_bias: float
-    mean_se_nmse: float
-    mean_sp_nmse: float
     stderr_rel_bias: float
+    mean_se_nmse: float
     stderr_se_nmse: float
+    mean_sp_nmse: float
     stderr_sp_nmse: float
     n_trials: int
 
@@ -105,10 +105,10 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRecord]:
             AggregateRecord(
                 method=method,
                 mean_rel_bias=m_rel,
-                mean_se_nmse=m_se,
-                mean_sp_nmse=m_sp,
                 stderr_rel_bias=e_rel,
+                mean_se_nmse=m_se,
                 stderr_se_nmse=e_se,
+                mean_sp_nmse=m_sp,
                 stderr_sp_nmse=e_sp,
                 n_trials=len(recs),
             )

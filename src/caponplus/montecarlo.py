@@ -538,10 +538,10 @@ def _theory_row(config: ScenarioConfig, ctx: SweepContext, method: str,
     return AggregateRecord(
         method=method,
         mean_rel_bias=bias / gamma,
-        mean_se_nmse=waveform_mse_theory(ctx.model, w) / gamma,
-        mean_sp_nmse=(var + bias**2) / gamma**2,
         stderr_rel_bias=0.0,
+        mean_se_nmse=waveform_mse_theory(ctx.model, w) / gamma,
         stderr_se_nmse=0.0,
+        mean_sp_nmse=(var + bias**2) / gamma**2,
         stderr_sp_nmse=0.0,
         n_trials=0,
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from caponplus.cli import (
     main,
     parse_config,
 )
-from caponplus.errors import ParseError, ValidationError
+from caponplus.errors import ConfigError
 from caponplus.montecarlo import (
     Regime,
     ScenarioConfig,
@@ -53,39 +54,39 @@ class TestParseConfig:
         assert ratios == pytest.approx([10 ** -0.2, 10 ** -0.4, 10 ** -0.6])
 
     def test_unknown_key_named(self, tmp_path):
-        with pytest.raises(ValidationError, match="mystery_knob"):
+        with pytest.raises(ConfigError, match="mystery_knob"):
             parse_config(write_config(tmp_path, {"mystery_knob": 3}))
 
     def test_all_violations_listed(self, tmp_path):
         doc = {"antennas": 1, "waveform": "qam"}
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ConfigError) as exc:
             parse_config(write_config(tmp_path, doc))
         assert "antennas" in str(exc.value)
         assert "waveform" in str(exc.value)
 
     def test_t0_too_small_names_t0(self, tmp_path):
         doc = {"regime": "c", "secondary_snapshots": 20}
-        with pytest.raises(ValidationError, match="T0"):
+        with pytest.raises(ConfigError, match="T0"):
             parse_config(write_config(tmp_path, doc))
 
     def test_empty_sweep_values_rejected(self, tmp_path):
         doc = {"sweep": {"variable": "snr_db", "values": []}}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, doc))
 
     def test_interferer_list_length_mismatch(self, tmp_path):
         doc = {"interferer_doas_deg": [0.0, 10.0], "interferer_offsets_db": [2.0]}
-        with pytest.raises(ValidationError, match="interferer"):
+        with pytest.raises(ConfigError, match="interferer"):
             parse_config(write_config(tmp_path, doc))
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  'regime': oracle\n}")
-        with pytest.raises(ParseError, match="line"):
+        with pytest.raises(ConfigError, match="line"):
             parse_config(str(path))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.json"))
 
     def test_stream_input(self):
@@ -234,6 +235,22 @@ class TestMain:
         assert not out.exists()
         assert contexts == []
 
+    @pytest.mark.parametrize("out_name", ["missing_dir/r.csv", "a_dir"])
+    def test_unwritable_output_path_rejected_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, out_name):
+        import caponplus.montecarlo as mc
+
+        contexts = []
+        monkeypatch.setattr(mc, "build_context", lambda *a: contexts.append(a))
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / out_name
+        cfg = write_config(tmp_path, TINY)
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write results to {out}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "cfg.json"]
+        assert contexts == []
+
     def test_measured_psk_alpha_with_one_snapshot_rejected_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
         # Each trial estimates the output kurtosis, which needs two samples.
@@ -288,10 +305,20 @@ class TestMain:
     def test_float_literal_overflow_exits_one(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"snr_db": 1e999}')
-        with pytest.raises(ParseError, match="1e999"):
+        with pytest.raises(ConfigError, match="1e999"):
             parse_config(str(path))
         assert main(["run", str(path), "--preset", "fig5"]) == 1
         assert capsys.readouterr().err.count("error: ") == 1
+
+    def test_config_from_stdin_matches_config_file(self, tmp_path, monkeypatch):
+        doc = {"sweep": {"variable": "alpha", "values": [0.0, 0.25, 1.0]}}
+        piped, named = tmp_path / "piped.csv", tmp_path / "named.csv"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert main(["run", "-", "--preset", "fig2", "--out", str(piped)]) == 0
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", cfg, "--preset", "fig2", "--out", str(named)]) == 0
+        assert piped.read_bytes() == named.read_bytes()
+        assert piped.read_text().count("\n") == 4  # header + the three alpha values
 
     def test_alpha_sweep_preset_runs_fast(self, tmp_path):
         out = tmp_path / "fig2.csv"

@@ -39,7 +39,7 @@ class TestHermitianMatrix:
 
     def test_posdef_hint_checks_diagonal(self):
         with pytest.raises(NotPositiveDefinite):
-            hermitian_matrix(np.diag([1.0, -2.0]), posdef_hint=True)
+            hermitian_matrix(np.diag([1.0, -2.0]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -52,7 +52,7 @@ class TestHermitianMatrix:
         g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         a = (g * (scale * rng.uniform(0.5, 2.0, 6))) @ g.conj().T + scale * np.eye(6)
         assert np.abs(a - a.conj().T).max() > 1e-12
-        out = hermitian_matrix(a, posdef_hint=True)
+        out = hermitian_matrix(a)
         assert np.array_equal(out, out.conj().T)
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import multiprocessing
 import pickle
@@ -6,6 +8,8 @@ from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caponplus.montecarlo as mc
 from caponplus.arraymodel import (
@@ -20,6 +24,7 @@ from caponplus.arraymodel import (
 from caponplus.cli import build_run_config
 from caponplus.errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
 from caponplus.linalg import cholesky, solve_chol
+from caponplus.metrics import aggregate
 from caponplus.montecarlo import (
     DEFAULT_GEOMETRY,
     PskAlphaMode,
@@ -224,6 +229,41 @@ class TestDeterminism:
         assert len(rep.points) == 1
         assert rep.points[0].n_trials == 100
         assert rep.points[0].n_failed == 0
+
+
+CHUNK_TRIALS = 120
+# One sweep point each of the oracle regime (Gaussian) and regime d (8-PSK
+# sources, T0 = 30, close to M = 25).
+CHUNK_POINTS = {
+    "oracle": {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0]}},
+    "d_psk8_t0_30": {**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0]}},
+}
+
+
+@functools.cache
+def _chunk_point(name):
+    """The run of one sweep point and its records as one chunk of all trials."""
+    cfg = build_run_config({**CHUNK_POINTS[name], "trials": CHUNK_TRIALS}).scenario
+    run = (cfg, cfg.sweep.values, [mc.build_context(cfg, v) for v in cfg.sweep.values])
+    return run, mc._run_chunk(run, (0, 0, CHUNK_TRIALS))
+
+
+class TestChunkInvariance:
+    """A point's records and failure count do not depend on where its
+    trial range is cut into chunks."""
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_POINTS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(cuts=st.lists(st.integers(1, CHUNK_TRIALS - 1), unique=True, max_size=8))
+    def test_split_trial_range_gives_same_records(self, name, cuts):
+        run, (whole, whole_failed) = _chunk_point(name)
+        bounds = [0, *sorted(cuts), CHUNK_TRIALS]
+        parts = [mc._run_chunk(run, (0, start, stop))
+                 for start, stop in itertools.pairwise(bounds)]
+        records = [rec for part, _failed in parts for rec in part]
+        assert records == whole
+        assert sum(failed for _part, failed in parts) == whole_failed
+        assert aggregate(records) == aggregate(whole)
 
 
 @pytest.fixture(scope="module")
