@@ -8,7 +8,7 @@ and kernels live in the submodules (``arraymodel``, ``beamformers``,
 """
 
 from ._version import __version__
-from .arraymodel import ArrayGeometry, build_cov_model, theory_report
+from .arraymodel import ArrayGeometry, WaveformKind, build_cov_model, theory_report
 from .errors import CaponPlusError
 from .montecarlo import (
     PskAlphaMode,
@@ -19,7 +19,6 @@ from .montecarlo import (
     run_scenario,
     scene_from_db,
 )
-from .signalsim import WaveformKind
 
 __all__ = [
     "__version__",

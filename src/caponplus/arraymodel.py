@@ -6,10 +6,15 @@ where ``a`` is the steering vector of the signal of interest (SOI),
 ``gamma`` its power, and ``Q`` the interference-plus-noise covariance
 (INCM).  All powers are linear and all angles cross the public API in
 degrees; dB conversions belong to the CLI layer.
+
+The scene's sources share one :class:`WaveformKind`, and
+:func:`output_moments_theory` is the one closed form of a beamformer
+output's population power and fourth moment under that law.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -20,6 +25,7 @@ from .errors import DimensionMismatch, DomainError
 from .linalg import cholesky, hermitian_matrix, quadratic_form, solve_chol
 
 __all__ = [
+    "WaveformKind",
     "ArrayGeometry",
     "SourceSpec",
     "SourceScene",
@@ -34,9 +40,17 @@ __all__ = [
     "theory_report",
     "alpha_from_kurtosis",
     "waveform_mse_theory",
+    "output_moments_theory",
 ]
 
 _DUAL_FORM_RTOL = 1e-9
+
+
+class WaveformKind(enum.Enum):
+    """Source waveform law: circular complex Gaussian, or constant-modulus 8-PSK."""
+
+    CIRCULAR_GAUSSIAN = "gaussian"
+    PSK8 = "psk8"
 
 
 @dataclass(frozen=True)
@@ -104,17 +118,6 @@ def _steering_cached(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     a = np.exp(-1j * phase * np.arange(geom.antennas))
     a.setflags(write=False)
     return a
-
-
-@functools.lru_cache(maxsize=256)
-def _steering_matrix_cached(geom: ArrayGeometry, doas_deg: tuple) -> np.ndarray:
-    """Steering vectors of several DOAs as the columns of a read-only M x K matrix."""
-    for d in doas_deg:
-        if not -90.0 <= d < 90.0:
-            raise DomainError(f"DOA must lie in [-90, 90), got {d}")
-    mat = np.column_stack([_steering_cached(geom, d) for d in doas_deg])
-    mat.setflags(write=False)
-    return mat
 
 
 def build_incm(geom: ArrayGeometry, scene: SourceScene) -> np.ndarray:
@@ -282,3 +285,26 @@ def waveform_mse_theory(model: CovarianceModel, w: np.ndarray) -> float:
             f"waveform MSE dual forms disagree: {form_full!r} vs {form_incm!r}"
         )
     return float(form_incm)
+
+
+def output_moments_theory(
+    geom: ArrayGeometry, scene: SourceScene, kind: WaveformKind, w: np.ndarray
+) -> tuple[float, float]:
+    """Population power ``E|w^H x(t)|^2`` and fourth moment ``E|w^H x(t)|^4``.
+
+    The output is a sum of independent circular components, one per source
+    and one of noise, with powers ``p_i``.  Its power is ``sum p_i`` and its
+    fourth moment ``2 (sum p_i)^2 + sum (E|u_i|^4 - 2 p_i^2)``: Gaussian
+    components add no excess, constant-modulus (8-PSK) sources ``-p_i^2``
+    each.  The output's kurtosis is ``fourth / power^2 - 2``.
+    """
+    parts = np.array(
+        [src.power * abs(np.vdot(w, _steering_cached(geom, float(src.doa_deg)))) ** 2
+         for src in scene.all_sources]
+        + [scene.noise_var * float(np.vdot(w, w).real)]
+    )
+    power = parts.sum()
+    fourth = 2.0 * power**2
+    if kind is WaveformKind.PSK8:
+        fourth -= np.sum(parts[:-1] ** 2)
+    return float(power), float(fourth)

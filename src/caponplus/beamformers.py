@@ -75,8 +75,11 @@ def adaptive_capon_weights(scm: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, 
 
 
 def apply_weights(w: np.ndarray, batch: SnapshotBatch) -> np.ndarray:
-    """Beamformer output ``s_hat(t) = w^H x(t)`` for every snapshot of the batch."""
+    """Beamformer output ``s_hat(t) = w^H x(t)`` for every snapshot of the batch;
+    ``DomainError`` unless the snapshots are a ``(T, M)`` array with ``T >= 1``."""
     x = batch.snapshots
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise DomainError(f"snapshots must be a (T, M) array with T >= 1, got {x.shape}")
     if w.size != x.shape[1]:
         raise DimensionMismatch(f"weights have {w.size} elements, snapshots have {x.shape[1]}")
     return x @ w.conj()

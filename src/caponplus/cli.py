@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from ._version import __version__
-from .arraymodel import ArrayGeometry
+from .arraymodel import ArrayGeometry, WaveformKind
 from .errors import CaponPlusError, ConfigError, DomainError, TrialFailureError
 from .metrics import AggregateRecord
 from .montecarlo import (
@@ -45,7 +45,6 @@ from .montecarlo import (
     scene_from_db,
 )
 from .presets import PRESETS
-from .signalsim import WaveformKind
 
 __all__ = [
     "RunConfig", "DEFAULT_CONFIG", "CONFIG_KEYS", "parse_config", "emit_results", "main",

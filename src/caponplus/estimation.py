@@ -38,10 +38,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """Sample covariance matrix together with the snapshot count that formed it."""
+    """Sample covariance matrix."""
 
     matrix: np.ndarray
-    num_snapshots: int
 
 
 def scm(batch: SnapshotBatch) -> SampleCovariance:
@@ -49,7 +48,8 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
 
     Positive semidefinite and exactly conjugate-symmetric by construction; it
     is positive definite (and hence solvable) only when ``T > M`` with data
-    in general position.
+    in general position.  Raises ``DomainError`` unless the snapshots are a
+    ``(T, M)`` array with ``T >= 1``.
 
     One BLAS ``zherk`` call forms the lower triangle and leaves the strict
     upper one at the zeros its wrapper allocates ``c`` with.  Adding the
@@ -64,11 +64,13 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     (2-vCPU x86-64 host, numpy 2.4.6, scipy 1.17.1).
     """
     x = batch.snapshots
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise DomainError(f"snapshots must be a (T, M) array with T >= 1, got {x.shape}")
     t = x.shape[0]
     lower = zherk(1.0 / t, x.T, lower=1)
     mat = lower + lower.conj().T
     np.fill_diagonal(mat, lower.diagonal())
-    return SampleCovariance(matrix=mat, num_snapshots=t)
+    return SampleCovariance(matrix=mat)
 
 
 def output_moments(out: np.ndarray) -> tuple[float, float]:

@@ -86,8 +86,10 @@ from .arraymodel import (
     SourceScene,
     SourceSpec,
     TheoryReport,
+    WaveformKind,
     alpha_from_kurtosis,
     build_cov_model,
+    output_moments_theory,
     theory_report,
     waveform_mse_theory,
 )
@@ -103,14 +105,7 @@ from .estimation import (
     scm,
 )
 from .metrics import AggregateRecord, TrialRecord, aggregate, mean_abs_sq, trial_records
-from .signalsim import (
-    TrialRngs,
-    WaveformKind,
-    output_fourth_moment,
-    output_kurtosis,
-    synth_scene_secondary,
-    synth_scene_snapshots,
-)
+from .signalsim import TrialRngs, synth_scene_secondary, synth_scene_snapshots
 
 __all__ = [
     "Regime",
@@ -333,7 +328,8 @@ def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceM
     if config.waveform is WaveformKind.CIRCULAR_GAUSSIAN:
         return theory.alpha_o
     if config.psk_alpha_mode is PskAlphaMode.EXACT:
-        kurt = output_kurtosis(config.geom, scene, config.waveform, w_cap)
+        power, fourth = output_moments_theory(config.geom, scene, config.waveform, w_cap)
+        kurt = fourth / power**2 - 2.0
     else:
         # constant-modulus shortcut; also the placeholder in measured mode,
         # where each trial re-estimates the kurtosis from its own output.
@@ -532,7 +528,7 @@ def _theory_row(config: ScenarioConfig, ctx: SweepContext, method: str,
     gamma = ctx.model.gamma
     t = config.snapshots
     out_power = quadratic_form(ctx.model.full, w)
-    fourth = output_fourth_moment(config.geom, ctx.scene, config.waveform, w)
+    _, fourth = output_moments_theory(config.geom, ctx.scene, config.waveform, w)
     var = (fourth - out_power**2) / t
     bias = out_power - gamma
     return AggregateRecord(

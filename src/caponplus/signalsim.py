@@ -1,4 +1,7 @@
-"""Seeded generation of SOI waveforms, interference-plus-noise, and snapshot batches.
+"""Seeded random streams and the synthesis of snapshot batches, nothing else.
+
+A batch is the named pair ``(snapshots, truth)``.  The waveform law and the
+closed-form output moments live in :mod:`.arraymodel`.
 
 Randomness contract
 -------------------
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,9 +55,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .arraymodel import (
     ArrayGeometry,
     SourceScene,
+    WaveformKind,
     _steering_cached,
-    _steering_matrix_cached,
-    steering_vector,
 )
 from .errors import DomainError
 
@@ -65,22 +66,12 @@ __all__ = [
     "RngStream",
     "TrialRngs",
     "SnapshotBatch",
-    "draw_waveform",
     "synth_scene_snapshots",
     "synth_scene_secondary",
-    "output_fourth_moment",
-    "output_kurtosis",
 ]
 
 
-class WaveformKind(enum.Enum):
-    """Source waveform law: circular complex Gaussian, or constant-modulus 8-PSK."""
-
-    CIRCULAR_GAUSSIAN = "gaussian"
-    PSK8 = "psk8"
-
-
-# The 8-PSK phasors exp(j 2 pi k / 8), k = 0..7; see draw_waveform.
+# The 8-PSK phasors exp(j 2 pi k / 8), k = 0..7; see _draw.
 _PSK_PHASORS = np.exp(1j * (np.arange(8) * (2.0 * np.pi / 8.0)))
 
 
@@ -254,52 +245,12 @@ _set_trial_seed = TrialRngs.master_seed.__set__
 _set_trial_index = TrialRngs.trial_index.__set__
 
 
-@dataclass(frozen=True, eq=False)
-class SnapshotBatch:
-    """``T`` array snapshots (rows of ``snapshots``) plus the true SOI waveform.
-
-    When ``contains_soi`` is false the batch holds interference-plus-noise
-    only and ``truth`` is empty.
-    """
+class SnapshotBatch(NamedTuple):
+    """``T`` array snapshots (rows of ``snapshots``) and the true SOI waveform
+    ``truth``, one sample per snapshot; empty in an SOI-free (secondary) batch."""
 
     snapshots: np.ndarray
     truth: np.ndarray
-    contains_soi: bool
-
-    def __post_init__(self):
-        if self.snapshots.ndim != 2 or self.snapshots.shape[0] < 1:
-            raise DomainError(
-                f"snapshots must be a (T, M) array with T >= 1, got {self.snapshots.shape}"
-            )
-        if self.contains_soi:
-            if self.truth.shape != (self.snapshots.shape[0],):
-                raise DomainError("truth must hold one scalar per snapshot")
-        elif self.truth.size != 0:
-            raise DomainError("a batch without the SOI must have empty truth")
-
-
-def draw_waveform(
-    kind: WaveformKind, gamma: float | Sequence[float], count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. waveform samples of power ``gamma``.
-
-    Gaussian samples are CN(0, gamma) with independent real/imaginary parts
-    of variance gamma/2.  8-PSK samples are ``sqrt(gamma) exp(j 2 pi k / 8)``
-    with ``k`` uniform on ``{0..7}``, hence exactly constant modulus with
-    population kurtosis -1.
-
-    Given a sequence of K powers, returns a C-contiguous ``(count, K)`` array
-    whose column ``k`` is a waveform of power ``gamma[k]``.  The K sources are
-    drawn in order with one call: ``standard_normal((K, 2, count))`` (source
-    k's real parts, then its imaginary parts) or
-    ``integers(0, 8, size=(K, count))``.  This gives the same numbers as K
-    single-power calls in turn on the same generator.  An 8-PSK sample's
-    phasor is looked up in a table of the eight ``exp(j 2 pi k / 8)``, which
-    holds the same bits as evaluating ``exp`` per sample.
-    """
-    powers = np.asarray(gamma, dtype=np.float64)
-    waves = _draw(kind, _amplitudes(kind, powers), _checked_count(count), rng)
-    return waves.reshape(count) if powers.ndim == 0 else waves
 
 
 def _amplitudes(kind: WaveformKind, powers: np.ndarray) -> np.ndarray:
@@ -324,7 +275,9 @@ def _checked_count(count: int) -> int:
 
 
 def _draw(kind: WaveformKind, amp: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`draw_waveform`'s ``(count, K)`` draw from :func:`_amplitudes`' ``amp``."""
+    """C-contiguous ``(count, K)`` draw of K waveforms with :func:`_amplitudes`' ``amp``:
+    CN(0, p), or ``sqrt(p) exp(j 2 pi k / 8)`` with ``k`` uniform on ``{0..7}``.
+    One call draws the K sources in turn, as K single-source draws would."""
     k = amp.shape[0]
     if kind is WaveformKind.CIRCULAR_GAUSSIAN:
         parts = rng.standard_normal((k, 2, count))
@@ -353,8 +306,10 @@ def _scene_constants(
     if scene.interferers:
         powers = np.array([s.power for s in scene.interferers], dtype=np.float64)
         int_amp = _amplitudes(kind, powers)
-        doas = tuple(s.doa_deg for s in scene.interferers)
-        steering_int_t = _steering_matrix_cached(geom, doas).T
+        steering = np.column_stack([_steering_cached(geom, float(s.doa_deg))
+                                    for s in scene.interferers])
+        steering.flags.writeable = False
+        steering_int_t = steering.T
     return _SceneConstants(
         soi_amp=_amplitudes(kind, np.asarray(scene.soi.power, dtype=np.float64)),
         interferer_amp=int_amp,
@@ -403,7 +358,7 @@ def synth_scene_snapshots(
     s = _draw(kind, consts.soi_amp, count, rngs.soi).reshape(count)
     e = _interference_plus_noise(consts, kind, count, rngs.interference, rngs.noise)
     e += s[:, None] * consts.soi_row
-    return SnapshotBatch(snapshots=e, truth=s, contains_soi=True)
+    return SnapshotBatch(e, s)
 
 
 def synth_scene_secondary(
@@ -423,46 +378,5 @@ def synth_scene_secondary(
     _checked_count(count)
     rng = rngs.secondary
     e = _interference_plus_noise(consts, kind, count, rng, rng)
-    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
+    return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
 
-
-def _output_power_components(
-    geom: ArrayGeometry, scene: SourceScene, w: np.ndarray
-) -> np.ndarray:
-    """Per-component powers of ``w^H x(t)``: SOI, each interferer, then noise."""
-    powers = [
-        src.power * abs(np.vdot(w, steering_vector(geom, src.doa_deg))) ** 2
-        for src in scene.all_sources
-    ]
-    powers.append(scene.noise_var * float(np.vdot(w, w).real))
-    return np.asarray(powers)
-
-
-def output_fourth_moment(
-    geom: ArrayGeometry, scene: SourceScene, kind: WaveformKind, w: np.ndarray
-) -> float:
-    """Population fourth moment ``E|w^H x(t)|^4`` of the beamformer output.
-
-    For a sum of independent circular components with powers ``p_i`` the
-    fourth moment is ``2 (sum p_i)^2 + sum (E|u_i|^4 - 2 p_i^2)``; Gaussian
-    components contribute no excess, constant-modulus ones contribute
-    ``-p_i^2`` each.
-    """
-    return _fourth_moment(_output_power_components(geom, scene, w), kind)
-
-
-def output_kurtosis(
-    geom: ArrayGeometry, scene: SourceScene, kind: WaveformKind, w: np.ndarray
-) -> float:
-    """Population kurtosis of ``w^H x(t)``: zero for Gaussian scenes, negative for PSK."""
-    parts = _output_power_components(geom, scene, w)
-    return _fourth_moment(parts, kind) / parts.sum() ** 2 - 2.0
-
-
-def _fourth_moment(parts: np.ndarray, kind: WaveformKind) -> float:
-    """:func:`output_fourth_moment` from the output's component powers."""
-    total = parts.sum()
-    fourth = 2.0 * total**2
-    if kind is WaveformKind.PSK8:
-        fourth -= np.sum(parts[:-1] ** 2)
-    return float(fourth)

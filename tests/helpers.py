@@ -1,5 +1,6 @@
 """Shared construction helpers and independent oracles for the test suite."""
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ from caponplus.signalsim import (
     StreamRole,
     TrialRngs,
     WaveformKind,
-    draw_waveform,
+    _amplitudes,
+    _checked_count,
+    _draw,
 )
 
 
@@ -156,7 +159,7 @@ def reference_synth_scene_snapshots(
         _reference_stream(master_seed, trial_index, StreamRole.NOISE),
     )
     e += s[:, None] * steering_vector(geom, scene.soi.doa_deg)[None, :]
-    return SnapshotBatch(snapshots=e, truth=s, contains_soi=True)
+    return SnapshotBatch(snapshots=e, truth=s)
 
 
 def reference_synth_scene_secondary(
@@ -166,7 +169,7 @@ def reference_synth_scene_secondary(
     """The reference for :func:`caponplus.signalsim.synth_scene_secondary`."""
     rng = _reference_stream(master_seed, trial_index, StreamRole.SECONDARY)
     e = _reference_interference(geom, scene, kind, count, rng, rng)
-    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
+    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128))
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,6 +298,33 @@ def nll_profile(q_mat: np.ndarray, sample_cov: SampleCovariance, a: np.ndarray) 
     return NllProfile(q=q, r=r, trace0=trace0, logdet0=logdet0)
 
 
+def draw_waveform(
+    kind: WaveformKind, gamma: float | Sequence[float], count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``count`` i.i.d. waveform samples of power ``gamma``.
+
+    Gaussian samples are CN(0, gamma) with independent real/imaginary parts
+    of variance gamma/2.  8-PSK samples are ``sqrt(gamma) exp(j 2 pi k / 8)``
+    with ``k`` uniform on ``{0..7}``, hence exactly constant modulus with
+    population kurtosis -1.
+
+    Given a sequence of K powers, returns a C-contiguous ``(count, K)`` array
+    whose column ``k`` is a waveform of power ``gamma[k]``.  The K sources are
+    drawn in order with one call: ``standard_normal((K, 2, count))`` (source
+    k's real parts, then its imaginary parts) or
+    ``integers(0, 8, size=(K, count))``.  This gives the same numbers as K
+    single-power calls in turn on the same generator.  An 8-PSK sample's
+    phasor is looked up in a table of the eight ``exp(j 2 pi k / 8)``, which
+    holds the same bits as evaluating ``exp`` per sample.
+
+    The draw and its checks are those of :mod:`caponplus.signalsim`'s
+    synthesis kernel.
+    """
+    powers = np.asarray(gamma, dtype=np.float64)
+    waves = _draw(kind, _amplitudes(kind, powers), _checked_count(count), rng)
+    return waves.reshape(count) if powers.ndim == 0 else waves
+
+
 def draw_interference_noise(lower: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` Gaussian vectors ``e(t) = L z(t)`` with covariance ``Q = L L^H``."""
     if count < 1:
@@ -317,10 +347,10 @@ def synth_snapshots(
     s = draw_waveform(kind, model.gamma, count, rngs.soi)
     e = draw_interference_noise(cholesky(model.incm), count, rngs.interference)
     x = s[:, None] * model.a[None, :] + e
-    return SnapshotBatch(snapshots=x, truth=s, contains_soi=True)
+    return SnapshotBatch(snapshots=x, truth=s)
 
 
 def synth_secondary(lower: np.ndarray, count: int, rng: np.random.Generator) -> SnapshotBatch:
     """SOI-free Gaussian secondary batch ``e'(t) ~ CN(0, Q)`` for ``Q = L L^H``."""
     e = draw_interference_noise(lower, count, rng)
-    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128), contains_soi=False)
+    return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128))

@@ -17,6 +17,7 @@ from caponplus.arraymodel import (
     capon_bias,
     capon_output_power,
     cov_model_from_parts,
+    output_moments_theory,
 )
 from caponplus.cli import build_run_config, main
 from caponplus.estimation import debiased_power, scm
@@ -37,7 +38,6 @@ from caponplus.signalsim import (
     SnapshotBatch,
     TrialRngs,
     WaveformKind,
-    output_fourth_moment,
     synth_scene_snapshots,
 )
 from helpers import capon_weights, nll_profile, random_cvector, random_hpd, solve_hpd
@@ -180,7 +180,7 @@ def _power_estimate_variance_check(kind: WaveformKind, seed: int, trials: int = 
     w = capon_weights(model.full, model.a)
     t = 60
     gamma_cap = capon_output_power(model)
-    fourth = output_fourth_moment(geom, scene, kind, w)
+    _, fourth = output_moments_theory(geom, scene, kind, w)
     target = (fourth - gamma_cap**2) / t
     values = np.empty(trials)
     for i in range(trials):
@@ -256,7 +256,7 @@ def test_criterion_06_mle_equivalence():
         z = (gen.standard_normal((t, m)) + 1j * gen.standard_normal((t, m))) / np.sqrt(2)
         x = z @ lower.T
         sample_cov = scm(
-            SnapshotBatch(snapshots=x, truth=np.zeros(t, dtype=complex), contains_soi=True)
+            SnapshotBatch(snapshots=x, truth=np.zeros(t, dtype=complex))
         )
         qinv_a = solve_hpd(q, a)
         quad = float(np.vdot(a, qinv_a).real)

@@ -8,7 +8,9 @@ from caponplus.arraymodel import (
     SourceScene,
     SourceSpec,
     build_cov_model,
+    capon_bias,
     capon_output_power,
+    output_moments_theory,
     steering_vector,
 )
 from caponplus.beamformers import (
@@ -25,9 +27,7 @@ from helpers import capon_weights, mmse_weights, random_model, solve_hpd, synth_
 
 def make_batch(x):
     x = np.asarray(x, dtype=complex)
-    return SnapshotBatch(
-        snapshots=x, truth=np.zeros(x.shape[0], dtype=complex), contains_soi=True
-    )
+    return SnapshotBatch(snapshots=x, truth=np.zeros(x.shape[0], dtype=complex))
 
 
 class TestCbWeights:
@@ -53,8 +53,8 @@ _signed_offset = st.tuples(st.floats(0.05, 10.0), st.sampled_from((-1.0, 1.0))).
 
 
 @st.composite
-def hard_models(draw):
-    """Covariance models with M = 2..64, powers 1e-6..1e9 over noise
+def hard_scenes(draw):
+    """``(geom, scene)`` with M = 2..64, powers 1e-6..1e9 over noise
     1e-3..1e3, and 1 to 3 interferers 0.05 to 10 deg from the SOI."""
     soi_doa = draw(st.floats(-60.0, 60.0))
     offsets = draw(st.lists(_signed_offset, min_size=1, max_size=3, unique=True))
@@ -64,7 +64,12 @@ def hard_models(draw):
         interferers=tuple(SourceSpec(soi_doa + off, draw(power)) for off in offsets),
         noise_var=draw(_log_uniform(-3.0, 3.0)),
     )
-    return build_cov_model(ArrayGeometry(draw(st.integers(2, 64)), 0.5), scene)
+    return ArrayGeometry(draw(st.integers(2, 64)), 0.5), scene
+
+
+def hard_models():
+    """The covariance models of :func:`hard_scenes`."""
+    return hard_scenes().map(lambda geom_scene: build_cov_model(*geom_scene))
 
 
 class TestUnitGainProperty:
@@ -82,6 +87,36 @@ class TestUnitGainProperty:
         )
         for w in weights:
             assert abs(np.vdot(w, a) - 1.0) <= 1e-9
+
+
+class TestOutputPowerIdentities:
+    """The closed-form output power against the covariance model, over hard scenes.
+
+    Bounds are scale-relative: ``1e-12 max|S| ||w||^2`` for the output power,
+    ``10 cond(S) eps`` relative for ``gamma_cap = gamma + 1/(a^H Q^-1 a)``.
+    """
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(hard_scenes())
+    def test_output_power_and_capon_bias(self, geom_scene):
+        geom, scene = geom_scene
+        model = build_cov_model(*geom_scene)
+        weights = (
+            model.sinv_a / model.ah_sinv_a,
+            cb_weights(model.a),
+            model.gamma * model.sinv_a,
+        )
+        s_max = np.max(np.abs(model.full))
+        for w in weights:
+            expected = quadratic_form(model.full, w)
+            scale = s_max * float(np.vdot(w, w).real)
+            for kind in WaveformKind:
+                power, _ = output_moments_theory(geom, scene, kind, w)
+                assert abs(power - expected) <= 1e-12 * scale
+        gamma_cap = capon_output_power(model)
+        via_bias = model.gamma + capon_bias(model)
+        bound = 10.0 * np.linalg.cond(model.full) * np.finfo(float).eps
+        assert abs(gamma_cap - via_bias) <= bound * abs(via_bias)
 
 
 class TestCaponWeights:
@@ -229,9 +264,7 @@ class TestApplyWeights:
         a = steering_vector(geom, -33.0)
         rng = np.random.default_rng(17)
         s = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        batch = SnapshotBatch(
-            snapshots=s[:, None] * a[None, :], truth=s, contains_soi=True
-        )
+        batch = SnapshotBatch(snapshots=s[:, None] * a[None, :], truth=s)
         out = apply_weights(cb_weights(a), batch)
         assert np.allclose(out, s, rtol=1e-12)
 

@@ -24,10 +24,11 @@ from caponplus.estimation import (
     scm,
 )
 from caponplus.linalg import cholesky, quadratic_form
-from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, draw_waveform
+from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind
 from helpers import (
     bits,
     capon_weights,
+    draw_waveform,
     nll_profile,
     random_cvector,
     random_hpd,
@@ -40,9 +41,7 @@ from helpers import (
 
 def make_batch(x):
     x = np.asarray(x, dtype=complex)
-    return SnapshotBatch(
-        snapshots=x, truth=np.zeros(x.shape[0], dtype=complex), contains_soi=True
-    )
+    return SnapshotBatch(snapshots=x, truth=np.zeros(x.shape[0], dtype=complex))
 
 
 class TestScm:
@@ -50,7 +49,6 @@ class TestScm:
         x = np.array([[1.0 + 2.0j, -1.0j]])
         cov = scm(make_batch(x))
         assert np.allclose(cov.matrix, np.outer(x[0], x[0].conj()))
-        assert cov.num_snapshots == 1
 
     def test_identical_snapshots_rank_one(self):
         rng = np.random.default_rng(0)

@@ -19,6 +19,7 @@ from caponplus.arraymodel import (
     build_cov_model,
     capon_bias,
     capon_output_power,
+    output_moments_theory,
     theory_report,
 )
 from caponplus.cli import build_run_config
@@ -389,6 +390,25 @@ class TestPskAlphaModes:
         # exact population kurtosis is negative but above -1 at modest SNR
         assert alphas[PskAlphaMode.EXACT] < alphas[PskAlphaMode.KAPPA_MINUS_ONE]
         assert alphas[PskAlphaMode.MEASURED] != alphas[PskAlphaMode.KAPPA_MINUS_ONE]
+
+    def test_kappa_minus_one_exact_at_high_snr(self):
+        """At 40 dB in the reference scene the Capon output is constant-modulus
+        to 1e-4 in kurtosis, so ``exact`` and ``kappa_minus_one`` agree."""
+        scene = snr_to_scene(scene_from_db(0.0), 40.0)
+        model = build_cov_model(DEFAULT_GEOMETRY, scene)
+        w_cap = model.sinv_a / model.ah_sinv_a
+        power, fourth = output_moments_theory(DEFAULT_GEOMETRY, scene, WaveformKind.PSK8, w_cap)
+        assert abs(fourth / power**2 - 2.0 + 1.0) <= 1e-4
+        alphas = {
+            mode: mc.build_context(config(
+                geom=DEFAULT_GEOMETRY, base_scene=scene_from_db(0.0),
+                waveform=WaveformKind.PSK8, psk_alpha_mode=mode,
+                sweep=SweepSpec(SweepVariable.SNR_DB, (40.0,)),
+            ), 40.0).alpha_oracle
+            for mode in (PskAlphaMode.EXACT, PskAlphaMode.KAPPA_MINUS_ONE)
+        }
+        assert alphas[PskAlphaMode.EXACT] == pytest.approx(
+            alphas[PskAlphaMode.KAPPA_MINUS_ONE], rel=1e-6)
 
 
 class TestAlphaSweep:
