@@ -102,18 +102,16 @@ class SourceScene:
         return (self.soi,) + self.interferers
 
 
+@functools.lru_cache(maxsize=1024)
 def steering_vector(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     """ULA response ``a(theta)`` with elements ``exp(-j m 2 pi (d/lambda) sin(theta))``.
 
-    Elements have unit modulus, so ``||a||^2 = M``.
+    Elements have unit modulus, so ``||a||^2 = M``.  The array is cached per
+    ``(geom, doa_deg)`` and read-only; equal DOAs (``30`` and ``30.0``) share
+    one entry.  Copy it before writing into it.
     """
     if not -90.0 <= doa_deg < 90.0:
         raise DomainError(f"DOA must lie in [-90, 90), got {doa_deg}")
-    return _steering_cached(geom, float(doa_deg)).copy()
-
-
-@functools.lru_cache(maxsize=1024)
-def _steering_cached(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     phase = 2.0 * np.pi * geom.d_over_lambda * math.sin(math.radians(doa_deg))
     a = np.exp(-1j * phase * np.arange(geom.antennas))
     a.setflags(write=False)
@@ -264,10 +262,10 @@ def waveform_mse_theory(model: CovarianceModel, w: np.ndarray) -> float:
         w^H S w + gamma (1 - 2 Re[w^H a])   and
         w^H Q w + gamma |w^H a - 1|^2,
 
-    which are cross-checked to 1e-9 of the largest term entering either form
-    before the (numerically benign, nonnegative-term) second form is
-    returned.  The first form cancels terms of size ``gamma``, so at high SNR
-    its rounding is that of ``gamma``, not that of the result.
+    which are cross-checked to 1e-9 of ``max|S| ||w||^2 + gamma (1 + |w^H a|)^2``,
+    the scale of their rounding (that of a quadratic form is bounded as in
+    :func:`.linalg.quadratic_form`), before the (numerically benign,
+    nonnegative-term) second form is returned.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != model.a.shape:
@@ -279,10 +277,11 @@ def waveform_mse_theory(model: CovarianceModel, w: np.ndarray) -> float:
     incm_soi = model.gamma * abs(wa - 1.0) ** 2
     form_full = full_qf + full_soi
     form_incm = incm_qf + incm_soi
-    scale = max(abs(full_qf), abs(full_soi), abs(incm_qf), incm_soi, 1e-300)
+    scale = (float(np.abs(model.full).max()) * float(np.vdot(w, w).real)
+             + model.gamma * (1.0 + abs(wa)) ** 2)
     if abs(form_full - form_incm) > _DUAL_FORM_RTOL * scale:
         raise DomainError(
-            f"waveform MSE dual forms disagree: {form_full!r} vs {form_incm!r}"
+            f"waveform MSE dual forms disagree: {float(form_full)!r} vs {float(form_incm)!r}"
         )
     return float(form_incm)
 
@@ -299,7 +298,7 @@ def output_moments_theory(
     each.  The output's kurtosis is ``fourth / power^2 - 2``.
     """
     parts = np.array(
-        [src.power * abs(np.vdot(w, _steering_cached(geom, float(src.doa_deg)))) ** 2
+        [src.power * abs(np.vdot(w, steering_vector(geom, src.doa_deg))) ** 2
          for src in scene.all_sources]
         + [scene.noise_var * float(np.vdot(w, w).real)]
     )

@@ -245,13 +245,6 @@ def parse_config(source) -> RunConfig:
     return build_run_config(_load_document(source))
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain text otherwise."""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _result_rows(report: ScenarioReport) -> list[dict]:
     var = report.config.sweep.variable.value
     return [
@@ -279,14 +272,14 @@ def _check_writable(path: str) -> None:
 
 
 def emit_results(report: ScenarioReport, output_format: str, path: str) -> None:
-    """Write the report as CSV (fixed column order) or a JSON record array."""
+    """Write the report as CSV (fixed column order; the csv module writes each
+    float as its ``repr``) or a JSON record array."""
     rows = _result_rows(report)
     if output_format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in RESULT_COLUMNS])
+        writer = csv.DictWriter(buf, RESULT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         payload = buf.getvalue()
     elif output_format == "json":
         payload = json.dumps(rows, indent=2) + "\n"

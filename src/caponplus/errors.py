@@ -20,12 +20,10 @@ class NotPositiveDefinite(CaponPlusError):
         self.pivot_index = pivot_index
 
 
-class NonPositiveQuadraticForm(CaponPlusError):
-    """A quadratic form that must be positive came out non-positive."""
-
-
 class DomainError(CaponPlusError):
-    """A scalar argument lies outside its admissible range."""
+    """A scalar lies outside its admissible range: a bad argument, a quadratic
+    form ``a^H C^{-1} a <= 0``, ``T0 <= M`` secondary snapshots for the
+    inverse-Wishart correction, or fewer than two trial records of a method."""
 
 
 class DegenerateSample(CaponPlusError):
@@ -34,14 +32,6 @@ class DegenerateSample(CaponPlusError):
 
 class DegenerateDenominator(CaponPlusError):
     """An adaptive shrinkage denominator is non-positive."""
-
-
-class InsufficientSecondarySamples(CaponPlusError):
-    """Secondary sample count too small for the requested correction."""
-
-
-class InsufficientTrials(CaponPlusError):
-    """Too few trial records to aggregate."""
 
 
 class ConfigError(CaponPlusError):

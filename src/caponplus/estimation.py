@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DegenerateSample,
-    DomainError,
-    InsufficientSecondarySamples,
-    NonPositiveQuadraticForm,
-)
+from .errors import DegenerateDenominator, DegenerateSample, DomainError
 from .linalg import zherk
 from .signalsim import SnapshotBatch
 
@@ -109,7 +103,7 @@ def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> float:
     estimate of the SOI power under circular Gaussian signal and noise.
     """
     if ah_qinv_a <= 0.0:
-        raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {ah_qinv_a}")
+        raise DomainError(f"a^H Q^(-1) a must be positive, got {ah_qinv_a}")
     return max(gamma_cap_hat - 1.0 / ah_qinv_a, 0.0)
 
 
@@ -143,12 +137,8 @@ def debiased_power_scaled(
     ``c = T0 / (T0 - M)``: ``max(gamma_cap_hat - c (a^H Qhat^{-1} a)^{-1}, 0)``.
     """
     if t0 <= m:
-        raise InsufficientSecondarySamples(
-            f"need T0 > M secondary snapshots, got T0 = {t0}, M = {m}"
-        )
+        raise DomainError(f"need T0 > M secondary snapshots, got T0 = {t0}, M = {m}")
     if ah_qhatinv_a <= 0.0:
-        raise NonPositiveQuadraticForm(
-            f"a^H Qhat^(-1) a must be positive, got {ah_qhatinv_a}"
-        )
+        raise DomainError(f"a^H Qhat^(-1) a must be positive, got {ah_qhatinv_a}")
     c = t0 / (t0 - m)
     return max(gamma_cap_hat - c / ah_qhatinv_a, 0.0)

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DegenerateSample, DomainError, InsufficientTrials
+from .errors import DegenerateSample, DomainError
 
 __all__ = [
     "TrialRecord",
@@ -94,9 +94,7 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRecord]:
     out = []
     for method, recs in by_method.items():
         if len(recs) < 2:
-            raise InsufficientTrials(
-                f"method {method!r} has {len(recs)} record(s); need at least 2"
-            )
+            raise DomainError(f"method {method!r} has {len(recs)} record(s); need at least 2")
         rel, se, sp = (np.fromiter(map(itemgetter(k), recs), float, len(recs)) for k in (1, 2, 3))
         if not all(np.isfinite(col).all() for col in (rel, se, sp)):
             raise DomainError(f"trial metrics of {method!r} must be finite")

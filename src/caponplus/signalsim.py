@@ -18,6 +18,9 @@ execution order, process, or thread count.  The four roles are:
 ``secondary``  everything in the SOI-free secondary batch
 =============  =====================================================
 
+A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(role)``
+with a :class:`StreamRole`; synthesis draws through that one accessor.
+
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
 arithmetic over all 256 trials x 4 roles of a trial block at once and caches
@@ -56,7 +59,7 @@ from .arraymodel import (
     ArrayGeometry,
     SourceScene,
     WaveformKind,
-    _steering_cached,
+    steering_vector,
 )
 from .errors import DomainError
 
@@ -211,7 +214,8 @@ _set_stream_role = RngStream.role.__set__
 
 @dataclass(frozen=True, slots=True, init=False)
 class TrialRngs:
-    """The four per-trial role streams, instantiated lazily."""
+    """The four per-trial role streams.  ``stream(role)`` is their one accessor:
+    each call builds that role's generator afresh, at the start of its stream."""
 
     master_seed: int
     trial_index: int
@@ -223,22 +227,6 @@ class TrialRngs:
 
     def stream(self, role: StreamRole) -> np.random.Generator:
         return RngStream(self.master_seed, self.trial_index, role).generator()
-
-    @property
-    def soi(self) -> np.random.Generator:
-        return self.stream(StreamRole.SOI)
-
-    @property
-    def interference(self) -> np.random.Generator:
-        return self.stream(StreamRole.INTERFERENCE)
-
-    @property
-    def noise(self) -> np.random.Generator:
-        return self.stream(StreamRole.NOISE)
-
-    @property
-    def secondary(self) -> np.random.Generator:
-        return self.stream(StreamRole.SECONDARY)
 
 
 _set_trial_seed = TrialRngs.master_seed.__set__
@@ -306,15 +294,14 @@ def _scene_constants(
     if scene.interferers:
         powers = np.array([s.power for s in scene.interferers], dtype=np.float64)
         int_amp = _amplitudes(kind, powers)
-        steering = np.column_stack([_steering_cached(geom, float(s.doa_deg))
-                                    for s in scene.interferers])
+        steering = np.column_stack([steering_vector(geom, s.doa_deg) for s in scene.interferers])
         steering.flags.writeable = False
         steering_int_t = steering.T
     return _SceneConstants(
         soi_amp=_amplitudes(kind, np.asarray(scene.soi.power, dtype=np.float64)),
         interferer_amp=int_amp,
         steering_int_t=steering_int_t,
-        soi_row=_steering_cached(geom, float(scene.soi.doa_deg))[None, :],
+        soi_row=steering_vector(geom, scene.soi.doa_deg)[None, :],
         noise_amp=np.sqrt(scene.noise_var / 2.0),
     )
 
@@ -355,8 +342,9 @@ def synth_scene_snapshots(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    s = _draw(kind, consts.soi_amp, count, rngs.soi).reshape(count)
-    e = _interference_plus_noise(consts, kind, count, rngs.interference, rngs.noise)
+    s = _draw(kind, consts.soi_amp, count, rngs.stream(StreamRole.SOI)).reshape(count)
+    e = _interference_plus_noise(consts, kind, count, rngs.stream(StreamRole.INTERFERENCE),
+                                 rngs.stream(StreamRole.NOISE))
     e += s[:, None] * consts.soi_row
     return SnapshotBatch(e, s)
 
@@ -376,7 +364,7 @@ def synth_scene_secondary(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    rng = rngs.secondary
+    rng = rngs.stream(StreamRole.SECONDARY)
     e = _interference_plus_noise(consts, kind, count, rng, rng)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
 

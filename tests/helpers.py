@@ -16,7 +16,6 @@ from caponplus.arraymodel import (
 from caponplus.errors import (
     DimensionMismatch,
     DomainError,
-    NonPositiveQuadraticForm,
     NotPositiveDefinite,
 )
 from caponplus.estimation import SampleCovariance
@@ -205,9 +204,7 @@ def rank1_update_inverse(
     if gamma < 0.0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
     if ah_qinv_a <= 0.0:
-        raise NonPositiveQuadraticForm(
-            f"a^H Q^{{-1}} a must be positive, got {ah_qinv_a}"
-        )
+        raise DomainError(f"a^H Q^{{-1}} a must be positive, got {ah_qinv_a}")
     denom = 1.0 + gamma * ah_qinv_a
     return np.asarray(qinv_a, dtype=np.complex128) / denom, ah_qinv_a / denom
 
@@ -290,7 +287,7 @@ def nll_profile(q_mat: np.ndarray, sample_cov: SampleCovariance, a: np.ndarray) 
     qinv_a = solve_chol(lower, a)
     q = float(np.vdot(a, qinv_a).real)
     if q <= 0.0:
-        raise NonPositiveQuadraticForm(f"a^H Q^(-1) a must be positive, got {q}")
+        raise DomainError(f"a^H Q^(-1) a must be positive, got {q}")
     s_hat = sample_cov.matrix
     r = float(np.vdot(qinv_a, s_hat @ qinv_a).real)
     trace0 = float(np.trace(solve_chol(lower, s_hat)).real)
@@ -344,8 +341,8 @@ def synth_snapshots(
     ``Q`` can be sampled, not only one that a scene describes.  SOI and
     interference use disjoint role streams.
     """
-    s = draw_waveform(kind, model.gamma, count, rngs.soi)
-    e = draw_interference_noise(cholesky(model.incm), count, rngs.interference)
+    s = draw_waveform(kind, model.gamma, count, rngs.stream(StreamRole.SOI))
+    e = draw_interference_noise(cholesky(model.incm), count, rngs.stream(StreamRole.INTERFERENCE))
     x = s[:, None] * model.a[None, :] + e
     return SnapshotBatch(snapshots=x, truth=s)
 

@@ -36,6 +36,7 @@ from caponplus.montecarlo import (
 from caponplus.presets import PRESETS
 from caponplus.signalsim import (
     SnapshotBatch,
+    StreamRole,
     TrialRngs,
     WaveformKind,
     synth_scene_snapshots,
@@ -252,7 +253,7 @@ def test_criterion_06_mle_equivalence():
         t = int(rng.integers(m + 2, 64))
         model = cov_model_from_parts(a, gamma, q)
         lower = cholesky(model.full)
-        gen = TrialRngs(7000 + k, 0).noise
+        gen = TrialRngs(7000 + k, 0).stream(StreamRole.NOISE)
         z = (gen.standard_normal((t, m)) + 1j * gen.standard_normal((t, m))) / np.sqrt(2)
         x = z @ lower.T
         sample_cov = scm(

@@ -1,5 +1,6 @@
 """The package's public surface: the top-level names and each submodule's ``__all__``."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -44,6 +45,33 @@ def test_every_submodule_all_entry_resolves():
         stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
     assert stale == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {}
+    for path in sorted(Path(caponplus.__file__).parent.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[path.name] = names
+    assert unused == {}
 
 
 def test_cli_import_loads_no_third_party_package_but_numpy_and_scipy():

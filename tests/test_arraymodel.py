@@ -55,6 +55,13 @@ class TestSteeringVector:
             with pytest.raises(DomainError):
                 steering_vector(geom, bad)
 
+    def test_one_cached_read_only_array_per_doa(self):
+        geom = ArrayGeometry(7, 0.5)
+        a = steering_vector(geom, 30)
+        assert steering_vector(geom, 30.0) is a
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
 
 class TestCovarianceConstruction:
     def test_incm_no_interferers_is_noise_identity(self):

@@ -12,6 +12,7 @@ from caponplus.arraymodel import (
     capon_output_power,
     output_moments_theory,
     steering_vector,
+    waveform_mse_theory,
 )
 from caponplus.beamformers import (
     adaptive_capon_weights,
@@ -90,10 +91,13 @@ class TestUnitGainProperty:
 
 
 class TestOutputPowerIdentities:
-    """The closed-form output power against the covariance model, over hard scenes.
+    """The closed forms against the covariance model, over hard scenes.
 
     Bounds are scale-relative: ``1e-12 max|S| ||w||^2`` for the output power,
-    ``10 cond(S) eps`` relative for ``gamma_cap = gamma + 1/(a^H Q^-1 a)``.
+    ``10 cond(S) eps`` relative for ``gamma_cap = gamma + 1/(a^H Q^-1 a)`` and
+    for the Sherman-Morrison equivalence of the S-form and Q-form Capon
+    weights.  The waveform MSE is its Q form exactly: the S-form cross-check
+    must pass, whatever interferer the weight nulls.
     """
 
     @settings(derandomize=True, database=None, deadline=None)
@@ -101,11 +105,8 @@ class TestOutputPowerIdentities:
     def test_output_power_and_capon_bias(self, geom_scene):
         geom, scene = geom_scene
         model = build_cov_model(*geom_scene)
-        weights = (
-            model.sinv_a / model.ah_sinv_a,
-            cb_weights(model.a),
-            model.gamma * model.sinv_a,
-        )
+        capon = model.sinv_a / model.ah_sinv_a
+        weights = (capon, cb_weights(model.a), model.gamma * model.sinv_a, 0.7 * capon)
         s_max = np.max(np.abs(model.full))
         for w in weights:
             expected = quadratic_form(model.full, w)
@@ -113,10 +114,15 @@ class TestOutputPowerIdentities:
             for kind in WaveformKind:
                 power, _ = output_moments_theory(geom, scene, kind, w)
                 assert abs(power - expected) <= 1e-12 * scale
+            q_form = (quadratic_form(model.incm, w)
+                      + model.gamma * abs(np.vdot(w, model.a) - 1.0) ** 2)
+            assert waveform_mse_theory(model, w) == q_form
         gamma_cap = capon_output_power(model)
         via_bias = model.gamma + capon_bias(model)
         bound = 10.0 * np.linalg.cond(model.full) * np.finfo(float).eps
         assert abs(gamma_cap - via_bias) <= bound * abs(via_bias)
+        capon_q = model.qinv_a / model.ah_qinv_a
+        assert np.linalg.norm(capon - capon_q) <= bound * np.linalg.norm(capon_q)
 
 
 class TestCaponWeights:

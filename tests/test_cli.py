@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -13,10 +14,12 @@ from caponplus.cli import (
     parse_config,
 )
 from caponplus.errors import ConfigError
+from caponplus.metrics import AggregateRecord
 from caponplus.montecarlo import (
     Regime,
     ScenarioConfig,
     ScenarioReport,
+    SweepPointResult,
     SweepVariable,
 )
 from caponplus.presets import PRESETS
@@ -134,6 +137,21 @@ class TestEmitResults:
         out = tmp_path / "empty.json"
         emit_results(self._empty_report(), "json", str(out))
         assert json.loads(out.read_text()) == []
+
+    def test_float_cells_read_back_as_repr(self, tmp_path):
+        values = [0.1, 1 / 3, 1e-300, 5e-324, -0.0, 1e22]
+        agg = AggregateRecord("Capon", *values, n_trials=7)
+        report = dataclasses.replace(self._empty_report(), points=[
+            SweepPointResult(sweep_value=-0.0, aggregates=[agg], n_trials=7, n_failed=1)])
+        out = tmp_path / "r.csv"
+        emit_results(report, "csv", str(out))
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["sweep_value"] == "-0.0" and row["method"] == "Capon"
+        assert row["n_trials"] == "7" and row["n_failed"] == "1"
+        fields = ["mean_rel_bias", "stderr_rel_bias", "mean_se_nmse", "stderr_se_nmse",
+                  "mean_sp_nmse", "stderr_sp_nmse"]
+        assert [row[f] for f in fields] == [repr(v) for v in values]
 
 
 class TestMain:
@@ -271,17 +289,31 @@ class TestMain:
         assert contexts == []
 
     def test_high_snr_theory_rows_exit_zero(self, tmp_path):
-        # The waveform-MSE dual forms cancel terms of size gamma = 1e12 at
-        # 120 dB; their cross-check scales with those terms.
+        # The waveform-MSE dual forms are cross-checked at the scale of their
+        # rounding.  At 120 dB they cancel terms of size gamma = 1e12.  With an
+        # interferer 80 dB over the noise, 0.2 degrees from the SOI, the
+        # weights that null it are long, and the rounding of w^H S w scales
+        # with max|S| ||w||^2, far above the result.
+        cases = [
+            (["--preset", "fig1"], {
+                "trials": 100, "seed": 3, "emit_theory": True,
+                "sweep": {"variable": "snr_db", "values": [60, 90, 120]},
+            }, 3),
+            ([], {
+                "regime": "oracle", "waveform": "gaussian", "trials": 100, "emit_theory": True,
+                "soi_doa_deg": 10.0, "interferer_doas_deg": [10.2],
+                "interferer_offsets_db": [-60.0],
+                "sweep": {"variable": "snr_db", "values": [20.0]},
+            }, 1),
+        ]
         out = tmp_path / "r.csv"
-        cfg = write_config(tmp_path, {
-            "trials": 100, "seed": 3, "emit_theory": True,
-            "sweep": {"variable": "snr_db", "values": [60, 90, 120]},
-        })
-        assert main(["run", cfg, "--preset", "fig1", "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert sum(row[2] == "CaponTheory" for row in rows[1:]) == 3
+        for preset, doc, points in cases:
+            cfg = write_config(tmp_path, doc)
+            assert main(["run", cfg, *preset, "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))
+            theory = [row[2] for row in rows[1:] if row[2].endswith("Theory")]
+            assert theory.count("CaponTheory") == points and len(theory) == 4 * points
 
     @pytest.mark.parametrize("key, value", [
         ("snapshots", 60.0),

@@ -12,8 +12,6 @@ from caponplus.errors import (
     DegenerateDenominator,
     DegenerateSample,
     DomainError,
-    InsufficientSecondarySamples,
-    NonPositiveQuadraticForm,
 )
 from caponplus.estimation import (
     alpha_hat,
@@ -24,7 +22,7 @@ from caponplus.estimation import (
     scm,
 )
 from caponplus.linalg import cholesky, quadratic_form
-from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind
+from caponplus.signalsim import SnapshotBatch, StreamRole, TrialRngs, WaveformKind
 from helpers import (
     bits,
     capon_weights,
@@ -122,7 +120,7 @@ class TestPowerEstimate:
 
 class TestFourthMoment:
     def test_constant_modulus(self):
-        s = draw_waveform(WaveformKind.PSK8, 2.0, 50, TrialRngs(0, 0).soi)
+        s = draw_waveform(WaveformKind.PSK8, 2.0, 50, TrialRngs(0, 0).stream(StreamRole.SOI))
         assert output_moments(s)[1] == pytest.approx(4.0)
 
     def test_zero_weight(self):
@@ -148,7 +146,8 @@ class TestKurtosisEstimate:
 
     def test_gaussian_near_zero(self):
         n = 10**6
-        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 1.0, n, TrialRngs(2, 0).soi)
+        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 1.0, n,
+                          TrialRngs(2, 0).stream(StreamRole.SOI))
         # asymptotic standard error of the kurtosis estimate is 2/sqrt(n)
         assert abs(kurtosis_estimate(s)) <= 3.0 * 2.0 / np.sqrt(n)
 
@@ -167,7 +166,7 @@ class TestDebiasedPower:
         assert debiased_power(1.04, 25.0) == pytest.approx(1.0)
 
     def test_rejects_bad_quadratic(self):
-        with pytest.raises(NonPositiveQuadraticForm):
+        with pytest.raises(DomainError, match=r"a\^H Q\^\(-1\) a must be positive"):
             debiased_power(1.0, 0.0)
 
 
@@ -307,7 +306,7 @@ class TestDebiasedPowerScaled:
         assert scaled == pytest.approx(plain, rel=1e-6)
 
     def test_insufficient_secondary_samples(self):
-        with pytest.raises(InsufficientSecondarySamples):
+        with pytest.raises(DomainError, match="need T0 > M secondary snapshots"):
             debiased_power_scaled(1.0, 10.0, 25, 25)
 
     def test_inverse_wishart_scaling_mc(self):

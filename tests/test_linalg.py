@@ -10,7 +10,6 @@ from caponplus import linalg
 from caponplus.errors import (
     DimensionMismatch,
     DomainError,
-    NonPositiveQuadraticForm,
     NotPositiveDefinite,
 )
 from caponplus.linalg import cholesky, hermitian_matrix, quadratic_form, solve_chol
@@ -275,7 +274,7 @@ class TestRank1UpdateInverse:
         assert worst <= 1e-9
 
     def test_rejects_nonpositive_quadratic(self):
-        with pytest.raises(NonPositiveQuadraticForm):
+        with pytest.raises(DomainError, match=r"a\^H Q\^\{-1\} a must be positive"):
             rank1_update_inverse(np.ones(2, dtype=complex), 0.0, 1.0)
 
     def test_rejects_negative_gamma(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from caponplus.errors import DegenerateSample, DomainError, InsufficientTrials
+from caponplus.errors import DegenerateSample, DomainError
 from caponplus.metrics import AggregateRecord, aggregate, trial_records
 
 
@@ -83,7 +83,7 @@ class TestAggregate:
         assert [a.method for a in out] == ["Debiased", "CaponPlus", "CB", "MMSE", "Capon"]
 
     def test_insufficient_trials(self):
-        with pytest.raises(InsufficientTrials):
+        with pytest.raises(DomainError, match=r"has 1 record\(s\); need at least 2"):
             aggregate([rec("Capon")])
 
     def test_mse_at_least_squared_bias(self):

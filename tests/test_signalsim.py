@@ -52,17 +52,17 @@ def rngs(trial=0, seed=42):
 
 class TestDrawWaveform:
     def test_psk8_constant_modulus(self):
-        s = draw_waveform(WaveformKind.PSK8, 2.5, 1000, rngs().soi)
+        s = draw_waveform(WaveformKind.PSK8, 2.5, 1000, rngs().stream(StreamRole.SOI))
         assert np.allclose(np.abs(s) ** 2, 2.5, rtol=1e-12)
 
     def test_psk8_phases_on_grid(self):
-        s = draw_waveform(WaveformKind.PSK8, 1.0, 4000, rngs().soi)
+        s = draw_waveform(WaveformKind.PSK8, 1.0, 4000, rngs().stream(StreamRole.SOI))
         k = np.angle(s) / (2.0 * np.pi / 8.0)
         assert np.allclose(k, np.round(k), atol=1e-9)
         assert set(np.round(k).astype(int) % 8) == set(range(8))
 
     def test_psk8_kurtosis_exactly_minus_one(self):
-        s = draw_waveform(WaveformKind.PSK8, 3.0, 64, rngs().soi)
+        s = draw_waveform(WaveformKind.PSK8, 3.0, 64, rngs().stream(StreamRole.SOI))
         assert kurtosis_estimate(s) == pytest.approx(-1.0, abs=1e-12)
 
     def test_psk8_phasor_table_bits(self):
@@ -71,31 +71,34 @@ class TestDrawWaveform:
             assert np.array_equal(bits(_PSK_PHASORS[k : k + 1]), bits(expected))
 
     def test_gaussian_mean_power(self):
-        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 1.7, 10**6, rngs().soi)
+        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 1.7, 10**6,
+                          rngs().stream(StreamRole.SOI))
         assert np.mean(np.abs(s) ** 2) == pytest.approx(1.7, rel=0.01)
 
     def test_gaussian_parts_independent_and_balanced(self):
-        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 2.0, 10**6, rngs(1).soi)
+        s = draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, 2.0, 10**6,
+                          rngs(1).stream(StreamRole.SOI))
         assert np.var(s.real) == pytest.approx(1.0, rel=0.02)
         assert np.var(s.imag) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(s.real * s.imag)) < 0.01
 
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
-            draw_waveform(WaveformKind.PSK8, 0.0, 10, rngs().soi)
+            draw_waveform(WaveformKind.PSK8, 0.0, 10, rngs().stream(StreamRole.SOI))
         with pytest.raises(DomainError):
-            draw_waveform(WaveformKind.PSK8, 1.0, 0, rngs().soi)
+            draw_waveform(WaveformKind.PSK8, 1.0, 0, rngs().stream(StreamRole.SOI))
         with pytest.raises(DomainError):
-            draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, [1.0, float("nan")], 10, rngs().soi)
+            draw_waveform(WaveformKind.CIRCULAR_GAUSSIAN, [1.0, float("nan")], 10,
+                          rngs().stream(StreamRole.SOI))
         with pytest.raises(DomainError):
-            draw_waveform(WaveformKind.PSK8, [], 10, rngs().soi)
+            draw_waveform(WaveformKind.PSK8, [], 10, rngs().stream(StreamRole.SOI))
 
     @pytest.mark.parametrize("kind", list(WaveformKind))
     @pytest.mark.parametrize("count", [1, 60])
     def test_several_powers_equal_calls_in_turn(self, kind, count):
         powers = [2.0, 0.3, 1e-4]
-        waves = draw_waveform(kind, powers, count, rngs(3).soi)
-        one_by_one = rngs(3).soi
+        waves = draw_waveform(kind, powers, count, rngs(3).stream(StreamRole.SOI))
+        one_by_one = rngs(3).stream(StreamRole.SOI)
         expected = np.column_stack([draw_waveform(kind, p, count, one_by_one) for p in powers])
         assert waves.shape == (count, 3) and waves.flags.c_contiguous
         assert np.array_equal(waves, expected)
@@ -104,26 +107,28 @@ class TestDrawWaveform:
 class TestDrawInterferenceNoise:
     def test_identity_covariance(self):
         fac = cholesky(np.eye(3, dtype=complex))
-        e = draw_interference_noise(fac, 10**5, rngs().interference)
+        e = draw_interference_noise(fac, 10**5, rngs().stream(StreamRole.INTERFERENCE))
         sample_cov = e.T @ e.conj() / e.shape[0]
         assert np.linalg.norm(sample_cov - np.eye(3)) <= 0.02 * np.linalg.norm(np.eye(3))
 
     def test_diagonal_variances(self):
         fac = cholesky(np.diag([4.0, 1.0]).astype(complex))
-        e = draw_interference_noise(fac, 10**5, rngs(2).interference)
+        e = draw_interference_noise(fac, 10**5, rngs(2).stream(StreamRole.INTERFERENCE))
         variances = np.mean(np.abs(e) ** 2, axis=0)
         assert variances[0] == pytest.approx(4.0, rel=0.02)
         assert variances[1] == pytest.approx(1.0, rel=0.02)
 
     def test_general_covariance(self):
         q = build_incm(GEOM, PSK_SCENE)
-        e = draw_interference_noise(cholesky(q), 2 * 10**5, rngs(3).interference)
+        e = draw_interference_noise(cholesky(q), 2 * 10**5,
+                                    rngs(3).stream(StreamRole.INTERFERENCE))
         sample_cov = e.T @ e.conj() / e.shape[0]
         assert np.linalg.norm(sample_cov - q) <= 0.03 * np.linalg.norm(q)
 
     def test_zero_length_rejected(self):
         with pytest.raises(DomainError):
-            draw_interference_noise(cholesky(np.eye(2, dtype=complex)), 0, rngs().noise)
+            draw_interference_noise(cholesky(np.eye(2, dtype=complex)), 0,
+                                    rngs().stream(StreamRole.NOISE))
 
 
 class TestSynthSnapshots:
@@ -195,12 +200,12 @@ class TestSceneSnapshots:
 class TestSecondaryData:
     def test_flags_and_empty_truth(self):
         fac = cholesky(build_incm(GEOM, PSK_SCENE))
-        batch = synth_secondary(fac, 64, rngs(12).secondary)
+        batch = synth_secondary(fac, 64, rngs(12).stream(StreamRole.SECONDARY))
         assert batch.truth.size == 0
 
     def test_sample_covariance_matches_incm(self):
         q = build_incm(GEOM, PSK_SCENE)
-        batch = synth_secondary(cholesky(q), 2 * 10**5, rngs(13).secondary)
+        batch = synth_secondary(cholesky(q), 2 * 10**5, rngs(13).stream(StreamRole.SECONDARY))
         e = batch.snapshots
         sample_cov = e.T @ e.conj() / e.shape[0]
         assert np.linalg.norm(sample_cov - q) <= 0.03 * np.linalg.norm(q)
@@ -310,7 +315,7 @@ class TestStreamContract:
             with pytest.raises(DomainError, match="trial index"):
                 RngStream(0, trial, StreamRole.SOI)
         with pytest.raises(DomainError):
-            TrialRngs(0, -5).soi
+            TrialRngs(0, -5).stream(StreamRole.SOI)
 
     @pytest.mark.parametrize("value", [RngStream(7, 3, StreamRole.NOISE), TrialRngs(7, 3)])
     def test_fields_immutable(self, value):
