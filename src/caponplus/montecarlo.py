@@ -43,35 +43,43 @@ processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
 A run builds every sweep point's :class:`SweepContext` up front and reuses
-it for the theory rows.  A work item is ``(point, start, stop)``: a sweep
-point's index and a range of its trials.  The config and the contexts reach
-a forked worker once, through the pool's initializer, whose arguments a
-fork does not pickle; the serial path binds them to the same chunk function.
-The chunks of all points go, in sweep order, through one ``map``
+it for the theory rows.  A work item is a trial range ``(start, stop)``, and
+a chunk runs it trial-major: each trial runs at every sweep point in turn.  A
+trial's streams do not depend on the sweep point, so its raw draws are made
+at the first point and reused at the others (see :mod:`.signalsim`); each
+point's records are still those of running its trials alone.  The config and
+the contexts reach a forked worker once, through the pool's initializer,
+whose arguments a fork does not pickle; the serial path binds them to the
+same chunk function.  The chunks go, in trial order, through one ``map``
 call: the builtin ``map`` at one thread, else the ``map`` of one forked
-worker pool kept for the whole run.  The pool has at most one worker per
-CPU the process may run on: ``ProcessPoolExecutor`` forks all its workers at
-once, so an unbounded ``threads`` would fork that many processes.  Each
-point is split into four chunks per worker and aggregated as soon as its
-last chunk arrives, while the workers go on with the next point's chunks,
-so the pool never drains between points.  Every chunk is queued at once,
-so when the parent falls behind, the records held in flight (four small
-tuples per trial) can grow towards the whole run's.  When a point fails,
-the chunks still queued are cancelled before the error leaves the run.
+worker pool kept for the whole run.  The pool has at most one worker per CPU
+the process may run on: ``ProcessPoolExecutor`` forks all its workers at
+once, so an unbounded ``threads`` would fork that many processes.  The trials
+are split into four chunks per worker.
 
-Trials stay one at a time, each with its own ``(seed, trial, role)``
-streams.  Batching trials does not pay at the reference size ``M = 25``:
-on a 2-vCPU Intel Xeon, ``numpy.linalg.cholesky`` on a stack of 64 such
-matrices cost 6.0 us per matrix, against 4.2 us for one ``zpotrf`` call.
+A chunk returns, per sweep point, the methods of a trial's records and their
+metrics as one float64 table in trial order, which pickles and holds far more
+cheaply than the record tuples.  Only the last chunk completes every point,
+so the failure gate and the aggregation run once all chunks are in: the
+points are checked in sweep order, then each point's records are rebuilt
+from its tables, aggregated, and its tables dropped.
+
+Trials stay separate computations, each with its own ``(seed, trial, role)``
+streams.  Batching different trials does not pay at the reference size
+``M = 25``: on a 2-vCPU Intel Xeon, ``numpy.linalg.cholesky`` on a stack of
+64 such matrices cost 6.0 us per matrix, against 4.2 us for one ``zpotrf``
+call.
 """
 
 from __future__ import annotations
 
+import array
 import enum
 import functools
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import time
 from collections.abc import Sequence
@@ -461,9 +469,15 @@ def run_trial(
 
 
 # One run's ``(config, sweep values, contexts)``, one value and one context
-# per sweep point; a work item names a point and a trial range of it.
+# per sweep point; a work item is a trial range ``(start, stop)`` of every point.
 _Run = tuple[ScenarioConfig, Sequence[float], Sequence[SweepContext]]
-_WorkItem = tuple[int, int, int]
+_WorkItem = tuple[int, int]
+# One sweep point's share of a chunk: the methods of a trial's records, the
+# records' metrics as a float64 ``(n_records, 3)`` table in trial order, and
+# the number of failed trials.
+_PointPart = tuple[tuple[str, ...], np.ndarray, int]
+
+_METRICS = operator.itemgetter(1, 2, 3)
 
 # The run a forked pool worker serves, set by the pool's initializer.
 _worker_run: _Run | None = None
@@ -474,27 +488,36 @@ def _init_worker(run: _Run) -> None:
     _worker_run = run
 
 
-def _worker_chunk(item: _WorkItem) -> tuple[list[TrialRecord], int]:
+def _worker_chunk(item: _WorkItem) -> list[_PointPart]:
     """:func:`_run_chunk` in a pool worker, on the run it was forked with."""
     return _run_chunk(_worker_run, item)
 
 
-def _run_chunk(run: _Run, item: _WorkItem) -> tuple[list[TrialRecord], int]:
-    """For ``item = (point, start, stop)``, the records of that sweep point's
-    trials ``start`` to ``stop - 1`` as one flat list in trial order, which is
-    the order :func:`aggregate` sums them in, and the number of those trials
-    whose sample covariance cannot be factored."""
+def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
+    """For ``item = (start, stop)``, run trials ``start`` to ``stop - 1``, each
+    at every sweep point in turn, and return one :data:`_PointPart` per point.
+
+    Every trial of a run scores the same methods in the same order, so a
+    point's records are its ``methods`` repeated beside the table's rows; a
+    trial whose sample covariance cannot be factored adds none and is counted.
+    """
     config, values, contexts = run
-    point, start, stop = item
-    sweep_value, ctx = values[point], contexts[point]
-    records: list[TrialRecord] = []
-    n_failed = 0
+    start, stop = item
+    methods: list[tuple[str, ...]] = [()] * len(contexts)
+    tables = [array.array("d") for _ in contexts]
+    failed = [0] * len(contexts)
     for idx in range(start, stop):
-        try:
-            records.extend(run_trial(config, sweep_value, idx, ctx))
-        except NotPositiveDefinite:
-            n_failed += 1
-    return records, n_failed
+        for point, ctx in enumerate(contexts):
+            try:
+                records = run_trial(config, values[point], idx, ctx)
+            except NotPositiveDefinite:
+                failed[point] += 1
+                continue
+            if not methods[point]:
+                methods[point] = tuple(rec[0] for rec in records)
+            tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
+    return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
+            for names, table, n_failed in zip(methods, tables, failed)]
 
 
 def _theory_rows(config: ScenarioConfig, ctx: SweepContext) -> list[AggregateRecord]:
@@ -571,13 +594,15 @@ def run_scenario(
     """Run every sweep point of a scenario and aggregate the results.
 
     The trials run in ``threads`` worker processes, capped at the number of
-    CPUs this process may run on, as one stream of chunks over every sweep
-    point (see the module docstring).  The report is deterministic for a
-    fixed ``master_seed`` no matter how many worker processes execute the
-    trials.  Trials whose sample covariance cannot be factored are excluded
-    and counted; more than 1% failures at any sweep point raises
-    :class:`TrialFailureError` as soon as that point's chunks are in, and
-    the chunks of later points that no worker has taken yet never run.
+    CPUs this process may run on, as one stream of trial-range chunks that
+    each cover every sweep point (see the module docstring).  The report is
+    deterministic for a fixed ``master_seed`` no matter how many worker
+    processes execute the trials.  Trials whose sample covariance cannot be
+    factored are excluded and counted; more than 1% failures at any sweep
+    point raises :class:`TrialFailureError` naming the first such point in
+    sweep order.  No point is complete before the last chunk, so a failing
+    run still runs every trial; a trial that raises any other error ends the
+    run at once, and the chunks no worker has taken yet never run.
     """
     config.validate()
     started = time.perf_counter()
@@ -598,11 +623,9 @@ def run_scenario(
         values, trials = config.sweep.values, config.trials
         workers = min(threads, _usable_cpus())
         chunk = math.ceil(trials / (workers * 4)) if workers > 1 else trials
-        per_point = math.ceil(trials / chunk)
         contexts = [build_context(config, v) for v in values]
         run = (config, values, contexts)
-        work = [(point, s, min(s + chunk, trials))
-                for point in range(len(values)) for s in range(0, trials, chunk)]
+        work = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
         # Forked workers inherit the imported package and, through the
         # initializer's arguments, the run, so neither is pickled and the
         # calling script needs no ``__main__`` guard.
@@ -610,42 +633,51 @@ def run_scenario(
                                     initializer=_init_worker, initargs=(run,))
                 if workers > 1 else None)
         try:
-            parts = (pool.map(_worker_chunk, work) if pool is not None
-                     else map(functools.partial(_run_chunk, run), work))
-            points = [
-                _mc_point(config, v, ctx, itertools.islice(parts, per_point), emit_theory)
-                for v, ctx in zip(values, contexts)
-            ]
+            chunks = list(pool.map(_worker_chunk, work) if pool is not None
+                          else map(functools.partial(_run_chunk, run), work))
         finally:
             if pool is not None:
-                # A failing point leaves later chunks queued: drop them.
+                # A trial that raises leaves later chunks queued: drop them.
                 pool.shutdown(cancel_futures=True)
+        points = _mc_points(config, contexts, chunks, emit_theory)
     return ScenarioReport(
         config=config, points=points, wall_time_s=time.perf_counter() - started
     )
 
 
-def _mc_point(config: ScenarioConfig, sweep_value: float, ctx: SweepContext,
-              parts, emit_theory: bool) -> SweepPointResult:
-    """Aggregate one sweep point from the ``(records, n_failed)`` of its
-    chunks, in trial order."""
-    trials = config.trials
-    records: list[TrialRecord] = []
-    n_failed = 0
-    for part, failed in parts:
-        records.extend(part)
-        n_failed += failed
-    if n_failed > MAX_FAILURE_SHARE * trials:
-        raise TrialFailureError(
-            f"{n_failed} of {trials} trials failed at sweep value "
-            f"{sweep_value} (> {MAX_FAILURE_SHARE:.0%} threshold)"
-        )
-    aggregates = aggregate(records)
-    if emit_theory:
-        aggregates = aggregates + _theory_rows(config, ctx)
-    return SweepPointResult(
-        sweep_value=sweep_value,
-        aggregates=aggregates,
-        n_trials=trials - n_failed,
-        n_failed=n_failed,
-    )
+def _mc_points(config: ScenarioConfig, contexts: Sequence[SweepContext],
+               chunks: list[list[_PointPart]], emit_theory: bool) -> list[SweepPointResult]:
+    """Gate and aggregate every sweep point from the chunks, which are in
+    trial order.
+
+    More than 1% failed trials at any point raises :class:`TrialFailureError`
+    for the first such point in sweep order.  A point's records are rebuilt
+    as the tuples its trials returned, so :func:`aggregate` sees the list a
+    point-by-point run would give it, and its tables are dropped once it is
+    aggregated.
+    """
+    values, trials = config.sweep.values, config.trials
+    failed = [sum(chunk[point][2] for chunk in chunks) for point in range(len(values))]
+    for sweep_value, n_failed in zip(values, failed):
+        if n_failed > MAX_FAILURE_SHARE * trials:
+            raise TrialFailureError(
+                f"{n_failed} of {trials} trials failed at sweep value "
+                f"{sweep_value} (> {MAX_FAILURE_SHARE:.0%} threshold)"
+            )
+    points = []
+    for point, (sweep_value, ctx, n_failed) in enumerate(zip(values, contexts, failed)):
+        records: list[TrialRecord] = []
+        for chunk in chunks:
+            methods, table, _ = chunk[point]
+            chunk[point] = None
+            records.extend(zip(itertools.cycle(methods), *table.T.tolist()))
+        aggregates = aggregate(records)
+        if emit_theory:
+            aggregates = aggregates + _theory_rows(config, ctx)
+        points.append(SweepPointResult(
+            sweep_value=sweep_value,
+            aggregates=aggregates,
+            n_trials=trials - n_failed,
+            n_failed=n_failed,
+        ))
+    return points

@@ -19,7 +19,15 @@ execution order, process, or thread count.  The four roles are:
 =============  =====================================================
 
 A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(role)``
-with a :class:`StreamRole`; synthesis draws through that one accessor.
+with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.
+
+A stream's draws are a pure function of its coordinates and of the shapes
+drawn, so synthesis does not draw them per call: :func:`_stream_draws` keys
+the unscaled draws (standard normals or 8-PSK phasors of the waveforms, then
+standard normals of the noise) by ``(master_seed, trial_index, role, kind,
+K, count, M)`` and keeps the last eight as read-only arrays.  A trial run at
+every sweep point in turn asks for the same draws at each point, and its
+generators are built only at the first.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -42,7 +50,12 @@ source), the interferer steering matrix transposed, the SOI steering row and
 ``sqrt(noise_var / 2)``.  The source powers are checked there; the sample
 count in every call.  Each trial then only draws and combines: the draws,
 their order and every arithmetic operation are those of evaluating the
-constants per call, so every batch keeps its bits.
+constants per call, so every batch keeps its bits.  The memoised draws are
+scaled out of place (``raw * amp``), which computes the same products as
+scaling a fresh draw in place, so a batch has the same bits whether its
+draws were cached or not.  Along an SNR sweep only the amplitudes change
+(the noise stays at unit power); along a T0 sweep the primary batch is the
+same at every point.
 """
 
 from __future__ import annotations
@@ -262,18 +275,52 @@ def _checked_count(count: int) -> int:
     return count
 
 
-def _draw(kind: WaveformKind, amp: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """C-contiguous ``(count, K)`` draw of K waveforms with :func:`_amplitudes`' ``amp``:
-    CN(0, p), or ``sqrt(p) exp(j 2 pi k / 8)`` with ``k`` uniform on ``{0..7}``.
-    One call draws the K sources in turn, as K single-source draws would."""
-    k = amp.shape[0]
+def _raw_draw(kind: WaveformKind, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The unscaled draw of K waveforms of ``count`` samples, the K sources in
+    turn: standard normals of shape ``(K, 2, count)`` (source k's real parts,
+    then its imaginary parts) or 8-PSK phasors ``exp(j 2 pi k / 8)`` with
+    ``k`` uniform on ``{0..7}``, of shape ``(K, count)``."""
     if kind is WaveformKind.CIRCULAR_GAUSSIAN:
-        parts = rng.standard_normal((k, 2, count))
+        return rng.standard_normal((k, 2, count))
+    return _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
+
+
+def _draw(kind: WaveformKind, amp: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """C-contiguous ``(count, K)`` waveforms: :func:`_raw_draw`'s ``raw`` scaled
+    out of place by :func:`_amplitudes`' ``amp``, so CN(0, p) or
+    ``sqrt(p) exp(j 2 pi k / 8)``."""
+    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
         # s re and s im carry the bits of s (re + j im) for nonzero draws
-        parts *= amp
+        parts = raw * amp
+        k, _, count = parts.shape
         return np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128).reshape(count, k)
-    phasors = _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
-    return np.ascontiguousarray((amp * phasors).T)
+    return np.ascontiguousarray((amp * raw).T)
+
+
+@functools.lru_cache(maxsize=8)
+def _stream_draws(
+    master_seed: int, trial_index: int, role: StreamRole, kind: WaveformKind,
+    k: int, count: int, m: int,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The unscaled draws of one stream: ``k`` waveforms of ``count`` samples
+    (:func:`_raw_draw`), then ``count`` noise vectors of ``m`` antennas as
+    standard normals of shape ``(2, count, m)`` (real parts, then imaginary
+    parts); ``None`` where ``k`` or ``m`` is 0.
+
+    A pure function of its arguments, so it is kept for the few calls that
+    reuse it: a trial run at every sweep point asks for the same draws at
+    each point.  The arrays are read-only and every caller scales them out
+    of place.
+    """
+    rng = RngStream(master_seed, trial_index, role).generator()
+    waves = noise = None
+    if k:
+        waves = _raw_draw(kind, k, count, rng)
+        waves.flags.writeable = False
+    if m:
+        noise = rng.standard_normal((2, count, m))
+        noise.flags.writeable = False
+    return waves, noise
 
 
 class _SceneConstants(NamedTuple):
@@ -310,18 +357,17 @@ def _interference_plus_noise(
     consts: _SceneConstants,
     kind: WaveformKind,
     count: int,
-    wave_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
+    waves: np.ndarray | None,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Per-source interference waveforms (drawn in interferer order) plus white noise."""
-    m = consts.soi_row.shape[1]
-    if consts.interferer_amp is not None:
-        e = _draw(kind, consts.interferer_amp, count, wave_rng) @ consts.steering_int_t
+    """Interference from the raw interferer ``waves`` (``None`` without
+    interferers) plus white noise from the raw ``noise``."""
+    if waves is not None:
+        e = _draw(kind, consts.interferer_amp, waves) @ consts.steering_int_t
     else:
-        e = np.zeros((count, m), dtype=np.complex128)
+        e = np.zeros((count, consts.soi_row.shape[1]), dtype=np.complex128)
     # real parts, then imaginary parts, as two (count, m) draws would give them
-    noise = noise_rng.standard_normal((2, count, m))
-    noise *= consts.noise_amp
+    noise = noise * consts.noise_amp
     e.real += noise[0]
     e.imag += noise[1]
     return e
@@ -342,9 +388,13 @@ def synth_scene_snapshots(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    s = _draw(kind, consts.soi_amp, count, rngs.stream(StreamRole.SOI)).reshape(count)
-    e = _interference_plus_noise(consts, kind, count, rngs.stream(StreamRole.INTERFERENCE),
-                                 rngs.stream(StreamRole.NOISE))
+    seed, trial = rngs.master_seed, rngs.trial_index
+    k, m = len(scene.interferers), geom.antennas
+    soi, _ = _stream_draws(seed, trial, StreamRole.SOI, kind, 1, count, 0)
+    waves = _stream_draws(seed, trial, StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
+    _, noise = _stream_draws(seed, trial, StreamRole.NOISE, kind, 0, count, m)
+    s = _draw(kind, consts.soi_amp, soi).reshape(count)
+    e = _interference_plus_noise(consts, kind, count, waves, noise)
     e += s[:, None] * consts.soi_row
     return SnapshotBatch(e, s)
 
@@ -364,7 +414,7 @@ def synth_scene_secondary(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    rng = rngs.stream(StreamRole.SECONDARY)
-    e = _interference_plus_noise(consts, kind, count, rng, rng)
+    waves, noise = _stream_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY,
+                                 kind, len(scene.interferers), count, geom.antennas)
+    e = _interference_plus_noise(consts, kind, count, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
-

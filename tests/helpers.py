@@ -28,6 +28,7 @@ from caponplus.signalsim import (
     _amplitudes,
     _checked_count,
     _draw,
+    _raw_draw,
 )
 
 
@@ -318,7 +319,8 @@ def draw_waveform(
     synthesis kernel.
     """
     powers = np.asarray(gamma, dtype=np.float64)
-    waves = _draw(kind, _amplitudes(kind, powers), _checked_count(count), rng)
+    amp = _amplitudes(kind, powers)
+    waves = _draw(kind, amp, _raw_draw(kind, powers.size, _checked_count(count), rng))
     return waves.reshape(count) if powers.ndim == 0 else waves
 
 

@@ -3,8 +3,6 @@ import itertools
 import math
 import multiprocessing
 import pickle
-import time
-from concurrent.futures.process import EXTRA_QUEUED_CALLS
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caponplus.montecarlo as mc
+import caponplus.signalsim as signalsim
 from caponplus.arraymodel import (
     ArrayGeometry,
     SourceScene,
@@ -232,39 +231,104 @@ class TestDeterminism:
         assert rep.points[0].n_failed == 0
 
 
+def point_records(parts, point):
+    """One sweep point's records from ``_run_chunk`` parts, rebuilt as the
+    ``(method, rel_bias, se_nmse, sp_nmse)`` tuples its trials returned."""
+    return [(method, *row) for methods, table, _failed in (part[point] for part in parts)
+            for method, row in zip(itertools.cycle(methods), table.tolist())]
+
+
+def exact(records):
+    """Records with each float as its ``float.hex``, so equal means equal bits."""
+    return [(method, *(v.hex() for v in values)) for method, *values in records]
+
+
+def scenario_run(doc, trials):
+    """The ``(config, values, contexts)`` run of a config document."""
+    cfg = build_run_config({**doc, "trials": trials}).scenario
+    return cfg, (cfg, cfg.sweep.values, [mc.build_context(cfg, v) for v in cfg.sweep.values])
+
+
 CHUNK_TRIALS = 120
-# One sweep point each of the oracle regime (Gaussian) and regime d (8-PSK
-# sources, T0 = 30, close to M = 25).
+# Multi-point runs of the oracle regime (Gaussian, three SNRs) and of regime d
+# (8-PSK sources, T0 from 30, close to M = 25, to 120).
 CHUNK_POINTS = {
-    "oracle": {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0]}},
-    "d_psk8_t0_30": {**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0]}},
+    "oracle": {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0, -4.0, -8.5]}},
+    "d_psk8_t0_30": {**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}},
 }
 
 
 @functools.cache
 def _chunk_point(name):
-    """The run of one sweep point and its records as one chunk of all trials."""
-    cfg = build_run_config({**CHUNK_POINTS[name], "trials": CHUNK_TRIALS}).scenario
-    run = (cfg, cfg.sweep.values, [mc.build_context(cfg, v) for v in cfg.sweep.values])
-    return run, mc._run_chunk(run, (0, 0, CHUNK_TRIALS))
+    """The run and its per-point parts as one chunk of all trials."""
+    _cfg, run = scenario_run(CHUNK_POINTS[name], CHUNK_TRIALS)
+    return run, mc._run_chunk(run, (0, CHUNK_TRIALS))
 
 
 class TestChunkInvariance:
-    """A point's records and failure count do not depend on where its
+    """Each point's records and failure count do not depend on where the
     trial range is cut into chunks."""
 
     @pytest.mark.parametrize("name", sorted(CHUNK_POINTS))
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(cuts=st.lists(st.integers(1, CHUNK_TRIALS - 1), unique=True, max_size=8))
     def test_split_trial_range_gives_same_records(self, name, cuts):
-        run, (whole, whole_failed) = _chunk_point(name)
+        run, whole = _chunk_point(name)
         bounds = [0, *sorted(cuts), CHUNK_TRIALS]
-        parts = [mc._run_chunk(run, (0, start, stop))
-                 for start, stop in itertools.pairwise(bounds)]
-        records = [rec for part, _failed in parts for rec in part]
-        assert records == whole
-        assert sum(failed for _part, failed in parts) == whole_failed
-        assert aggregate(records) == aggregate(whole)
+        parts = [mc._run_chunk(run, (start, stop)) for start, stop in itertools.pairwise(bounds)]
+        for point in range(len(run[1])):
+            records = point_records(parts, point)
+            assert records == point_records([whole], point)
+            assert sum(part[point][2] for part in parts) == whole[point][2]
+            assert aggregate(records) == aggregate(point_records([whole], point))
+
+
+TRIAL_MAJOR_TRIALS = 12
+# (config document, distinct stream draws a trial makes over all its points)
+TRIAL_MAJOR_RUNS = {
+    "oracle_gauss": (
+        {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0, -4.0, -8.5]}}, 3),
+    "oracle_psk8_measured": (
+        {**PRESETS["fig1"], "waveform": "psk8", "psk_alpha_mode": "measured",
+         "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}}, 3),
+    "a_snr": ({**PRESETS["fig3"], "sweep": {"variable": "snr_db", "values": [0.0, -10.0]}}, 3),
+    "b_snr": ({**PRESETS["fig4a"], "sweep": {"variable": "snr_db", "values": [5.0, -10.0]}}, 3),
+    # the primary draws are shared over T0, the secondary ones are not
+    "c_t0": ({**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}}, 6),
+    "d_t0": ({**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}}, 5),
+    # one T0 at every SNR: the secondary draws are shared too
+    "d_snr": ({**PRESETS["fig6"], "secondary_snapshots": 40,
+               "sweep": {"variable": "snr_db", "values": [0.0, -5.0, -10.0]}}, 4),
+}
+
+
+class TestTrialMajorEqualsPointMajor:
+    """A chunk that runs each trial at every point, reusing the trial's draws,
+    returns per point the records of running that point's trials alone, each
+    on a cold draw cache, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(TRIAL_MAJOR_RUNS))
+    def test_chunk_equals_one_point_at_a_time(self, name):
+        doc, streams_per_trial = TRIAL_MAJOR_RUNS[name]
+        n = TRIAL_MAJOR_TRIALS
+        cfg, run = scenario_run(doc, 100)  # a config needs >= 100 trials; 12 of them run
+        _, values, contexts = run
+        draws = signalsim._stream_draws
+        draws.cache_clear()
+        parts = mc._run_chunk(run, (0, n))
+        info = draws.cache_info()
+        assert info.misses == n * streams_per_trial
+        # three primary draws per trial-point, plus the secondary one in c and d
+        draws_per_point = 3 + (cfg.regime in (Regime.C, Regime.D))
+        assert info.hits + info.misses == n * len(values) * draws_per_point
+        trial = mc._TRIAL_FUNCS[cfg.regime]
+        for point, ctx in enumerate(contexts):
+            reference = []
+            for i in range(n):
+                draws.cache_clear()
+                reference.extend(trial(cfg, ctx, i))
+            assert parts[point][2] == 0
+            assert exact(point_records([parts], point)) == exact(reference), values[point]
 
 
 @pytest.fixture(scope="module")
@@ -478,18 +542,18 @@ class TestEmitTheory:
 class TestFailureHandling:
     """Failed trials are counted and left out alike through the serial map and
     the worker pool, whose forked workers inherit the patched trial table.
-    The sweep has three points; only point 1 fails, and every trial call is
-    counted per point in shared memory, so calls made in workers are seen."""
+    The sweep has three points, and every trial call is counted per point in
+    shared memory, so calls made in workers are seen."""
 
     SNRS = (0.0, 1.0, 2.0)
     TRIALS = 1000
-    # At threads = 2 the 1000 trials of a point run in chunks of 125: trials
-    # 0, 124, 125 and 999 open or close a chunk; at threads = 1, 0 and 999 do.
+    # At threads = 2 the 1000 trials run in chunks of 125: trials 0, 124, 125
+    # and 999 open or close a chunk; at threads = 1, 0 and 999 do.
     FAILING = (0, 3, 124, 125, 999)
 
-    def _run(self, monkeypatch, fails, threads, slow_point_2=False):
-        """Run the sweep with point 1's trial ``idx`` failing where
-        ``fails(idx)``; return the report, or the error it raised, and the
+    def _run(self, monkeypatch, fails, threads):
+        """Run the sweep with trial ``idx`` of point ``p`` failing where
+        ``fails[p](idx)``; return the report, or the error it raised, and the
         trial calls made at each point."""
         original = mc._TRIAL_FUNCS[Regime.ORACLE]
         powers = [snr_to_scene(SMALL_SCENE, v).soi.power for v in self.SNRS]
@@ -499,10 +563,8 @@ class TestFailureHandling:
             point = powers.index(ctx.scene.soi.power)
             with calls[point].get_lock():
                 calls[point].value += 1
-            if point == 1 and fails(idx):
+            if point in fails and fails[point](idx):
                 raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            if point == 2 and slow_point_2:
-                time.sleep(0.0005)
             return original(cfg, ctx, idx)
 
         monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, counted)
@@ -525,7 +587,7 @@ class TestFailureHandling:
                 for r in original(cfg, ctx, i)
             ]))
         for threads in (1, 2):
-            report, calls = self._run(monkeypatch, self.FAILING.__contains__, threads)
+            report, calls = self._run(monkeypatch, {1: self.FAILING.__contains__}, threads)
             assert calls == [self.TRIALS] * 3
             assert [p.n_failed for p in report.points] == [0, len(self.FAILING), 0]
             assert [p.n_trials for p in report.points] == [
@@ -535,25 +597,29 @@ class TestFailureHandling:
             assert mc._worker_run is None
 
     def test_failure_threshold_hard_error(self, monkeypatch):
-        # 50 of 1000 trials fail at point 1, over the 1 % gate.
+        # 50 of 1000 trials fail at point 1, over the 1 % gate.  Every chunk
+        # runs every point, so the gate is checked once all trials have run.
         very_flaky = lambda idx: idx % 20 == 0  # noqa: E731
-        error, calls = self._run(monkeypatch, very_flaky, threads=1)
-        assert isinstance(error, TrialFailureError)
-        assert calls == [self.TRIALS, self.TRIALS, 0]
-        # Point 2's chunks are slow, so none ends before the error: only the
-        # chunks handed to the workers by then (one running in each worker,
-        # and the call queue's workers + EXTRA_QUEUED_CALLS) run, each whole.
-        error, calls = self._run(monkeypatch, very_flaky, threads=2, slow_point_2=True)
-        assert isinstance(error, TrialFailureError)
-        assert calls[:2] == [self.TRIALS, self.TRIALS]
-        chunk = 125
-        assert calls[2] % chunk == 0
-        assert calls[2] <= (2 + 2 + EXTRA_QUEUED_CALLS) * chunk < self.TRIALS
+        for threads in (1, 2):
+            error, calls = self._run(monkeypatch, {1: very_flaky}, threads)
+            assert isinstance(error, TrialFailureError)
+            assert str(error) == "50 of 1000 trials failed at sweep value 1.0 (> 1% threshold)"
+            assert calls == [self.TRIALS] * 3
+
+    def test_first_failing_point_in_sweep_order_named(self, monkeypatch):
+        # Point 2 fails first (at trial 0; point 1 at trial 19) and twice as
+        # often as point 1; the error still names point 1.
+        fails = {1: lambda idx: idx % 20 == 19, 2: lambda idx: idx % 10 == 0}
+        for threads in (1, 2):
+            error, calls = self._run(monkeypatch, fails, threads)
+            assert isinstance(error, TrialFailureError)
+            assert str(error) == "50 of 1000 trials failed at sweep value 1.0 (> 1% threshold)"
+            assert calls == [self.TRIALS] * 3
 
 
 class TestWorkerCap:
     """The pool gets at most one worker per usable CPU, one ``map`` call
-    carries every point's chunks, and a work item is ``(point, start, stop)``
+    carries every chunk, and a work item is a trial range ``(start, stop)``
     only.  No process is started: the executor is replaced by a recorder that
     runs the initializer and maps in-process."""
 
@@ -572,7 +638,7 @@ class TestWorkerCap:
             def map(self, fn, args):
                 self.maps += 1
                 self.chunks += len(args)
-                assert all(len(item) == 3 and all(type(x) is int for x in item)
+                assert all(len(item) == 2 and all(type(x) is int for x in item)
                            for item in args)
                 return map(fn, args)
 
@@ -587,10 +653,10 @@ class TestWorkerCap:
         assert pools == []
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert run_scenario(cfg, threads=100_000).points == serial
-        # 200 trials over 3 workers: chunks of ceil(200 / 12) = 17 trials,
-        # 12 per point, all three points through one map call.
+        # 200 trials over 3 workers: 12 chunks of ceil(200 / 12) = 17 trials,
+        # each of all three points, through one map call.
         assert [(p.max_workers, p.maps, p.chunks, p.shut_down) for p in pools] == [
-            (3, 1, 36, True)]
+            (3, 1, 12, True)]
 
     def test_forked_workers_get_the_run_unpickled(self, monkeypatch):
         def refuse(self, protocol):

@@ -14,6 +14,7 @@ from caponplus.arraymodel import (
     output_moments_theory,
     steering_vector,
 )
+import caponplus.signalsim as signalsim
 from caponplus.errors import DomainError
 from caponplus.beamformers import apply_weights
 from caponplus.estimation import kurtosis_estimate, scm
@@ -395,6 +396,75 @@ class TestSynthMatchesReference:
         for synth in (synth_scene_snapshots, synth_scene_secondary):
             with pytest.raises(DomainError, match="sample count"):
                 synth(GEOM, scene, WaveformKind.PSK8, 0, TrialRngs(7, 0))
+
+
+MEMO_SEEDS = [7, 20250810, 2**70 + 1]
+MEMO_TRIALS = [0, 255, 256, 2**32 - 1]
+MEMO_CALL = st.tuples(
+    st.sampled_from(["snapshots", "secondary"]),
+    st.sampled_from(MEMO_SEEDS),
+    st.sampled_from(MEMO_TRIALS),
+    st.sampled_from(list(WaveformKind)),
+    st.sampled_from([0, 1, 3]),  # interferers
+    st.sampled_from([1, 60, 200]),  # sample count
+    st.sampled_from([8, 25]),  # antennas
+    st.sampled_from([1.0, 10.0]),  # power scale: one stream's draws at two scenes
+)
+SYNTH = {
+    "snapshots": (synth_scene_snapshots, reference_synth_scene_snapshots),
+    "secondary": (synth_scene_secondary, reference_synth_scene_secondary),
+}
+
+
+def memo_keys(which, n_interferers, m):
+    """The ``(role, waveforms, antennas)`` of each stream draw a call makes."""
+    if which == "secondary":
+        return [(StreamRole.SECONDARY, n_interferers, m)]
+    keys = [(StreamRole.SOI, 1, 0), (StreamRole.NOISE, 0, m)]
+    return keys + [(StreamRole.INTERFERENCE, n_interferers, 0)] * (n_interferers > 0)
+
+
+def memo_scene(n_interferers, scale):
+    return SourceScene(
+        soi=SourceSpec(-45.02, 0.7 * scale),
+        interferers=tuple(
+            SourceSpec(doa, power * scale)
+            for doa, power in zip((-30.0, 0.0, 20.0), (3.1, 0.25, 1e-3))
+        )[:n_interferers],
+        noise_var=0.37,
+    )
+
+
+class TestDrawMemo:
+    """The memo of a stream's unscaled draws is invisible: any interleaving of
+    synthesis calls gives what each call gives on a cold cache, which is the
+    reference, and every cached array is read-only."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(calls=st.lists(MEMO_CALL, min_size=1, max_size=12))
+    def test_interleaved_calls_equal_cold_calls(self, calls):
+        draws = signalsim._stream_draws
+        draws.cache_clear()
+        warm = []
+        for which, seed, trial, kind, n_int, count, m, scale in calls:
+            synth, _ = SYNTH[which]
+            geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
+            warm.append(synth(geom, scene, kind, count, TrialRngs(seed, trial)))
+            for role, k, m_role in memo_keys(which, n_int, m):
+                hits = draws.cache_info().hits
+                cached = draws(seed, trial, role, kind, k, count, m_role)
+                assert draws.cache_info().hits == hits + 1  # the call above kept it
+                for arr in cached:
+                    assert arr is None or not arr.flags.writeable
+        for (which, seed, trial, kind, n_int, count, m, scale), got in zip(calls, warm):
+            synth, reference = SYNTH[which]
+            geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
+            draws.cache_clear()
+            cold = synth(geom, scene, kind, count, TrialRngs(seed, trial))
+            ref = reference(geom, scene, kind, count, seed, trial)
+            for batch in (cold, ref):
+                assert np.array_equal(bits(got.snapshots), bits(batch.snapshots))
+                assert np.array_equal(bits(got.truth), bits(batch.truth))
 
 
 class TestSnapshotBatchInvariants:
