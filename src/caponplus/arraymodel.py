@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,11 +83,17 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class SourceScene:
-    """SOI plus interferers plus white noise of variance ``noise_var``."""
+    """SOI plus interferers plus white noise of variance ``noise_var``.
+
+    The hash is computed once, when the scene is built: synthesis looks its
+    constants up by scene on every call, and the generated hash re-hashes
+    every :class:`SourceSpec`.  Equality still compares the fields.
+    """
 
     soi: SourceSpec
     interferers: tuple[SourceSpec, ...] = ()
     noise_var: float = 1.0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
@@ -96,10 +102,10 @@ class SourceScene:
         doas = [self.soi.doa_deg] + [s.doa_deg for s in self.interferers]
         if len(set(doas)) != len(doas):
             raise DomainError(f"all DOAs must be distinct, got {doas}")
+        object.__setattr__(self, "_hash", hash((self.soi, self.interferers, self.noise_var)))
 
-    @property
-    def all_sources(self) -> tuple[SourceSpec, ...]:
-        return (self.soi,) + self.interferers
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @functools.lru_cache(maxsize=1024)
@@ -299,7 +305,7 @@ def output_moments_theory(
     """
     parts = np.array(
         [src.power * abs(np.vdot(w, steering_vector(geom, src.doa_deg))) ** 2
-         for src in scene.all_sources]
+         for src in (scene.soi, *scene.interferers)]
         + [scene.noise_var * float(np.vdot(w, w).real)]
     )
     power = parts.sum()

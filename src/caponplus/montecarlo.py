@@ -44,18 +44,23 @@ the thread count never changes any output bit.
 
 A run builds every sweep point's :class:`SweepContext` up front and reuses
 it for the theory rows.  A work item is a trial range ``(start, stop)``, and
-a chunk runs it trial-major: each trial runs at every sweep point in turn.  A
-trial's streams do not depend on the sweep point, so its raw draws are made
-at the first point and reused at the others (see :mod:`.signalsim`); each
-point's records are still those of running its trials alone.  The config and
-the contexts reach a forked worker once, through the pool's initializer,
-whose arguments a fork does not pickle; the serial path binds them to the
-same chunk function.  The chunks go, in trial order, through one ``map``
-call: the builtin ``map`` at one thread, else the ``map`` of one forked
-worker pool kept for the whole run.  The pool has at most one worker per CPU
-the process may run on: ``ProcessPoolExecutor`` forks all its workers at
-once, so an unbounded ``threads`` would fork that many processes.  The trials
-are split into four chunks per worker.
+a chunk runs it trial-major: each trial runs at every sweep point in turn.
+
+A trial's streams do not depend on the sweep point, so :mod:`.signalsim`
+keeps the trial's raw draws from its first point for the others, and along a
+T0 sweep, where the scene is the same at every point, its primary batch too.
+Each point's records are still those of running its trials alone.  That
+memo holds one trial: the next trial's first call empties it, and a chunk
+empties it when it ends or raises, so no draw outlives a run.
+
+The config and the contexts reach a forked worker once, through the pool's
+initializer, whose arguments a fork does not pickle; the serial path binds
+them to the same chunk function.  The chunks go, in trial order, through one
+``map`` call: the builtin ``map`` at one thread, else the ``map`` of one
+forked worker pool kept for the whole run.  The pool has at most one worker
+per CPU the process may run on: ``ProcessPoolExecutor`` forks all its
+workers at once, so an unbounded ``threads`` would fork that many processes.
+The trials are split into four chunks per worker.
 
 A chunk returns, per sweep point, the methods of a trial's records and their
 metrics as one float64 table in trial order, which pickles and holds far more
@@ -113,7 +118,7 @@ from .estimation import (
     scm,
 )
 from .metrics import AggregateRecord, TrialRecord, aggregate, mean_abs_sq, trial_records
-from .signalsim import TrialRngs, synth_scene_secondary, synth_scene_snapshots
+from .signalsim import TrialRngs, clear_trial_memo, synth_scene_secondary, synth_scene_snapshots
 
 __all__ = [
     "Regime",
@@ -506,16 +511,19 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     methods: list[tuple[str, ...]] = [()] * len(contexts)
     tables = [array.array("d") for _ in contexts]
     failed = [0] * len(contexts)
-    for idx in range(start, stop):
-        for point, ctx in enumerate(contexts):
-            try:
-                records = run_trial(config, values[point], idx, ctx)
-            except NotPositiveDefinite:
-                failed[point] += 1
-                continue
-            if not methods[point]:
-                methods[point] = tuple(rec[0] for rec in records)
-            tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
+    try:
+        for idx in range(start, stop):
+            for point, ctx in enumerate(contexts):
+                try:
+                    records = run_trial(config, values[point], idx, ctx)
+                except NotPositiveDefinite:
+                    failed[point] += 1
+                    continue
+                if not methods[point]:
+                    methods[point] = tuple(rec[0] for rec in records)
+                tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
+    finally:
+        clear_trial_memo()
     return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
             for names, table, n_failed in zip(methods, tables, failed)]
 

@@ -22,12 +22,19 @@ A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(r
 with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.
 
 A stream's draws are a pure function of its coordinates and of the shapes
-drawn, so synthesis does not draw them per call: :func:`_stream_draws` keys
-the unscaled draws (standard normals or 8-PSK phasors of the waveforms, then
-standard normals of the noise) by ``(master_seed, trial_index, role, kind,
-K, count, M)`` and keeps the last eight as read-only arrays.  A trial run at
-every sweep point in turn asks for the same draws at each point, and its
-generators are built only at the first.
+drawn, so synthesis does not draw them per call.  The module keeps one
+trial's worth of synthesis in a memo: the trial ``(master_seed,
+trial_index)``, its unscaled draws (standard normals or 8-PSK phasors of the
+waveforms, then standard normals of the noise) keyed by ``(role, kind, K,
+count, M)``, and at most one primary :class:`SnapshotBatch` keyed by
+``(geom, scene, kind, count)``.  A call for another trial empties the memo
+first; a primary call for another scene drops the held batch before it
+synthesises, so the memo never holds two batches.  Every held array is
+read-only, the batch included.  A trial run at every sweep point in turn
+builds its generators at the first point only; along an SNR sweep it reuses
+the draws, and along a T0 sweep the primary batch itself.
+:func:`clear_trial_memo` empties the memo, which the Monte-Carlo harness
+does at the end of every chunk of trials.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -53,9 +60,7 @@ their order and every arithmetic operation are those of evaluating the
 constants per call, so every batch keeps its bits.  The memoised draws are
 scaled out of place (``raw * amp``), which computes the same products as
 scaling a fresh draw in place, so a batch has the same bits whether its
-draws were cached or not.  Along an SNR sweep only the amplitudes change
-(the noise stays at unit power); along a T0 sweep the primary batch is the
-same at every point.
+draws were cached or not.
 """
 
 from __future__ import annotations
@@ -297,30 +302,71 @@ def _draw(kind: WaveformKind, amp: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((amp * raw).T)
 
 
-@functools.lru_cache(maxsize=8)
-def _stream_draws(
+def _new_draws(
     master_seed: int, trial_index: int, role: StreamRole, kind: WaveformKind,
     k: int, count: int, m: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The unscaled draws of one stream: ``k`` waveforms of ``count`` samples
     (:func:`_raw_draw`), then ``count`` noise vectors of ``m`` antennas as
     standard normals of shape ``(2, count, m)`` (real parts, then imaginary
-    parts); ``None`` where ``k`` or ``m`` is 0.
-
-    A pure function of its arguments, so it is kept for the few calls that
-    reuse it: a trial run at every sweep point asks for the same draws at
-    each point.  The arrays are read-only and every caller scales them out
-    of place.
-    """
+    parts); ``None`` where ``k`` or ``m`` is 0.  The arrays are read-only."""
     rng = RngStream(master_seed, trial_index, role).generator()
     waves = noise = None
     if k:
         waves = _raw_draw(kind, k, count, rng)
-        waves.flags.writeable = False
+        waves.setflags(write=False)
     if m:
         noise = rng.standard_normal((2, count, m))
-        noise.flags.writeable = False
+        noise.setflags(write=False)
     return waves, noise
+
+
+class _TrialMemo:
+    """One trial's draws and primary batch; see the module docstring.
+
+    ``hits`` and ``misses`` count the draw lookups of the process and are
+    never reset.
+    """
+
+    __slots__ = ("trial", "draws", "batch_key", "batch", "hits", "misses")
+
+    def __init__(self):
+        self.hits = self.misses = 0
+        self.clear()
+
+    def clear(self) -> None:
+        self.trial = None
+        self.draws = {}
+        self.batch_key = self.batch = None
+
+    def hold(self, master_seed: int, trial_index: int) -> None:
+        """Make ``(master_seed, trial_index)`` the held trial, emptying the
+        memo first if it held another."""
+        trial = (master_seed, trial_index)
+        if trial != self.trial:
+            self.clear()
+            self.trial = trial
+
+    def stream_draws(
+        self, role: StreamRole, kind: WaveformKind, k: int, count: int, m: int
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """:func:`_new_draws` of the held trial, made once and kept."""
+        key = (role, kind, k, count, m)
+        draws = self.draws.get(key)
+        if draws is None:
+            self.misses += 1
+            draws = self.draws[key] = _new_draws(*self.trial, role, kind, k, count, m)
+        else:
+            self.hits += 1
+        return draws
+
+
+_MEMO = _TrialMemo()
+
+
+def clear_trial_memo() -> None:
+    """Drop every draw and batch the memo holds."""
+    _MEMO.clear()
 
 
 class _SceneConstants(NamedTuple):
@@ -384,15 +430,37 @@ def synth_scene_snapshots(
 
     This is the generator used by the experiment scenarios: the scene applies
     one waveform law to all sources, while the additive noise stays white
-    Gaussian.
+    Gaussian.  The batch is read-only: the memo holds it, and a call with the
+    same arguments returns it again.
     """
+    memo = _MEMO
+    memo.hold(rngs.master_seed, rngs.trial_index)
+    key = (geom, scene, kind, count)
+    if memo.batch_key == key:
+        return memo.batch
+    memo.batch_key = memo.batch = None
+    batch = _synth_primary(memo, geom, scene, kind, count)
+    batch.snapshots.setflags(write=False)
+    batch.truth.setflags(write=False)
+    memo.batch_key, memo.batch = key, batch
+    return batch
+
+
+def _synth_primary(
+    memo: _TrialMemo,
+    geom: ArrayGeometry,
+    scene: SourceScene,
+    kind: WaveformKind,
+    count: int,
+) -> SnapshotBatch:
+    """The primary batch of :func:`synth_scene_snapshots`, synthesised from
+    the draws of the trial ``memo`` holds."""
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    seed, trial = rngs.master_seed, rngs.trial_index
     k, m = len(scene.interferers), geom.antennas
-    soi, _ = _stream_draws(seed, trial, StreamRole.SOI, kind, 1, count, 0)
-    waves = _stream_draws(seed, trial, StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
-    _, noise = _stream_draws(seed, trial, StreamRole.NOISE, kind, 0, count, m)
+    soi, _ = memo.stream_draws(StreamRole.SOI, kind, 1, count, 0)
+    waves = memo.stream_draws(StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
+    _, noise = memo.stream_draws(StreamRole.NOISE, kind, 0, count, m)
     s = _draw(kind, consts.soi_amp, soi).reshape(count)
     e = _interference_plus_noise(consts, kind, count, waves, noise)
     e += s[:, None] * consts.soi_row
@@ -414,7 +482,9 @@ def synth_scene_secondary(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    waves, noise = _stream_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY,
-                                 kind, len(scene.interferers), count, geom.antennas)
+    memo = _MEMO
+    memo.hold(rngs.master_seed, rngs.trial_index)
+    waves, noise = memo.stream_draws(StreamRole.SECONDARY, kind, len(scene.interferers),
+                                     count, geom.antennas)
     e = _interference_plus_noise(consts, kind, count, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))

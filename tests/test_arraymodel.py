@@ -63,6 +63,17 @@ class TestSteeringVector:
             a[0] = 0.0
 
 
+class TestSourceScene:
+    def test_hash_matches_across_equal_scenes_and_equality_compares_fields(self):
+        scene = SourceScene(SourceSpec(0.0, 1.0), (SourceSpec(30.0, 0.5),), 1.0)
+        same = SourceScene(SourceSpec(0.0, 1.0), [SourceSpec(30.0, 0.5)], 1.0)
+        assert scene is not same and scene == same
+        assert hash(scene) == hash(same) and len({scene, same}) == 1
+        assert scene != dataclasses.replace(scene, noise_var=2.0)
+        assert scene != dataclasses.replace(scene, soi=SourceSpec(0.0, 2.0))
+        assert "_hash" not in repr(scene)
+
+
 class TestCovarianceConstruction:
     def test_incm_no_interferers_is_noise_identity(self):
         geom = ArrayGeometry(3, 0.5)

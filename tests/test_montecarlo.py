@@ -283,6 +283,63 @@ class TestChunkInvariance:
             assert aggregate(records) == aggregate(point_records([whole], point))
 
 
+    @pytest.mark.parametrize("name", sorted(CHUNK_POINTS))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=15)
+    @given(cuts=st.lists(st.integers(1, CHUNK_TRIALS - 1), unique=True, max_size=8),
+           fails=st.sets(st.tuples(st.integers(0, 2), st.integers(0, CHUNK_TRIALS - 1)),
+                         max_size=8))
+    def test_failed_trials_split_alike(self, name, cuts, fails):
+        run, whole = _chunk_point(name)
+        bounds = [0, *sorted(cuts), CHUNK_TRIALS]
+        with pytest.MonkeyPatch.context() as patch:
+            fail_at(patch, run, fails)
+            parts = [mc._run_chunk(run, (start, stop))
+                     for start, stop in itertools.pairwise(bounds)]
+        for point in range(len(run[1])):
+            assert point_records(parts, point) == surviving_records(whole, point, fails)
+            failed = sum(part[point][2] for part in parts)
+            assert failed == sum(p == point for p, _ in fails)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_trials_alike_at_any_thread_count(self, monkeypatch, threads):
+        # one failure per point, within the 1 % gate; at threads 2 the 120
+        # trials run in chunks of 15, so trials 0, 15 and 119 open or close one
+        run, whole = _chunk_point("oracle")
+        fails = {(0, 0), (1, 15), (2, 119)}
+        fail_at(monkeypatch, run, fails)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        report = run_scenario(run[0], threads=threads)
+        for point, result in enumerate(report.points):
+            assert result.n_failed == 1 and result.n_trials == CHUNK_TRIALS - 1
+            assert result.aggregates == aggregate(surviving_records(whole, point, fails))
+
+
+def fail_at(patch, run, fails):
+    """Patch the run's trial function to raise ``NotPositiveDefinite`` at each
+    ``(point, trial)`` of ``fails`` after the trial has run, as a trial whose
+    sample covariance cannot be factored does."""
+    config, _, contexts = run
+    original = mc._TRIAL_FUNCS[config.regime]
+    points = {(ctx.scene, ctx.secondary_snapshots): p for p, ctx in enumerate(contexts)}
+
+    def failing(cfg, ctx, idx):
+        records = original(cfg, ctx, idx)
+        if (points[ctx.scene, ctx.secondary_snapshots], idx) in fails:
+            raise NotPositiveDefinite("synthetic failure", pivot_index=0)
+        return records
+
+    patch.setitem(mc._TRIAL_FUNCS, config.regime, failing)
+
+
+def surviving_records(whole, point, fails):
+    """A point's records in a one-chunk run without failures, less those of
+    the trials that ``fails`` fails at that point."""
+    methods = whole[point][0]
+    records = point_records([whole], point)
+    return [rec for i, rec in enumerate(records)
+            if (point, i // len(methods)) not in fails]
+
+
 TRIAL_MAJOR_TRIALS = 12
 # (config document, distinct stream draws a trial makes over all its points)
 TRIAL_MAJOR_RUNS = {
@@ -303,9 +360,9 @@ TRIAL_MAJOR_RUNS = {
 
 
 class TestTrialMajorEqualsPointMajor:
-    """A chunk that runs each trial at every point, reusing the trial's draws,
-    returns per point the records of running that point's trials alone, each
-    on a cold draw cache, bit for bit."""
+    """A chunk that runs each trial at every point, reusing the trial's draws
+    and, along a T0 sweep, its primary batch, returns per point the records
+    of running that point's trials alone, each on an empty memo, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(TRIAL_MAJOR_RUNS))
     def test_chunk_equals_one_point_at_a_time(self, name):
@@ -313,22 +370,70 @@ class TestTrialMajorEqualsPointMajor:
         n = TRIAL_MAJOR_TRIALS
         cfg, run = scenario_run(doc, 100)  # a config needs >= 100 trials; 12 of them run
         _, values, contexts = run
-        draws = signalsim._stream_draws
-        draws.cache_clear()
+        memo = signalsim._MEMO
+        hits, misses = memo.hits, memo.misses
         parts = mc._run_chunk(run, (0, n))
-        info = draws.cache_info()
-        assert info.misses == n * streams_per_trial
-        # three primary draws per trial-point, plus the secondary one in c and d
-        draws_per_point = 3 + (cfg.regime in (Regime.C, Regime.D))
-        assert info.hits + info.misses == n * len(values) * draws_per_point
+        hits, misses = memo.hits - hits, memo.misses - misses
+        assert misses == n * streams_per_trial
+        # three primary draws per trial-point, plus the secondary one in c and
+        # d; along a T0 sweep the primary batch is built at the first point only
+        primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 else len(values)
+        secondary_points = len(values) * (cfg.regime in (Regime.C, Regime.D))
+        assert hits + misses == n * (3 * primary_points + secondary_points)
         trial = mc._TRIAL_FUNCS[cfg.regime]
         for point, ctx in enumerate(contexts):
             reference = []
             for i in range(n):
-                draws.cache_clear()
+                signalsim.clear_trial_memo()
                 reference.extend(trial(cfg, ctx, i))
             assert parts[point][2] == 0
             assert exact(point_records([parts], point)) == exact(reference), values[point]
+
+
+def memo_is_empty():
+    memo = signalsim._MEMO
+    return (memo.trial, memo.draws, memo.batch_key, memo.batch) == (None, {}, None, None)
+
+
+class TestTrialMemo:
+    """The memo in :mod:`.signalsim` holds one trial, builds a T0 sweep's
+    primary batch once per trial, and is empty once a chunk ends or raises."""
+
+    @pytest.mark.parametrize("name, builds_per_trial", [("c_t0", 1), ("oracle_gauss", 3)])
+    def test_primary_batch_built_once_per_trial_and_scene(self, monkeypatch, name,
+                                                          builds_per_trial):
+        _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        built = []
+        body = signalsim._synth_primary
+
+        def counted(memo, geom, scene, kind, count):
+            built.append(memo.trial[1])
+            return body(memo, geom, scene, kind, count)
+
+        monkeypatch.setattr(signalsim, "_synth_primary", counted)
+        mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+        assert built == [i for i in range(TRIAL_MAJOR_TRIALS) for _ in range(builds_per_trial)]
+
+    def test_empty_after_run_scenario(self):
+        cfg = config(regime=Regime.D, trials=100, secondary_snapshots=0,
+                     sweep=SweepSpec(SweepVariable.T0, (8.0, 16.0)))
+        run_scenario(cfg, threads=1)
+        assert memo_is_empty()
+
+    def test_empty_after_chunk_raises(self, monkeypatch):
+        _, run = scenario_run(TRIAL_MAJOR_RUNS["d_t0"][0], 100)
+        original = mc._TRIAL_FUNCS[Regime.D]
+
+        def raising(cfg, ctx, idx):
+            records = original(cfg, ctx, idx)
+            if idx == 3:
+                raise RuntimeError("synthetic error")
+            return records
+
+        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.D, raising)
+        with pytest.raises(RuntimeError, match="synthetic error"):
+            mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+        assert memo_is_empty()
 
 
 @pytest.fixture(scope="module")

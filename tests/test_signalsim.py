@@ -436,35 +436,78 @@ def memo_scene(n_interferers, scale):
 
 
 class TestDrawMemo:
-    """The memo of a stream's unscaled draws is invisible: any interleaving of
-    synthesis calls gives what each call gives on a cold cache, which is the
-    reference, and every cached array is read-only."""
+    """The memo of a trial's unscaled draws and primary batch is invisible:
+    any interleaving of synthesis calls gives what each call gives on an
+    empty memo, which is the reference, and every held array is read-only."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(calls=st.lists(MEMO_CALL, min_size=1, max_size=12))
     def test_interleaved_calls_equal_cold_calls(self, calls):
-        draws = signalsim._stream_draws
-        draws.cache_clear()
+        memo = signalsim._MEMO
+        signalsim.clear_trial_memo()
         warm = []
         for which, seed, trial, kind, n_int, count, m, scale in calls:
             synth, _ = SYNTH[which]
             geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
             warm.append(synth(geom, scene, kind, count, TrialRngs(seed, trial)))
             for role, k, m_role in memo_keys(which, n_int, m):
-                hits = draws.cache_info().hits
-                cached = draws(seed, trial, role, kind, k, count, m_role)
-                assert draws.cache_info().hits == hits + 1  # the call above kept it
+                hits = memo.hits
+                memo.hold(seed, trial)
+                cached = memo.stream_draws(role, kind, k, count, m_role)
+                assert memo.hits == hits + 1  # the call above kept it
                 for arr in cached:
                     assert arr is None or not arr.flags.writeable
         for (which, seed, trial, kind, n_int, count, m, scale), got in zip(calls, warm):
             synth, reference = SYNTH[which]
             geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
-            draws.cache_clear()
+            signalsim.clear_trial_memo()
             cold = synth(geom, scene, kind, count, TrialRngs(seed, trial))
             ref = reference(geom, scene, kind, count, seed, trial)
             for batch in (cold, ref):
                 assert np.array_equal(bits(got.snapshots), bits(batch.snapshots))
                 assert np.array_equal(bits(got.truth), bits(batch.truth))
+
+
+    def test_held_batch_is_read_only_and_returned_again(self):
+        signalsim.clear_trial_memo()
+        batch = synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 40, TrialRngs(7, 3))
+        assert signalsim._MEMO.batch is batch
+        for arr in batch:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        # an equal but distinct scene and geometry find the held batch
+        scene = SourceScene(PSK_SCENE.soi, list(PSK_SCENE.interferers), PSK_SCENE.noise_var)
+        again = synth_scene_snapshots(ArrayGeometry(4, 0.5), scene, WaveformKind.PSK8, 40,
+                                      TrialRngs(7, 3))
+        assert again is batch
+
+    def test_one_trial_and_one_batch_held(self):
+        memo = signalsim._MEMO
+        signalsim.clear_trial_memo()
+        kind = WaveformKind.CIRCULAR_GAUSSIAN
+        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0))
+        draws = dict(memo.draws)
+        # another scene of the same trial: the draws stay, the batch is replaced
+        other = synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, TrialRngs(7, 0))
+        assert memo.batch is other and memo.trial == (7, 0)
+        assert all(memo.draws[key] is value for key, value in draws.items())
+        # another trial: everything the memo held is dropped first
+        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 1))
+        assert memo.trial == (7, 1) and memo.batch is None and memo.batch_key is None
+        assert list(memo.draws) == [(StreamRole.SECONDARY, kind, 3, 30, 4)]
+        signalsim.clear_trial_memo()
+        assert (memo.trial, memo.draws, memo.batch_key, memo.batch) == (None, {}, None, None)
+
+    def test_equal_scenes_share_one_constants_entry(self):
+        constants = signalsim._scene_constants
+        constants.cache_clear()
+        first, second = memo_scene(3, 1.0), memo_scene(3, 1.0)
+        assert first is not second and first == second and hash(first) == hash(second)
+        kind = WaveformKind.PSK8
+        assert constants(GEOM, first, kind) is constants(GEOM, second, kind)
+        info = constants.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestSnapshotBatchInvariants:
