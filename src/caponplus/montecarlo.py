@@ -47,11 +47,12 @@ it for the theory rows.  A work item is a trial range ``(start, stop)``, and
 a chunk runs it trial-major: each trial runs at every sweep point in turn.
 
 A trial's streams do not depend on the sweep point, so :mod:`.signalsim`
-keeps the trial's raw draws from its first point for the others, and along a
-T0 sweep, where the scene is the same at every point, its primary batch too.
-Each point's records are still those of running its trials alone.  That
-memo holds one trial: the next trial's first call empties it, and a chunk
-empties it when it ends or raises, so no draw outlives a run.
+keeps the trial's raw draws from its first point for the others (a cache of
+the four draws used last), and along a T0 sweep, where the scene is the same
+at every point, its primary batch too (one batch held).  Each point's
+records are still those of running its trials alone.  A chunk empties the
+cache and the held batch before each trial, so they hold one trial at a
+time, and when it ends or raises, so no draw outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -513,6 +514,7 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     failed = [0] * len(contexts)
     try:
         for idx in range(start, stop):
+            clear_trial_memo()
             for point, ctx in enumerate(contexts):
                 try:
                     records = run_trial(config, values[point], idx, ctx)

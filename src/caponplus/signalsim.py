@@ -22,19 +22,20 @@ A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(r
 with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.
 
 A stream's draws are a pure function of its coordinates and of the shapes
-drawn, so synthesis does not draw them per call.  The module keeps one
-trial's worth of synthesis in a memo: the trial ``(master_seed,
-trial_index)``, its unscaled draws (standard normals or 8-PSK phasors of the
-waveforms, then standard normals of the noise) keyed by ``(role, kind, K,
-count, M)``, and at most one primary :class:`SnapshotBatch` keyed by
-``(geom, scene, kind, count)``.  A call for another trial empties the memo
-first; a primary call for another scene drops the held batch before it
-synthesises, so the memo never holds two batches.  Every held array is
-read-only, the batch included.  A trial run at every sweep point in turn
-builds its generators at the first point only; along an SNR sweep it reuses
-the draws, and along a T0 sweep the primary batch itself.
-:func:`clear_trial_memo` empties the memo, which the Monte-Carlo harness
-does at the end of every chunk of trials.
+drawn, so synthesis does not draw them per call.  :func:`_new_draws`, the
+unscaled draws of one stream (standard normals or 8-PSK phasors of the
+waveforms, then standard normals of the noise), is an ``lru_cache`` of the
+four draws used last, keyed by the trial coordinates and the shapes: one
+sweep point reads at most four (SOI, interference, noise, secondary).
+:func:`synth_scene_snapshots` holds the primary :class:`SnapshotBatch` it
+built last, keyed by ``(geom, scene, kind, count, master_seed,
+trial_index)``, and drops it before it synthesises another, so it never
+holds two.  Every held array is read-only, the batch included.  A trial run
+at every sweep point in turn builds its generators at the first point only;
+along an SNR sweep it reuses the draws, and along a T0 sweep the primary
+batch itself.  :func:`clear_trial_memo` empties the cache and the holder,
+which the Monte-Carlo harness does before every trial and when a chunk of
+trials ends.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -57,7 +58,7 @@ source), the interferer steering matrix transposed, the SOI steering row and
 ``sqrt(noise_var / 2)``.  The source powers are checked there; the sample
 count in every call.  Each trial then only draws and combines: the draws,
 their order and every arithmetic operation are those of evaluating the
-constants per call, so every batch keeps its bits.  The memoised draws are
+constants per call, so every batch keeps its bits.  The cached draws are
 scaled out of place (``raw * amp``), which computes the same products as
 scaling a fresh draw in place, so a batch has the same bits whether its
 draws were cached or not.
@@ -302,6 +303,7 @@ def _draw(kind: WaveformKind, amp: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((amp * raw).T)
 
 
+@functools.lru_cache(maxsize=4)
 def _new_draws(
     master_seed: int, trial_index: int, role: StreamRole, kind: WaveformKind,
     k: int, count: int, m: int,
@@ -321,52 +323,16 @@ def _new_draws(
     return waves, noise
 
 
-class _TrialMemo:
-    """One trial's draws and primary batch; see the module docstring.
-
-    ``hits`` and ``misses`` count the draw lookups of the process and are
-    never reset.
-    """
-
-    __slots__ = ("trial", "draws", "batch_key", "batch", "hits", "misses")
-
-    def __init__(self):
-        self.hits = self.misses = 0
-        self.clear()
-
-    def clear(self) -> None:
-        self.trial = None
-        self.draws = {}
-        self.batch_key = self.batch = None
-
-    def hold(self, master_seed: int, trial_index: int) -> None:
-        """Make ``(master_seed, trial_index)`` the held trial, emptying the
-        memo first if it held another."""
-        trial = (master_seed, trial_index)
-        if trial != self.trial:
-            self.clear()
-            self.trial = trial
-
-    def stream_draws(
-        self, role: StreamRole, kind: WaveformKind, k: int, count: int, m: int
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """:func:`_new_draws` of the held trial, made once and kept."""
-        key = (role, kind, k, count, m)
-        draws = self.draws.get(key)
-        if draws is None:
-            self.misses += 1
-            draws = self.draws[key] = _new_draws(*self.trial, role, kind, k, count, m)
-        else:
-            self.hits += 1
-        return draws
-
-
-_MEMO = _TrialMemo()
+# The primary batch synth_scene_snapshots built last, as ``(key, batch)``
+# with the key ``(geom, scene, kind, count, master_seed, trial_index)``.
+_held_batch: tuple[tuple | None, SnapshotBatch | None] = (None, None)
 
 
 def clear_trial_memo() -> None:
-    """Drop every draw and batch the memo holds."""
-    _MEMO.clear()
+    """Drop every draw and the batch held."""
+    global _held_batch
+    _new_draws.cache_clear()
+    _held_batch = (None, None)
 
 
 class _SceneConstants(NamedTuple):
@@ -430,37 +396,41 @@ def synth_scene_snapshots(
 
     This is the generator used by the experiment scenarios: the scene applies
     one waveform law to all sources, while the additive noise stays white
-    Gaussian.  The batch is read-only: the memo holds it, and a call with the
-    same arguments returns it again.
+    Gaussian.  The batch is read-only: it is held until the next call that
+    needs another batch, and a call with the same arguments returns it again.
     """
-    memo = _MEMO
-    memo.hold(rngs.master_seed, rngs.trial_index)
-    key = (geom, scene, kind, count)
-    if memo.batch_key == key:
-        return memo.batch
-    memo.batch_key = memo.batch = None
-    batch = _synth_primary(memo, geom, scene, kind, count)
+    global _held_batch
+    seed, trial = rngs.master_seed, rngs.trial_index
+    key = (geom, scene, kind, count, seed, trial)
+    # no local name for the held batch, so nothing keeps it while the next is built
+    if _held_batch[0] == key:
+        return _held_batch[1]
+    _held_batch = (None, None)
+    batch = _synth_primary(geom, scene, kind, count, seed, trial)
     batch.snapshots.setflags(write=False)
     batch.truth.setflags(write=False)
-    memo.batch_key, memo.batch = key, batch
+    _held_batch = (key, batch)
     return batch
 
 
 def _synth_primary(
-    memo: _TrialMemo,
     geom: ArrayGeometry,
     scene: SourceScene,
     kind: WaveformKind,
     count: int,
+    master_seed: int,
+    trial_index: int,
 ) -> SnapshotBatch:
     """The primary batch of :func:`synth_scene_snapshots`, synthesised from
-    the draws of the trial ``memo`` holds."""
+    the trial's draws."""
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
     k, m = len(scene.interferers), geom.antennas
-    soi, _ = memo.stream_draws(StreamRole.SOI, kind, 1, count, 0)
-    waves = memo.stream_draws(StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
-    _, noise = memo.stream_draws(StreamRole.NOISE, kind, 0, count, m)
+    soi, _ = _new_draws(master_seed, trial_index, StreamRole.SOI, kind, 1, count, 0)
+    waves = None
+    if k:
+        waves, _ = _new_draws(master_seed, trial_index, StreamRole.INTERFERENCE, kind, k, count, 0)
+    _, noise = _new_draws(master_seed, trial_index, StreamRole.NOISE, kind, 0, count, m)
     s = _draw(kind, consts.soi_amp, soi).reshape(count)
     e = _interference_plus_noise(consts, kind, count, waves, noise)
     e += s[:, None] * consts.soi_row
@@ -482,9 +452,7 @@ def synth_scene_secondary(
     """
     consts = _scene_constants(geom, scene, kind)
     _checked_count(count)
-    memo = _MEMO
-    memo.hold(rngs.master_seed, rngs.trial_index)
-    waves, noise = memo.stream_draws(StreamRole.SECONDARY, kind, len(scene.interferers),
-                                     count, geom.antennas)
+    waves, noise = _new_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY, kind,
+                              len(scene.interferers), count, geom.antennas)
     e = _interference_plus_noise(consts, kind, count, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caponplus.arraymodel import (
     build_cov_model,
@@ -234,6 +236,32 @@ class TestNegativeLogLikelihood:
             lo = grid[max(j - 1, 0)]
             hi = grid[min(j + 1, grid.size - 1)]
             assert lo <= deb <= hi or abs(grid[j] - deb) <= hi - lo
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(m=st.integers(2, 64), extra=st.integers(1, 192), seed=st.integers(0, 2**32 - 1),
+           log_power=st.floats(-6.0, 9.0), log_snr=st.floats(-3.0, 3.0),
+           log_jitter=st.floats(-4.0, 0.0))
+    def test_grid_minimizer_matches_debiased_over_scales(self, m, extra, seed, log_power,
+                                                         log_snr, log_jitter):
+        """The profile's minimizer is the debiased Capon estimate for any M, any
+        T > M, INCM scales and SOI powers from 1e-6 to 1e9, and INCM
+        conditioning up to ~1e6, within ``10 cond(Q) eps (gamma_cap_hat + 1/q)``:
+        both sides subtract ``1/q`` from ``r/q^2``, each with ``Q^-1 a`` solved
+        to ``cond(Q) eps``."""
+        rng = np.random.default_rng(seed)
+        power = 10.0**log_power
+        q_mat = power * random_hpd(rng, m, jitter=10.0**log_jitter)
+        a = random_cvector(rng, m)
+        model = cov_model_from_parts(a, power * 10.0**log_snr, q_mat)
+        batch = synth_snapshots(model, WaveformKind.CIRCULAR_GAUSSIAN, m + extra,
+                                TrialRngs(seed, 0))
+        sample_cov = scm(batch)
+        qinv_a = solve_hpd(q_mat, a)
+        quad = float(np.vdot(a, qinv_a).real)
+        gamma_cap_hat = quadratic_form(sample_cov.matrix, qinv_a / quad)
+        deb = debiased_power(gamma_cap_hat, quad)
+        bound = 10.0 * np.linalg.cond(q_mat) * np.finfo(float).eps * (gamma_cap_hat + 1.0 / quad)
+        assert abs(nll_profile(q_mat, sample_cov, a).minimizer() - deb) <= bound
 
 
 class TestAlphaHatScenarioA:

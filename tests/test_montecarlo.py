@@ -39,7 +39,7 @@ from caponplus.montecarlo import (
 )
 from caponplus.presets import PRESETS
 from caponplus.signalsim import WaveformKind
-from helpers import capon_weights, mmse_weights, random_model
+from helpers import capon_weights, count_draws, mmse_weights, random_model
 
 SMALL_GEOM = ArrayGeometry(4, 0.5)
 SMALL_SCENE = SourceScene(
@@ -365,21 +365,19 @@ class TestTrialMajorEqualsPointMajor:
     of running that point's trials alone, each on an empty memo, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(TRIAL_MAJOR_RUNS))
-    def test_chunk_equals_one_point_at_a_time(self, name):
+    def test_chunk_equals_one_point_at_a_time(self, monkeypatch, name):
         doc, streams_per_trial = TRIAL_MAJOR_RUNS[name]
         n = TRIAL_MAJOR_TRIALS
         cfg, run = scenario_run(doc, 100)  # a config needs >= 100 trials; 12 of them run
         _, values, contexts = run
-        memo = signalsim._MEMO
-        hits, misses = memo.hits, memo.misses
+        counts = count_draws(monkeypatch)
         parts = mc._run_chunk(run, (0, n))
-        hits, misses = memo.hits - hits, memo.misses - misses
-        assert misses == n * streams_per_trial
+        assert len(counts["made"]) == n * streams_per_trial
         # three primary draws per trial-point, plus the secondary one in c and
         # d; along a T0 sweep the primary batch is built at the first point only
         primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 else len(values)
         secondary_points = len(values) * (cfg.regime in (Regime.C, Regime.D))
-        assert hits + misses == n * (3 * primary_points + secondary_points)
+        assert counts["lookups"] == n * (3 * primary_points + secondary_points)
         trial = mc._TRIAL_FUNCS[cfg.regime]
         for point, ctx in enumerate(contexts):
             reference = []
@@ -391,13 +389,14 @@ class TestTrialMajorEqualsPointMajor:
 
 
 def memo_is_empty():
-    memo = signalsim._MEMO
-    return (memo.trial, memo.draws, memo.batch_key, memo.batch) == (None, {}, None, None)
+    return (signalsim._new_draws.cache_info().currsize == 0
+            and signalsim._held_batch == (None, None))
 
 
 class TestTrialMemo:
-    """The memo in :mod:`.signalsim` holds one trial, builds a T0 sweep's
-    primary batch once per trial, and is empty once a chunk ends or raises."""
+    """The draw cache and the held batch of :mod:`.signalsim` hold one trial,
+    a T0 sweep's primary batch is built once per trial, and both are empty
+    once a chunk ends or raises."""
 
     @pytest.mark.parametrize("name, builds_per_trial", [("c_t0", 1), ("oracle_gauss", 3)])
     def test_primary_batch_built_once_per_trial_and_scene(self, monkeypatch, name,
@@ -406,13 +405,42 @@ class TestTrialMemo:
         built = []
         body = signalsim._synth_primary
 
-        def counted(memo, geom, scene, kind, count):
-            built.append(memo.trial[1])
-            return body(memo, geom, scene, kind, count)
+        def counted(geom, scene, kind, count, master_seed, trial_index):
+            # (trial, whether the cache and the holder are empty)
+            built.append((trial_index, memo_is_empty()))
+            return body(geom, scene, kind, count, master_seed, trial_index)
 
         monkeypatch.setattr(signalsim, "_synth_primary", counted)
         mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        assert built == [i for i in range(TRIAL_MAJOR_TRIALS) for _ in range(builds_per_trial)]
+        # the chunk empties both before each trial, so only a trial's first build finds them empty
+        assert built == [(i, j == 0) for i in range(TRIAL_MAJOR_TRIALS)
+                         for j in range(builds_per_trial)]
+
+    @pytest.mark.parametrize("points", [6, 12])
+    def test_t0_sweep_holds_only_the_last_four_draws(self, monkeypatch, points):
+        # fig6 at its first `points` T0 values: one primary batch (3 draws)
+        # and one secondary draw per point, none of which is read again
+        doc = PRESETS["fig6"]
+        doc = {**doc, "sweep": {**doc["sweep"], "values": doc["sweep"]["values"][:points]}}
+        cfg, (_, values, contexts) = scenario_run(doc, 100)
+        assert len(values) == points
+        draw = signalsim._new_draws.__wrapped__
+        counts = count_draws(monkeypatch)
+        signalsim.clear_trial_memo()
+        for value, ctx in zip(values, contexts):
+            run_trial(cfg, value, 0, ctx)
+        made = counts["made"]
+        assert len(made) == 3 + points
+        assert signalsim._new_draws.cache_info().currsize <= 4
+        # looking the last four draws up makes none: the cache holds them and
+        # nothing else, whatever the number of points
+        for key in made[-4:]:
+            signalsim._new_draws(*key)
+        assert len(made) == 3 + points
+        assert signalsim._new_draws.cache_info().currsize == 4
+        held = sum(a.nbytes for key in made[-4:] for a in draw(*key) if a is not None)
+        assert held < sum(a.nbytes for key in made for a in draw(*key) if a is not None)
+        signalsim.clear_trial_memo()
 
     def test_empty_after_run_scenario(self):
         cfg = config(regime=Regime.D, trials=100, secondary_snapshots=0,

@@ -1,4 +1,5 @@
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from caponplus.signalsim import (
 )
 from helpers import (
     bits,
+    count_draws,
     draw_interference_noise,
     draw_waveform,
     reference_synth_scene_secondary,
@@ -436,27 +438,27 @@ def memo_scene(n_interferers, scale):
 
 
 class TestDrawMemo:
-    """The memo of a trial's unscaled draws and primary batch is invisible:
+    """The cache of unscaled draws and the held primary batch are invisible:
     any interleaving of synthesis calls gives what each call gives on an
     empty memo, which is the reference, and every held array is read-only."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(calls=st.lists(MEMO_CALL, min_size=1, max_size=12))
     def test_interleaved_calls_equal_cold_calls(self, calls):
-        memo = signalsim._MEMO
         signalsim.clear_trial_memo()
         warm = []
-        for which, seed, trial, kind, n_int, count, m, scale in calls:
-            synth, _ = SYNTH[which]
-            geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
-            warm.append(synth(geom, scene, kind, count, TrialRngs(seed, trial)))
-            for role, k, m_role in memo_keys(which, n_int, m):
-                hits = memo.hits
-                memo.hold(seed, trial)
-                cached = memo.stream_draws(role, kind, k, count, m_role)
-                assert memo.hits == hits + 1  # the call above kept it
-                for arr in cached:
-                    assert arr is None or not arr.flags.writeable
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_draws(patch)
+            for which, seed, trial, kind, n_int, count, m, scale in calls:
+                synth, _ = SYNTH[which]
+                geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
+                warm.append(synth(geom, scene, kind, count, TrialRngs(seed, trial)))
+                for role, k, m_role in memo_keys(which, n_int, m):
+                    made = len(counts["made"])
+                    cached = signalsim._new_draws(seed, trial, role, kind, k, count, m_role)
+                    assert len(counts["made"]) == made  # the call above kept it
+                    for arr in cached:
+                        assert arr is None or not arr.flags.writeable
         for (which, seed, trial, kind, n_int, count, m, scale), got in zip(calls, warm):
             synth, reference = SYNTH[which]
             geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
@@ -471,7 +473,7 @@ class TestDrawMemo:
     def test_held_batch_is_read_only_and_returned_again(self):
         signalsim.clear_trial_memo()
         batch = synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 40, TrialRngs(7, 3))
-        assert signalsim._MEMO.batch is batch
+        assert signalsim._held_batch[1] is batch
         for arr in batch:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -482,22 +484,43 @@ class TestDrawMemo:
                                       TrialRngs(7, 3))
         assert again is batch
 
-    def test_one_trial_and_one_batch_held(self):
-        memo = signalsim._MEMO
+    def test_at_most_four_draws_and_one_batch_held(self, monkeypatch):
         signalsim.clear_trial_memo()
+        counts = count_draws(monkeypatch)
+        made = counts["made"]
         kind = WaveformKind.CIRCULAR_GAUSSIAN
-        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0))
-        draws = dict(memo.draws)
-        # another scene of the same trial: the draws stay, the batch is replaced
+        first = weakref.ref(
+            synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0)).snapshots)
+        assert first() is not None and len(made) == 3
+        # another scene of the same trial: its draws are found, and the batch is
+        # replaced, the old one dropped before the new one is built
+        alive_while_building = []
+        body = signalsim._synth_primary
+
+        def building(*args):
+            alive_while_building.append(first() is not None)
+            return body(*args)
+
+        monkeypatch.setattr(signalsim, "_synth_primary", building)
         other = synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, TrialRngs(7, 0))
-        assert memo.batch is other and memo.trial == (7, 0)
-        assert all(memo.draws[key] is value for key, value in draws.items())
-        # another trial: everything the memo held is dropped first
+        assert alive_while_building == [False]
+        assert signalsim._held_batch[1] is other and len(made) == 3
+        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 0))
+        trial_0 = list(made)
+        assert len(trial_0) == 4 and signalsim._new_draws.cache_info().currsize == 4
+        # another trial: its four draws evict the first trial's
+        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 1))
         synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 1))
-        assert memo.trial == (7, 1) and memo.batch is None and memo.batch_key is None
-        assert list(memo.draws) == [(StreamRole.SECONDARY, kind, 3, 30, 4)]
+        assert len(made) == 8 and signalsim._new_draws.cache_info().currsize == 4
+        assert signalsim._held_batch[0][4:] == (7, 1)
+        for key in made[4:]:
+            signalsim._new_draws(*key)
+        assert len(made) == 8  # the second trial's draws are all held
+        signalsim._new_draws(*trial_0[0])
+        assert made[-1] == trial_0[0]  # the first trial's were evicted
         signalsim.clear_trial_memo()
-        assert (memo.trial, memo.draws, memo.batch_key, memo.batch) == (None, {}, None, None)
+        assert signalsim._new_draws.cache_info().currsize == 0
+        assert signalsim._held_batch == (None, None)
 
     def test_equal_scenes_share_one_constants_entry(self):
         constants = signalsim._scene_constants

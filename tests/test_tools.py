@@ -4,14 +4,20 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "results_digests.py"
+PINNED = TOOL.with_suffix(".txt")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("results_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def digests(monkeypatch):
     """``tools/results_digests.py`` with its run list cut to one small fig1 run."""
-    spec = importlib.util.spec_from_file_location("results_digests", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_tool()
     monkeypatch.setattr(module, "_runs", lambda: iter([
         ("fig1", "fig1-small", {"trials": 100, "sweep": {"variable": "snr_db", "values": [0.0]}},
          "csv"),
@@ -38,3 +44,15 @@ class TestResultsDigestsCompare:
         assert f"DIFFERS {name}: saved 000000000000, here {first.split()[0]}" in out
         assert "DIFFERS gone.csv: saved 000000000000, here missing" in out
         assert "1 identical, 2 differ" in out
+
+
+class TestPinnedDigestTable:
+    def test_pinned_table_names_every_run_once(self):
+        """``tools/results_digests.txt`` has one line per results file the tool
+        writes, in its order, so a run cannot be added without a re-pin."""
+        tool = load_tool()
+        expected = [f"{stem}-threads{threads}.{fmt}"
+                    for _, stem, _, fmt in tool._runs() for threads in tool.THREADS]
+        lines = PINNED.read_text().splitlines()
+        assert len(lines) == len(expected)
+        assert list(tool._read_table(PINNED)) == expected
