@@ -208,8 +208,11 @@ class ScenarioConfig:
         problems: list[str] = []
         m = self.geom.antennas
         sweep_var, values = self.sweep.variable, self.sweep.values
-        if self.master_seed < 0:
-            problems.append(f"master_seed must be >= 0, got {self.master_seed}")
+        try:
+            if operator.index(self.master_seed) < 0:
+                problems.append(f"master_seed must be >= 0, got {self.master_seed}")
+        except TypeError:
+            problems.append(f"master_seed must be an integer, got {self.master_seed!r}")
         if not values:
             problems.append("sweep.values must not be empty")
         if (self.regime is Regime.ALPHA_SWEEP) != (sweep_var is SweepVariable.ALPHA):

@@ -7,8 +7,6 @@ entries.
 
 from __future__ import annotations
 
-_FIG5_T0_GRID = [30, 35, 40, 45, 50, 60, 70, 80, 90, 100, 110, 120]
-
 
 def _scenario_b(snapshots: int, name: str) -> dict:
     return {
@@ -17,6 +15,21 @@ def _scenario_b(snapshots: int, name: str) -> dict:
         "snapshots": snapshots,
         "trials": 10000,
         "sweep": {"variable": "snr_db", "values": [5.0, 2.5, 0.0, -2.5, -5.0, -7.5, -10.0]},
+        "output_path": f"{name}.csv",
+    }
+
+
+def _scenario_t0(regime: str, name: str) -> dict:
+    return {
+        "regime": regime,
+        "waveform": "psk8",
+        "snapshots": 60,
+        "snr_db": -5.0,
+        "trials": 10000,
+        "sweep": {
+            "variable": "t0",
+            "values": [30.0, 35.0, 40.0, 45.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0],
+        },
         "output_path": f"{name}.csv",
     }
 
@@ -54,23 +67,7 @@ PRESETS: dict[str, dict] = {
     "fig4b": _scenario_b(500, "fig4b"),
     "fig4c": _scenario_b(100, "fig4c"),
     # Scenario C: secondary-data INCM, known SOI power, T0 sweep at -5 dB SNR.
-    "fig5": {
-        "regime": "c",
-        "waveform": "psk8",
-        "snapshots": 60,
-        "snr_db": -5.0,
-        "trials": 10000,
-        "sweep": {"variable": "t0", "values": list(map(float, _FIG5_T0_GRID))},
-        "output_path": "fig5.csv",
-    },
+    "fig5": _scenario_t0("c", "fig5"),
     # Scenario D: as C with the SOI power also estimated.
-    "fig6": {
-        "regime": "d",
-        "waveform": "psk8",
-        "snapshots": 60,
-        "snr_db": -5.0,
-        "trials": 10000,
-        "sweep": {"variable": "t0", "values": list(map(float, _FIG5_T0_GRID))},
-        "output_path": "fig6.csv",
-    },
+    "fig6": _scenario_t0("d", "fig6"),
 }

@@ -19,7 +19,8 @@ execution order, process, or thread count.  The four roles are:
 =============  =====================================================
 
 A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(role)``
-with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.
+with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.  Both
+are ``typing.NamedTuple`` classes of the coordinates; building one checks nothing.
 
 A stream's draws are a pure function of its coordinates and of the shapes
 drawn, so synthesis does not draw them per call.  :func:`_new_draws`, the
@@ -41,10 +42,11 @@ The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
 arithmetic over all 256 trials x 4 roles of a trial block at once and caches
 the block.  ``TestStreamContract`` pins the result against the installed
-numpy.  Master seeds must be >= 0 and trial indices in ``[0, 2**32)``, the
-range in which the spawn key ``(trial_index, role)`` is two 32-bit words.
-:class:`RngStream` and :class:`TrialRngs` are frozen ``__slots__`` dataclasses
-that check these ranges once, when they are built.
+numpy.  Master seeds must be integers >= 0 and trial indices integers in
+``[0, 2**32)``, the range in which the spawn key ``(trial_index, role)`` is two
+32-bit words.  :meth:`RngStream.generator`, the one reader of the seed words,
+checks them and raises :class:`DomainError`; a cached draw or held batch can
+only match coordinates equal to ones an earlier miss has checked.
 
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -196,60 +198,38 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _check_coordinates(master_seed: int, trial_index: int) -> None:
-    if master_seed < 0:
-        raise DomainError(f"master seed must be >= 0, got {master_seed}")
-    if not 0 <= trial_index < 2**32:
-        raise DomainError(f"trial index must be in [0, 2**32), got {trial_index}")
-
-
-# Frozen, slotted dataclasses with a hand-written ``__init__`` that checks the
-# coordinates and fills the slots through their descriptors: a generated
-# frozen ``__init__`` sets each field with ``object.__setattr__``.
-@dataclass(frozen=True, slots=True, init=False)
-class RngStream:
-    """Deterministic sub-stream coordinates ``(master_seed, trial_index, role)``."""
+class RngStream(NamedTuple):
+    """Deterministic sub-stream coordinates ``(master_seed, trial_index, role)``,
+    checked by :meth:`generator`, the one reader of a stream's seed words."""
 
     master_seed: int
     trial_index: int
     role: StreamRole
 
-    def __init__(self, master_seed: int, trial_index: int, role: StreamRole):
-        _check_coordinates(master_seed, trial_index)
-        _set_stream_seed(self, master_seed)
-        _set_stream_trial(self, trial_index)
-        _set_stream_role(self, role)
-
     def generator(self) -> np.random.Generator:
-        block, t = divmod(self.trial_index, _BLOCK_TRIALS)
-        words = _block_words(self.master_seed, block)[t, self.role]
+        try:
+            seed, trial = operator.index(self.master_seed), operator.index(self.trial_index)
+        except TypeError:
+            raise DomainError(f"stream coordinates must be integers, got {self[:2]}") from None
+        if seed < 0:
+            raise DomainError(f"master seed must be >= 0, got {seed}")
+        if not 0 <= trial < 2**32:
+            raise DomainError(f"trial index must be in [0, 2**32), got {trial}")
+        block, t = divmod(trial, _BLOCK_TRIALS)
+        words = _block_words(seed, block)[t, self.role]
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-_set_stream_seed = RngStream.master_seed.__set__
-_set_stream_trial = RngStream.trial_index.__set__
-_set_stream_role = RngStream.role.__set__
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class TrialRngs:
+class TrialRngs(NamedTuple):
     """The four per-trial role streams.  ``stream(role)`` is their one accessor:
-    each call builds that role's generator afresh, at the start of its stream."""
+    each call builds that role's generator afresh, at the start of its stream,
+    and checks the coordinates as :meth:`RngStream.generator` does."""
 
     master_seed: int
     trial_index: int
 
-    def __init__(self, master_seed: int, trial_index: int):
-        _check_coordinates(master_seed, trial_index)
-        _set_trial_seed(self, master_seed)
-        _set_trial_index(self, trial_index)
-
     def stream(self, role: StreamRole) -> np.random.Generator:
         return RngStream(self.master_seed, self.trial_index, role).generator()
-
-
-_set_trial_seed = TrialRngs.master_seed.__set__
-_set_trial_index = TrialRngs.trial_index.__set__
 
 
 class SnapshotBatch(NamedTuple):

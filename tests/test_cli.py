@@ -113,6 +113,19 @@ class TestPresets:
         assert build_run_config(PRESETS["fig4b"]).scenario.snapshots == 500
         assert build_run_config(PRESETS["fig4c"]).scenario.snapshots == 100
 
+    def test_t0_sweep_presets_pinned(self):
+        t0 = [30.0, 35.0, 40.0, 45.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0]
+        for name, regime in (("fig5", "c"), ("fig6", "d")):
+            assert PRESETS[name] == {
+                "regime": regime,
+                "waveform": "psk8",
+                "snapshots": 60,
+                "snr_db": -5.0,
+                "trials": 10000,
+                "sweep": {"variable": "t0", "values": t0},
+                "output_path": f"{name}.csv",
+            }
+
     def test_fig5_matches_reference_setup(self):
         sc = build_run_config(PRESETS["fig5"]).scenario
         assert sc.regime is Regime.C

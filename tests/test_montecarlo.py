@@ -163,6 +163,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="master_seed must be >= 0"):
             config(master_seed=-1).validate()
 
+    @pytest.mark.parametrize("seed", [7.0, "7", None])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            config(master_seed=seed).validate()
+        config(master_seed=np.int64(7)).validate()
+
     def test_empty_sweep(self):
         with pytest.raises(ConfigError, match="empty"):
             config(sweep=SweepSpec(SweepVariable.SNR_DB, ())).validate()

@@ -20,6 +20,7 @@ from caponplus.errors import DomainError
 from caponplus.beamformers import apply_weights
 from caponplus.estimation import kurtosis_estimate, scm
 from caponplus.linalg import cholesky
+from caponplus.montecarlo import Regime, ScenarioConfig, SweepSpec, SweepVariable, run_trial
 from caponplus.signalsim import (
     _PSK_PHASORS,
     RngStream,
@@ -311,18 +312,76 @@ class TestStreamContract:
     def test_negative_seed_rejected(self):
         for seed in (-1, -(2**64)):
             with pytest.raises(DomainError, match="master seed"):
-                RngStream(seed, 0, StreamRole.SOI)
+                RngStream(seed, 0, StreamRole.SOI).generator()
+            with pytest.raises(DomainError, match="master seed"):
+                TrialRngs(seed, 0).stream(StreamRole.SOI)
 
     def test_trial_index_outside_uint32_rejected(self):
         for trial in (-1, 2**32, 2**40):
             with pytest.raises(DomainError, match="trial index"):
-                RngStream(0, trial, StreamRole.SOI)
+                RngStream(0, trial, StreamRole.SOI).generator()
         with pytest.raises(DomainError):
             TrialRngs(0, -5).stream(StreamRole.SOI)
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        coords=st.one_of(
+            st.tuples(st.integers(max_value=-1), st.integers(min_value=0, max_value=2**32 - 1)),
+            st.tuples(
+                st.integers(),
+                st.one_of(st.integers(max_value=-1), st.integers(min_value=2**32)),
+            ),
+        ),
+        role=st.sampled_from(list(StreamRole)),
+    )
+    def test_coordinates_outside_range_rejected_everywhere(self, coords, role):
+        """Every entry point that draws rejects the coordinates, and none
+        leaves a draw cached behind it."""
+        seed, trial = coords
+        cfg = ScenarioConfig(
+            regime=Regime.ORACLE, geom=GEOM, base_scene=PSK_SCENE, waveform=WaveformKind.PSK8,
+            snapshots=8, secondary_snapshots=0, trials=100, master_seed=seed,
+            sweep=SweepSpec(SweepVariable.SNR_DB, (0.0,)),
+        )
+        calls = (
+            lambda: RngStream(seed, trial, role).generator(),
+            lambda: TrialRngs(seed, trial).stream(role),
+            lambda: synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 8,
+                                          TrialRngs(seed, trial)),
+            lambda: synth_scene_secondary(GEOM, PSK_SCENE, WaveformKind.PSK8, 8,
+                                          TrialRngs(seed, trial)),
+            lambda: run_trial(cfg, 0.0, trial),
+        )
+        for call in calls:
+            signalsim.clear_trial_memo()
+            with pytest.raises(DomainError, match="master seed|trial index"):
+                call()
+            assert signalsim._new_draws.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("coords", [(7.0, 3), (7, 3.0), ("7", 3), (None, 3)])
+    def test_non_integer_coordinates_rejected(self, coords):
+        signalsim._block_words.cache_clear()
+        with pytest.raises(DomainError, match="must be integers"):
+            TrialRngs(*coords).stream(StreamRole.SOI)
+        # and again once seed 7's block is cached
+        TrialRngs(7, 3).stream(StreamRole.SOI)
+        with pytest.raises(DomainError, match="must be integers"):
+            TrialRngs(*coords).stream(StreamRole.SOI)
+        with pytest.raises(DomainError, match="must be integers"):
+            RngStream(*coords, StreamRole.NOISE).generator()
+
+    def test_numpy_integer_coordinates_give_the_integer_state(self):
+        coords = [(np.int64(7), np.int64(3)), (np.uint64(2**63 + 5), np.uint32(2**32 - 1))]
+        for seed, trial in coords:
+            for role in StreamRole:
+                got = RngStream(seed, trial, role).generator().bit_generator.state
+                assert got == numpy_stream_state(int(seed), int(trial), role)
+                got = TrialRngs(seed, trial).stream(role).bit_generator.state
+                assert got == numpy_stream_state(int(seed), int(trial), role)
+
     @pytest.mark.parametrize("value", [RngStream(7, 3, StreamRole.NOISE), TrialRngs(7, 3)])
     def test_fields_immutable(self, value):
-        for name in type(value).__slots__:
+        for name in type(value)._fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
             with pytest.raises(AttributeError):
@@ -341,8 +400,6 @@ class TestStreamContract:
         assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 3, StreamRole.SOI)
         assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 4, StreamRole.NOISE)
         assert TrialRngs(7, 3) != TrialRngs(8, 3)
-        # a value equals only its own class, as a frozen dataclass does
-        assert TrialRngs(7, 3) != (7, 3)
         assert RngStream(7, 3, StreamRole.SOI) != TrialRngs(7, 3)
 
 
