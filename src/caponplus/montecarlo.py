@@ -213,6 +213,11 @@ class ScenarioConfig:
                 problems.append(f"master_seed must be >= 0, got {self.master_seed}")
         except TypeError:
             problems.append(f"master_seed must be an integer, got {self.master_seed!r}")
+        for name in ("snapshots", "secondary_snapshots", "trials"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                problems.append(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not values:
             problems.append("sweep.values must not be empty")
         if (self.regime is Regime.ALPHA_SWEEP) != (sweep_var is SweepVariable.ALPHA):

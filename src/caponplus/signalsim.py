@@ -24,19 +24,21 @@ are ``typing.NamedTuple`` classes of the coordinates; building one checks nothin
 
 A stream's draws are a pure function of its coordinates and of the shapes
 drawn, so synthesis does not draw them per call.  :func:`_new_draws`, the
-unscaled draws of one stream (standard normals or 8-PSK phasors of the
-waveforms, then standard normals of the noise), is an ``lru_cache`` of the
-four draws used last, keyed by the trial coordinates and the shapes: one
-sweep point reads at most four (SOI, interference, noise, secondary).
-:func:`synth_scene_snapshots` holds the primary :class:`SnapshotBatch` it
-built last, keyed by ``(geom, scene, kind, count, master_seed,
-trial_index)``, and drops it before it synthesises another, so it never
-holds two.  Every held array is read-only, the batch included.  A trial run
-at every sweep point in turn builds its generators at the first point only;
-along an SNR sweep it reuses the draws, and along a T0 sweep the primary
-batch itself.  :func:`clear_trial_memo` empties the cache and the holder,
-which the Monte-Carlo harness does before every trial and when a chunk of
-trials ends.
+unscaled draws of one stream, is an ``lru_cache`` of the four draws used
+last, keyed by the trial coordinates, their types and the shapes: one sweep
+point reads at most four (SOI, interference, noise, secondary).  It holds
+each draw in the layout synthesis reads, a read-only C-contiguous complex
+array with one row per sample: the generator calls are those of the
+contract, and only their rearrangement into complex samples is made once
+per draw instead of once per call.  :func:`synth_scene_snapshots` holds the
+primary :class:`SnapshotBatch` it built last, keyed by ``(geom, scene, kind,
+count, master_seed, trial_index)`` and the coordinates' types, and drops it
+before it synthesises another, so it never holds two.  Every held array is
+read-only, the batch included.  A trial run at every sweep point in turn
+builds its generators at the first point only; along an SNR sweep it reuses
+the draws, and along a T0 sweep the primary batch itself.
+:func:`clear_trial_memo` empties the cache and the holder, which the
+Monte-Carlo harness does before every trial and when a chunk of trials ends.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -46,7 +48,8 @@ numpy.  Master seeds must be integers >= 0 and trial indices integers in
 ``[0, 2**32)``, the range in which the spawn key ``(trial_index, role)`` is two
 32-bit words.  :meth:`RngStream.generator`, the one reader of the seed words,
 checks them and raises :class:`DomainError`; a cached draw or held batch can
-only match coordinates equal to ones an earlier miss has checked.
+only match coordinates of the same value and type as ones an earlier miss
+has checked, so ``7.0`` never finds seed 7's draws.
 
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
@@ -54,16 +57,17 @@ zero-correlation model assumption by construction.
 Scene synthesis
 ---------------
 What a batch needs from the scene alone is computed once per
-``(geom, scene, kind)`` by the cached :func:`_scene_constants`: the source
-amplitudes (``sqrt(p / 2)`` per Gaussian source, ``sqrt(p)`` per 8-PSK
-source), the interferer steering matrix transposed, the SOI steering row and
-``sqrt(noise_var / 2)``.  The source powers are checked there; the sample
-count in every call.  Each trial then only draws and combines: the draws,
-their order and every arithmetic operation are those of evaluating the
-constants per call, so every batch keeps its bits.  The cached draws are
-scaled out of place (``raw * amp``), which computes the same products as
-scaling a fresh draw in place, so a batch has the same bits whether its
-draws were cached or not.
+``(geom, scene, kind)`` by the cached :func:`_scene_constants`: one real
+amplitude per source (``sqrt(p / 2)`` per Gaussian source, ``sqrt(p)`` per
+8-PSK source), the interferer steering matrix transposed, the SOI steering
+row and ``sqrt(noise_var / 2)``.  The source powers are checked there; the
+sample count in every call.  Each trial then only scales and combines the
+cached draws, out of place: ``raw * amp`` multiplies each complex sample by
+its source's amplitude, which for nonzero draws gives the bits of scaling
+the real and imaginary parts apart, and the scaled noise ``N`` plus the
+interference ``I`` has the bits of ``I + N``, since IEEE addition commutes.
+So a batch has the bits of drawing, scaling and adding afresh in every
+call, whether its draws were cached or not.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ __all__ = [
 ]
 
 
-# The 8-PSK phasors exp(j 2 pi k / 8), k = 0..7; see _draw.
+# The 8-PSK phasors exp(j 2 pi k / 8), k = 0..7; see _raw_draw.
 _PSK_PHASORS = np.exp(1j * (np.arange(8) * (2.0 * np.pi / 8.0)))
 
 
@@ -241,16 +245,11 @@ class SnapshotBatch(NamedTuple):
 
 
 def _amplitudes(kind: WaveformKind, powers: np.ndarray) -> np.ndarray:
-    """Read-only per-source amplitudes of positive ``powers`` for :func:`_draw`:
-    ``sqrt(p / 2)`` of shape ``(K, 1, 1)`` (Gaussian) or ``sqrt(p)`` of shape
-    ``(K, 1)`` (8-PSK)."""
+    """Read-only amplitudes of positive ``powers``, of shape ``(K,)`` for K
+    sources: ``sqrt(p / 2)`` (Gaussian) or ``sqrt(p)`` (8-PSK)."""
     if powers.size == 0 or not powers.min() > 0.0:
         raise DomainError(f"waveform power must be positive, got {powers.tolist()}")
-    k = powers.size
-    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
-        amp = np.sqrt(powers / 2.0).reshape(k, 1, 1)
-    else:
-        amp = np.sqrt(powers).reshape(k, 1)
+    amp = np.sqrt(powers / 2.0 if kind is WaveformKind.CIRCULAR_GAUSSIAN else powers).reshape(-1)
     amp.flags.writeable = False
     return amp
 
@@ -263,48 +262,38 @@ def _checked_count(count: int) -> int:
 
 def _raw_draw(kind: WaveformKind, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """The unscaled draw of K waveforms of ``count`` samples, the K sources in
-    turn: standard normals of shape ``(K, 2, count)`` (source k's real parts,
-    then its imaginary parts) or 8-PSK phasors ``exp(j 2 pi k / 8)`` with
-    ``k`` uniform on ``{0..7}``, of shape ``(K, count)``."""
+    turn, as a C-contiguous ``(count, K)`` complex array: ``standard_normal((K,
+    2, count))`` (source k's real parts, then its imaginary parts) or the 8-PSK
+    phasors ``exp(j 2 pi k / 8)`` of ``k = integers(0, 8, size=(K, count))``."""
     if kind is WaveformKind.CIRCULAR_GAUSSIAN:
-        return rng.standard_normal((k, 2, count))
-    return _PSK_PHASORS[rng.integers(0, 8, size=(k, count))]
+        parts = rng.standard_normal((k, 2, count)).transpose(2, 0, 1)
+        return np.ascontiguousarray(parts).view(np.complex128)[..., 0]
+    return np.ascontiguousarray(_PSK_PHASORS[rng.integers(0, 8, size=(k, count))].T)
 
 
-def _draw(kind: WaveformKind, amp: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """C-contiguous ``(count, K)`` waveforms: :func:`_raw_draw`'s ``raw`` scaled
-    out of place by :func:`_amplitudes`' ``amp``, so CN(0, p) or
-    ``sqrt(p) exp(j 2 pi k / 8)``."""
-    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
-        # s re and s im carry the bits of s (re + j im) for nonzero draws
-        parts = raw * amp
-        k, _, count = parts.shape
-        return np.ascontiguousarray(parts.transpose(2, 0, 1)).view(np.complex128).reshape(count, k)
-    return np.ascontiguousarray((amp * raw).T)
-
-
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)
 def _new_draws(
     master_seed: int, trial_index: int, role: StreamRole, kind: WaveformKind,
     k: int, count: int, m: int,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The unscaled draws of one stream: ``k`` waveforms of ``count`` samples
-    (:func:`_raw_draw`), then ``count`` noise vectors of ``m`` antennas as
-    standard normals of shape ``(2, count, m)`` (real parts, then imaginary
-    parts); ``None`` where ``k`` or ``m`` is 0.  The arrays are read-only."""
+    """The read-only unscaled draws of one stream: ``k`` waveforms of ``count``
+    samples (:func:`_raw_draw`), then ``count`` noise vectors of ``m`` antennas,
+    ``standard_normal((2, count, m))`` (real parts, then imaginary parts) as a
+    C-contiguous ``(count, m)`` complex array; ``None`` where ``k`` or ``m`` is 0."""
     rng = RngStream(master_seed, trial_index, role).generator()
     waves = noise = None
     if k:
         waves = _raw_draw(kind, k, count, rng)
         waves.setflags(write=False)
     if m:
-        noise = rng.standard_normal((2, count, m))
+        noise = np.empty((count, m), dtype=np.complex128)
+        noise.real, noise.imag = rng.standard_normal((2, count, m))
         noise.setflags(write=False)
     return waves, noise
 
 
-# The primary batch synth_scene_snapshots built last, as ``(key, batch)``
-# with the key ``(geom, scene, kind, count, master_seed, trial_index)``.
+# The primary batch synth_scene_snapshots built last, as ``(key, batch)`` with the
+# key ``(geom, scene, kind, count, master_seed, trial_index)`` and the coordinates' types.
 _held_batch: tuple[tuple | None, SnapshotBatch | None] = (None, None)
 
 
@@ -346,22 +335,13 @@ def _scene_constants(
 
 
 def _interference_plus_noise(
-    consts: _SceneConstants,
-    kind: WaveformKind,
-    count: int,
-    waves: np.ndarray | None,
-    noise: np.ndarray,
+    consts: _SceneConstants, waves: np.ndarray | None, noise: np.ndarray
 ) -> np.ndarray:
-    """Interference from the raw interferer ``waves`` (``None`` without
-    interferers) plus white noise from the raw ``noise``."""
+    """White noise from the raw ``noise`` plus interference from the raw
+    interferer ``waves`` (``None`` without interferers)."""
+    e = noise * consts.noise_amp
     if waves is not None:
-        e = _draw(kind, consts.interferer_amp, waves) @ consts.steering_int_t
-    else:
-        e = np.zeros((count, consts.soi_row.shape[1]), dtype=np.complex128)
-    # real parts, then imaginary parts, as two (count, m) draws would give them
-    noise = noise * consts.noise_amp
-    e.real += noise[0]
-    e.imag += noise[1]
+        e += (waves * consts.interferer_amp) @ consts.steering_int_t
     return e
 
 
@@ -381,7 +361,7 @@ def synth_scene_snapshots(
     """
     global _held_batch
     seed, trial = rngs.master_seed, rngs.trial_index
-    key = (geom, scene, kind, count, seed, trial)
+    key = (geom, scene, kind, count, seed, trial, type(seed), type(trial))
     # no local name for the held batch, so nothing keeps it while the next is built
     if _held_batch[0] == key:
         return _held_batch[1]
@@ -411,10 +391,10 @@ def _synth_primary(
     if k:
         waves, _ = _new_draws(master_seed, trial_index, StreamRole.INTERFERENCE, kind, k, count, 0)
     _, noise = _new_draws(master_seed, trial_index, StreamRole.NOISE, kind, 0, count, m)
-    s = _draw(kind, consts.soi_amp, soi).reshape(count)
-    e = _interference_plus_noise(consts, kind, count, waves, noise)
-    e += s[:, None] * consts.soi_row
-    return SnapshotBatch(e, s)
+    s = soi * consts.soi_amp
+    e = _interference_plus_noise(consts, waves, noise)
+    e += s * consts.soi_row
+    return SnapshotBatch(e, s.reshape(count))
 
 
 def synth_scene_secondary(
@@ -434,5 +414,5 @@ def synth_scene_secondary(
     _checked_count(count)
     waves, noise = _new_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY, kind,
                               len(scene.interferers), count, geom.antennas)
-    e = _interference_plus_noise(consts, kind, count, waves, noise)
+    e = _interference_plus_noise(consts, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))

@@ -29,7 +29,6 @@ from caponplus.signalsim import (
     WaveformKind,
     _amplitudes,
     _checked_count,
-    _draw,
     _raw_draw,
 )
 
@@ -318,11 +317,13 @@ def draw_waveform(
     holds the same bits as evaluating ``exp`` per sample.
 
     The draw and its checks are those of :mod:`caponplus.signalsim`'s
-    synthesis kernel.
+    synthesis kernel: the unscaled complex ``(count, K)`` draw of
+    ``_raw_draw`` times the ``(K,)`` amplitudes of ``_amplitudes``, whose
+    power check runs before anything is drawn.
     """
     powers = np.asarray(gamma, dtype=np.float64)
     amp = _amplitudes(kind, powers)
-    waves = _draw(kind, amp, _raw_draw(kind, powers.size, _checked_count(count), rng))
+    waves = _raw_draw(kind, powers.size, _checked_count(count), rng) * amp
     return waves.reshape(count) if powers.ndim == 0 else waves
 
 

@@ -169,6 +169,19 @@ class TestConfigValidation:
             config(master_seed=seed).validate()
         config(master_seed=np.int64(7)).validate()
 
+    @pytest.mark.parametrize("counts", [
+        dict(trials=100.0), dict(snapshots=60.0), dict(secondary_snapshots=40.5),
+        dict(trials=100.0, snapshots=60.0, secondary_snapshots=40.5),
+    ])
+    def test_non_integer_counts_listed(self, counts):
+        regime_d = dict(regime=Regime.D, secondary_snapshots=40)
+        with pytest.raises(ConfigError) as info:
+            config(**{**regime_d, **counts}).validate()
+        for name, value in counts.items():
+            assert f"{name} must be an integer, got {value!r}" in str(info.value)
+        config(**{**regime_d, **{name: np.int64(value) for name, value in counts.items()}}
+               ).validate()
+
     def test_empty_sweep(self):
         with pytest.raises(ConfigError, match="empty"):
             config(sweep=SweepSpec(SweepVariable.SNR_DB, ())).validate()

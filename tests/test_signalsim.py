@@ -422,11 +422,11 @@ class TestSynthMatchesReference:
         for seed, trial in ((20250810, 0), (7, 300), (2**70 + 1, 2**32 - 1)):
             got = synth_scene_snapshots(geom, scene, kind, count, TrialRngs(seed, trial))
             ref = reference_synth_scene_snapshots(geom, scene, kind, count, seed, trial)
-            assert np.array_equal(got.snapshots, ref.snapshots)
-            assert np.array_equal(got.truth, ref.truth)
+            assert np.array_equal(bits(got.snapshots), bits(ref.snapshots))
+            assert np.array_equal(bits(got.truth), bits(ref.truth))
             got = synth_scene_secondary(geom, scene, kind, count, TrialRngs(seed, trial))
             ref = reference_synth_scene_secondary(geom, scene, kind, count, seed, trial)
-            assert np.array_equal(got.snapshots, ref.snapshots)
+            assert np.array_equal(bits(got.snapshots), bits(ref.snapshots))
             assert got.truth.size == 0
 
     def test_one_scene_under_each_kind_and_geometry(self):
@@ -444,11 +444,11 @@ class TestSynthMatchesReference:
         for geom, kind in turns:
             got = synth_scene_snapshots(geom, scene, kind, 60, TrialRngs(7, 300))
             ref = reference_synth_scene_snapshots(geom, scene, kind, 60, 7, 300)
-            assert np.array_equal(got.snapshots, ref.snapshots), (geom, kind)
-            assert np.array_equal(got.truth, ref.truth), (geom, kind)
+            assert np.array_equal(bits(got.snapshots), bits(ref.snapshots)), (geom, kind)
+            assert np.array_equal(bits(got.truth), bits(ref.truth)), (geom, kind)
             got = synth_scene_secondary(geom, scene, kind, 60, TrialRngs(7, 300))
             ref = reference_synth_scene_secondary(geom, scene, kind, 60, 7, 300)
-            assert np.array_equal(got.snapshots, ref.snapshots), (geom, kind)
+            assert np.array_equal(bits(got.snapshots), bits(ref.snapshots)), (geom, kind)
 
     def test_bad_count_rejected(self):
         scene = SourceScene(soi=SourceSpec(-45.02, 0.7), interferers=(SourceSpec(-30.0, 3.1),))
@@ -527,6 +527,51 @@ class TestDrawMemo:
                 assert np.array_equal(bits(got.truth), bits(batch.truth))
 
 
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    def test_draws_are_held_in_the_layout_synthesis_reads(self, kind):
+        """Each draw is a read-only, C-contiguous complex ``(count, .)`` array
+        whose parts are the generator's draws in the order it made them."""
+        signalsim.clear_trial_memo()
+        soi, no_noise = signalsim._new_draws(7, 3, StreamRole.SOI, kind, 1, 60, 0)
+        waves, noise = signalsim._new_draws(7, 3, StreamRole.SECONDARY, kind, 3, 60, 25)
+        assert no_noise is None
+        for arr, shape in ((soi, (60, 1)), (waves, (60, 3)), (noise, (60, 25))):
+            assert arr.shape == shape and arr.dtype == np.complex128
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        rng = TrialRngs(7, 3).stream(StreamRole.SECONDARY)
+        if kind is WaveformKind.CIRCULAR_GAUSSIAN:
+            parts = rng.standard_normal((3, 2, 60))
+            assert np.array_equal(bits(waves.real), bits(parts[:, 0].T))
+            assert np.array_equal(bits(waves.imag), bits(parts[:, 1].T))
+        else:
+            assert np.array_equal(bits(waves), bits(_PSK_PHASORS[rng.integers(0, 8, (3, 60)).T]))
+        parts = rng.standard_normal((2, 60, 25))
+        assert np.array_equal(bits(noise.real), bits(parts[0]))
+        assert np.array_equal(bits(noise.imag), bits(parts[1]))
+
+    @pytest.mark.parametrize("which", list(SYNTH))
+    @pytest.mark.parametrize("coords", [(7.0, 3), (7, 3.0)])
+    def test_float_coordinates_rejected_cold_and_warm(self, which, coords):
+        synth, _ = SYNTH[which]
+        signalsim.clear_trial_memo()
+        with pytest.raises(DomainError, match="must be integers"):
+            synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
+        # and again once the integer coordinates' draws and batch are held
+        synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(7, 3))
+        with pytest.raises(DomainError, match="must be integers"):
+            synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
+
+    @pytest.mark.parametrize("which", list(SYNTH))
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    def test_numpy_integer_coordinates_give_the_integer_batch(self, which, kind):
+        synth, reference = SYNTH[which]
+        ref = reference(GEOM, PSK_SCENE, kind, 60, 7, 3)
+        signalsim.clear_trial_memo()
+        for seed, trial in ((7, 3), (np.int64(7), np.uint32(3)), (7, 3)):
+            got = synth(GEOM, PSK_SCENE, kind, 60, TrialRngs(seed, trial))
+            assert np.array_equal(bits(got.snapshots), bits(ref.snapshots))
+            assert np.array_equal(bits(got.truth), bits(ref.truth))
+
     def test_held_batch_is_read_only_and_returned_again(self):
         signalsim.clear_trial_memo()
         batch = synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 40, TrialRngs(7, 3))
@@ -569,7 +614,7 @@ class TestDrawMemo:
         synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 1))
         synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 1))
         assert len(made) == 8 and signalsim._new_draws.cache_info().currsize == 4
-        assert signalsim._held_batch[0][4:] == (7, 1)
+        assert signalsim._held_batch[0][4:] == (7, 1, int, int)
         for key in made[4:]:
             signalsim._new_draws(*key)
         assert len(made) == 8  # the second trial's draws are all held

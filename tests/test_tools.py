@@ -1,14 +1,16 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "results_digests.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOL = TOOLS / "results_digests.py"
 PINNED = TOOL.with_suffix(".txt")
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("results_digests", TOOL)
+def load_tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,3 +58,20 @@ class TestPinnedDigestTable:
         lines = PINNED.read_text().splitlines()
         assert len(lines) == len(expected)
         assert list(tool._read_table(PINNED)) == expected
+
+
+class TestPairCpu:
+    def test_prints_one_json_line_per_run(self, capsys):
+        tool = load_tool(TOOLS / "pair_cpu.py")
+        assert tool.main(["fig1", "100"]) == 0
+        line, = capsys.readouterr().out.splitlines()
+        result = json.loads(line)
+        assert {k: result[k] for k in ("preset", "trials", "points", "repeats")} == {
+            "preset": "fig1", "trials": 100, "points": 5, "repeats": tool.REPEATS}
+        assert result["us_per_pair"] > 0.0
+
+    @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"]])
+    def test_rejects_alpha_sweep_and_too_few_trials(self, args):
+        with pytest.raises(SystemExit) as info:
+            load_tool(TOOLS / "pair_cpu.py").main(args)
+        assert info.value.code == 2
