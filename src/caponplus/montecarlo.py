@@ -18,20 +18,33 @@ Five regimes are supported, each sweeping SNR or the secondary sample count:
     As ``c`` but with the SOI power estimated via the inverse-Wishart
     corrected debiased estimator (``c = T0 / (T0 - M)``).
 
-Regimes a to d share one trial: synthesize the batch, form the Capon
-weight, beamform, take the output power and fourth moment, estimate the
-shrinkage, and score Capon, MMSE and CaponPlus.  The regime picks
+In the oracle regime and in regime a the weights are fixed: the oracle
+regime scores the exact CB, Capon and MMSE weights and the Capon output
+shrunk by ``sqrt(alpha)``; regime a scores the exact Capon weight, and its
+MMSE, CaponPlus and Debiased rows scale the Capon output by scalars of the
+trial (MMSE by ``g q / (1 + g q)`` with the debiased power ``g`` and
+``q = a^H Q^{-1} a``).  A trial's outputs at every sweep point are then
+fixed linear maps of its three raw draws.  A run stacks the conjugate
+weights of every point, scaled by each point's source amplitudes, into one
+:class:`~.signalsim.OutputMap`, once; each trial projects its draws through
+it, two matrix products and one outer product, and scores every point and
+method from those outputs with one :func:`~.metrics.score_outputs` call,
+without forming a snapshot matrix.  In the measured-alpha 8-PSK mode each
+point's alpha comes from that point's Capon output.
 
-* the Capon weight: the exact ``w_cap`` (a), or the adaptive weight from
-  the SCM of the primary batch (b) or of the secondary batch (c, d);
+Regimes b to d share one trial: synthesize the batch, form the adaptive
+Capon weight, beamform, take the output power and fourth moment, estimate
+the shrinkage, and score Capon, MMSE and CaponPlus as scalar multiples of
+the Capon output.  The regime picks
+
+* the SCM the Capon weight comes from: of the primary batch (b) or of the
+  secondary batch (c, d);
 * the SOI power in the shrinkage numerator and the MMSE scale: the known
-  ``gamma`` (b, c), the debiased estimate (a) or its inverse-Wishart
-  scaled form (d);
-* whether a ``Debiased`` row is added (a, d).
+  ``gamma`` (b, c) or the inverse-Wishart scaled debiased estimate (d);
+* whether a ``Debiased`` row is added (d).
 
 Regime b divides by its plug-in power ``1 / (a^H S_hat^{-1} a)``, c and d
-by the measured output power; regime a scales its MMSE row by
-``g q / (1 + g q)`` with ``q = a^H Q^{-1} a``.
+by the measured output power.
 
 An additional ``alpha_sweep`` mode tabulates the closed-form row of the
 shrunk Capon weight ``sqrt(alpha) w_cap`` over a grid of shrinkage factors;
@@ -43,16 +56,24 @@ processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
 A run builds every sweep point's :class:`SweepContext` up front and reuses
-it for the theory rows.  A work item is a trial range ``(start, stop)``, and
-a chunk runs it trial-major: each trial runs at every sweep point in turn.
+it for the theory rows; in the fixed-weight regimes the contexts share the
+run's projection.  A context built alone, as :func:`run_trial` builds one
+without a context, projects its point alone, and its records have the bits
+of the same point in a multi-point run (see
+:func:`~.signalsim.output_map`).  A work item is a trial range
+``(start, stop)``, and a chunk runs it trial-major: each trial runs at every
+sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair.
 
 A trial's streams do not depend on the sweep point, so :mod:`.signalsim`
 keeps the trial's raw draws from its first point for the others (a cache of
 the four draws used last), and along a T0 sweep, where the scene is the same
-at every point, its primary batch too (one batch held).  Each point's
-records are still those of running its trials alone.  A chunk empties the
-cache and the held batch before each trial, so they hold one trial at a
-time, and when it ends or raises, so no draw outlives a run.
+at every point, its primary batch too (one batch held).  A fixed-weight
+trial's first pair scores the trial at every point and holds those rows, the
+way :mod:`.signalsim` holds its draws; its later pairs read their own row.
+Each point's records are still those of running its trials alone.  A chunk
+empties the cache, the held batch and the held rows before each trial, so
+they hold one trial at a time, and when it ends or raises, so nothing
+outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -67,8 +88,8 @@ A chunk returns, per sweep point, the methods of a trial's records and their
 metrics as one float64 table in trial order, which pickles and holds far more
 cheaply than the record tuples.  Only the last chunk completes every point,
 so the failure gate and the aggregation run once all chunks are in: the
-points are checked in sweep order, then each point's records are rebuilt
-from its tables, aggregated, and its tables dropped.
+points are checked in sweep order, then each point is aggregated straight
+from its tables (:func:`~.metrics.aggregate_table`), and its tables dropped.
 
 Trials stay separate computations, each with its own ``(seed, trial, role)``
 streams.  Batching different trials does not pay at the reference size
@@ -80,6 +101,7 @@ call.
 from __future__ import annotations
 
 import array
+import dataclasses
 import enum
 import functools
 import itertools
@@ -91,6 +113,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +141,16 @@ from .estimation import (
     output_moments,
     scm,
 )
-from .metrics import AggregateRecord, TrialRecord, aggregate, mean_abs_sq, trial_records
-from .signalsim import TrialRngs, clear_trial_memo, synth_scene_secondary, synth_scene_snapshots
+from .metrics import AggregateRecord, TrialRecord, aggregate, aggregate_table, score_outputs
+from .signalsim import (
+    OutputMap,
+    TrialRngs,
+    clear_trial_memo,
+    output_map,
+    synth_outputs,
+    synth_scene_secondary,
+    synth_scene_snapshots,
+)
 
 __all__ = [
     "Regime",
@@ -132,6 +163,8 @@ __all__ = [
     "snr_to_scene",
     "build_context",
     "run_trial",
+    # re-exported: aggregates the records run_trial returns
+    "aggregate",
     "run_scenario",
     "DEFAULT_GEOMETRY",
     "DEFAULT_SOI_DOA_DEG",
@@ -341,8 +374,51 @@ class SweepContext:
     w_mmse: np.ndarray
     alpha_oracle: float
     w_cap_plus: np.ndarray
+    # oracle regime and regime a: the projection of every sweep point of the
+    # run, and this point's place in it; None in regimes b to d
+    projection: _Projection | None = None
+    point: int = 0
+
+
+class _Projection(NamedTuple):
+    """The fixed weights of a run's sweep points (oracle regime: CB, Capon and
+    MMSE; regime a: Capon), stacked into one :class:`~.signalsim.OutputMap`,
+    and what scoring their outputs reads at each point."""
+
+    outputs: OutputMap
+    gamma: tuple[float, ...]  # the true SOI power
+    alpha: tuple[float, ...]  # the oracle shrinkage factor
+    gamma_cap: tuple[float, ...]  # the closed-form Capon output power
+    ah_qinv_a: tuple[float, ...]  # a^H Q^{-1} a
     # oracle regime: each trial estimates alpha from its own output's kurtosis
     measure_alpha: bool
+
+
+# The weights a fixed-weight regime projects, as named in a SweepContext.
+_PROJECTED = {Regime.ORACLE: ("w_cb", "w_cap", "w_mmse"), Regime.A: ("w_cap",)}
+
+
+def _project(config: ScenarioConfig, contexts: Sequence[SweepContext]) -> list[SweepContext]:
+    """``contexts`` sharing one projection of all their points, in regimes
+    that have fixed weights; unchanged in the others."""
+    names = _PROJECTED.get(config.regime)
+    if names is None:
+        return list(contexts)
+    projection = _Projection(
+        outputs=output_map(config.geom, [ctx.scene for ctx in contexts], config.waveform,
+                           [[getattr(ctx, name) for name in names] for ctx in contexts]),
+        gamma=tuple(ctx.model.gamma for ctx in contexts),
+        alpha=tuple(ctx.alpha_oracle for ctx in contexts),
+        gamma_cap=tuple(ctx.theory.gamma_cap for ctx in contexts),
+        ah_qinv_a=tuple(ctx.model.ah_qinv_a for ctx in contexts),
+        measure_alpha=(
+            config.regime is Regime.ORACLE
+            and config.waveform is WaveformKind.PSK8
+            and config.psk_alpha_mode is PskAlphaMode.MEASURED
+        ),
+    )
+    return [dataclasses.replace(ctx, projection=projection, point=point)
+            for point, ctx in enumerate(contexts)]
 
 
 def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceModel,
@@ -361,7 +437,11 @@ def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceM
 
 
 def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
-    """Resolve the scene at one sweep point and precompute the oracle quantities."""
+    """Resolve the scene at one sweep point and precompute the oracle quantities.
+
+    In the oracle regime and regime a the context projects its own point
+    alone; a run's contexts share one projection of all points.
+    """
     if config.sweep.variable is SweepVariable.SNR_DB:
         scene = snr_to_scene(config.base_scene, sweep_value)
         t0 = config.secondary_snapshots
@@ -375,7 +455,7 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
     theory = theory_report(model, config.snapshots)
     w_cap = model.sinv_a / model.ah_sinv_a
     alpha_oracle = _oracle_alpha(config, scene, model, theory, w_cap)
-    return SweepContext(
+    ctx = SweepContext(
         scene=scene,
         model=model,
         theory=theory,
@@ -385,85 +465,132 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         w_mmse=model.gamma * model.sinv_a,
         alpha_oracle=alpha_oracle,
         w_cap_plus=capon_plus_weights(w_cap, alpha_oracle),
-        measure_alpha=(
-            config.regime is Regime.ORACLE
-            and config.waveform is WaveformKind.PSK8
-            and config.psk_alpha_mode is PskAlphaMode.MEASURED
-        ),
     )
+    return _project(config, [ctx])[0]
 
 
-def _trial_oracle(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    rngs = TrialRngs(config.master_seed, idx)
-    batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
-    gamma = ctx.model.gamma
-    out_cap = apply_weights(ctx.w_cap, batch)
-    gamma_cap_hat = mean_abs_sq(out_cap)
+def _build_contexts(config: ScenarioConfig) -> list[SweepContext]:
+    """Every sweep point's context, sharing one projection where the weights are fixed."""
+    return _project(config, [build_context(config, v) for v in config.sweep.values])
 
-    alpha = ctx.alpha_oracle
-    if ctx.measure_alpha:
-        kurt = kurtosis_estimate(out_cap)
-        alpha, _ = alpha_from_kurtosis(
-            gamma, ctx.theory.gamma_cap, config.snapshots, kurt
-        )
 
-    return trial_records(gamma, batch.truth, (
-        ("CB", apply_weights(ctx.w_cb, batch), None),
-        ("Capon", out_cap, gamma_cap_hat),
-        ("MMSE", apply_weights(ctx.w_mmse, batch), None),
-        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
-    ))
+# The rows of the trial _trial_fixed scored last, at every point of its
+# projection: ``(projection, config, (trial index, its type), records per point)``.
+_held_rows: tuple = (None, None, None, None)
+
+
+def _clear_trial() -> None:
+    """Drop the held rows, and the draws and batch :mod:`.signalsim` holds."""
+    global _held_rows
+    _held_rows = (None, None, None, None)
+    clear_trial_memo()
+
+
+def _trial_fixed(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
+    """One trial of the oracle regime or regime a at one sweep point.
+
+    The first call for a trial scores it at every point of the context's
+    projection and holds the rows; a call for another point of the same
+    trial reads its own.
+    """
+    global _held_rows
+    projection = ctx.projection
+    key = (idx, type(idx))
+    held = _held_rows
+    if held[0] is not projection or held[1] is not config or held[2] != key:
+        _held_rows = (projection, config, key, _score_fixed(config, projection, idx))
+    return list(_held_rows[3][ctx.point])
+
+
+_ORACLE_METHODS = ("CB", "Capon", "MMSE", "CaponPlus")
+# The rows of _capon_multiples, in its order.
+_CAPON_MULTIPLES = ("Capon", "MMSE", "CaponPlus", "Debiased")
+
+
+def _score_fixed(config: ScenarioConfig, projection: _Projection,
+                 idx: int) -> list[list[TrialRecord]]:
+    """One trial's records at every point of ``projection``, from one
+    projection of its draws; see the module docstring."""
+    t = config.snapshots
+    outs, truth = synth_outputs(projection.outputs, t, TrialRngs(config.master_seed, idx))
+    if config.regime is Regime.ORACLE:
+        powers, _ = output_moments(outs)
+        out_cap = outs[:, 1]
+        alpha = projection.alpha
+        if projection.measure_alpha:
+            alpha = [alpha_from_kurtosis(gamma, gamma_cap, t, kurtosis_estimate(out))[0]
+                     for gamma, gamma_cap, out in zip(projection.gamma, projection.gamma_cap,
+                                                      out_cap)]
+        outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
+        powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
+        methods = _ORACLE_METHODS
+    else:
+        # regime a: every row scales the Capon output by a scalar of the trial
+        out_cap = outs[:, 0]
+        scales, powers = [], []
+        for gamma_cap_hat, m4, q in zip(*output_moments(out_cap), projection.ah_qinv_a):
+            gamma_num = debiased_power(gamma_cap_hat, q)
+            mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
+            alpha = alpha_hat(gamma_cap_hat, m4, gamma_num, t)
+            point_scales, point_powers = _capon_multiples(
+                gamma_cap_hat, gamma_num, mmse_scale, alpha, debiased=True)
+            scales.append(point_scales)
+            powers.append(point_powers)
+        outs = np.array(scales)[:, :, None] * out_cap[:, None]
+        methods = _CAPON_MULTIPLES
+    return score_outputs(methods, projection.gamma, truth, outs, powers)
+
+
+def _capon_multiples(gamma_cap_hat: float, gamma_num: float, mmse_scale: float, alpha: float,
+                     debiased: bool) -> tuple[list[float], list[float]]:
+    """The scales of the Capon output that give the Capon, MMSE and CaponPlus
+    rows (and the Debiased row), and those rows' power estimates.
+
+    The Debiased estimator estimates power only; its waveform column reports
+    the power-matched rescaling of the Capon output.
+    """
+    scales = [1.0, mmse_scale, math.sqrt(alpha)]
+    powers = [gamma_cap_hat, mmse_scale**2 * gamma_cap_hat, alpha * gamma_cap_hat]
+    if debiased:
+        scales.append(math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0)
+        powers.append(gamma_num)
+    return scales, powers
 
 
 def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    """One trial of regime a, b, c or d; see the module docstring."""
+    """One trial of regime b, c or d; see the module docstring."""
     regime = config.regime
     rngs = TrialRngs(config.master_seed, idx)
     batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
     gamma = ctx.model.gamma
 
-    if regime is Regime.A:
-        w_cap = ctx.w_cap
-    else:
-        training = batch if regime is Regime.B else synth_scene_secondary(
-            config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs
-        )
-        # plug_in = 1 / (a^H C_hat^{-1} a) for the SCM C_hat of the training batch
-        w_cap, plug_in = adaptive_capon_weights(scm(training).matrix, ctx.model.a)
+    training = batch if regime is Regime.B else synth_scene_secondary(
+        config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs
+    )
+    # plug_in = 1 / (a^H C_hat^{-1} a) for the SCM C_hat of the training batch
+    w_cap, plug_in = adaptive_capon_weights(scm(training).matrix, ctx.model.a)
     out_cap = apply_weights(w_cap, batch)
     gamma_cap_hat, m4 = output_moments(out_cap)
 
     power = plug_in if regime is Regime.B else gamma_cap_hat
-    if regime is Regime.A:
-        q = ctx.model.ah_qinv_a
-        gamma_num = debiased_power(gamma_cap_hat, q)
-        mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
-    else:
-        gamma_num = debiased_power_scaled(
-            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
-        ) if regime is Regime.D else gamma
-        # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
-        # its plug-in power; with an estimated INCM (c/d) the measured output
-        # power stands in for the plug-in one.
-        mmse_scale = gamma_num / power if power > 0.0 else 0.0
+    gamma_num = debiased_power_scaled(
+        gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
+    ) if regime is Regime.D else gamma
+    # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
+    # its plug-in power; with an estimated INCM (c/d) the measured output
+    # power stands in for the plug-in one.
+    mmse_scale = gamma_num / power if power > 0.0 else 0.0
     alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
-
-    entries = [
-        ("Capon", out_cap, gamma_cap_hat),
-        ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat),
-        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
-    ]
-    if regime in (Regime.A, Regime.D):
-        # Power-only estimator; its waveform column reports the power-matched
-        # rescaling of the Capon output.
-        deb_scale = math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
-        entries.append(("Debiased", deb_scale * out_cap, gamma_num))
-    return trial_records(gamma, batch.truth, entries)
+    scales, powers = _capon_multiples(gamma_cap_hat, gamma_num, mmse_scale, alpha,
+                                      debiased=regime is Regime.D)
+    outs = np.multiply.outer(scales, out_cap)
+    (records,) = score_outputs(_CAPON_MULTIPLES, (gamma,), batch.truth[None], outs[None], (powers,))
+    return records
 
 
 _TRIAL_FUNCS = {
-    Regime.ORACLE: _trial_oracle,
-    Regime.A: _trial_adaptive,
+    Regime.ORACLE: _trial_fixed,
+    Regime.A: _trial_fixed,
     Regime.B: _trial_adaptive,
     Regime.C: _trial_adaptive,
     Regime.D: _trial_adaptive,
@@ -476,7 +603,13 @@ def run_trial(
     trial_index: int,
     ctx: SweepContext | None = None,
 ) -> list[TrialRecord]:
-    """Run one Monte-Carlo trial and return one record per method."""
+    """Run one Monte-Carlo trial at one sweep point and return one record per method.
+
+    Without ``ctx`` the point's context is built alone.  In the oracle
+    regime and regime a a trial is scored at every point of ``ctx``'s run
+    at once, on its first call; calls for the same trial at the other
+    points return the rows held from it.
+    """
     if ctx is None:
         ctx = build_context(config, sweep_value)
     return _TRIAL_FUNCS[config.regime](config, ctx, trial_index)
@@ -522,7 +655,7 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     failed = [0] * len(contexts)
     try:
         for idx in range(start, stop):
-            clear_trial_memo()
+            _clear_trial()
             for point, ctx in enumerate(contexts):
                 try:
                     records = run_trial(config, values[point], idx, ctx)
@@ -533,7 +666,7 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
                     methods[point] = tuple(rec[0] for rec in records)
                 tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
     finally:
-        clear_trial_memo()
+        _clear_trial()
     return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
             for names, table, n_failed in zip(methods, tables, failed)]
 
@@ -641,7 +774,7 @@ def run_scenario(
         values, trials = config.sweep.values, config.trials
         workers = min(threads, _usable_cpus())
         chunk = math.ceil(trials / (workers * 4)) if workers > 1 else trials
-        contexts = [build_context(config, v) for v in values]
+        contexts = _build_contexts(config)
         run = (config, values, contexts)
         work = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
         # Forked workers inherit the imported package and, through the
@@ -669,10 +802,10 @@ def _mc_points(config: ScenarioConfig, contexts: Sequence[SweepContext],
     trial order.
 
     More than 1% failed trials at any point raises :class:`TrialFailureError`
-    for the first such point in sweep order.  A point's records are rebuilt
-    as the tuples its trials returned, so :func:`aggregate` sees the list a
-    point-by-point run would give it, and its tables are dropped once it is
-    aggregated.
+    for the first such point in sweep order.  A point is aggregated straight
+    from its chunks' tables, joined in trial order, which gives the bits
+    :func:`aggregate` gives on its records; its tables are dropped once it
+    is aggregated.
     """
     values, trials = config.sweep.values, config.trials
     failed = [sum(chunk[point][2] for chunk in chunks) for point in range(len(values))]
@@ -684,12 +817,13 @@ def _mc_points(config: ScenarioConfig, contexts: Sequence[SweepContext],
             )
     points = []
     for point, (sweep_value, ctx, n_failed) in enumerate(zip(values, contexts, failed)):
-        records: list[TrialRecord] = []
+        methods, tables = (), []
         for chunk in chunks:
-            methods, table, _ = chunk[point]
+            names, table, _ = chunk[point]
             chunk[point] = None
-            records.extend(zip(itertools.cycle(methods), *table.T.tolist()))
-        aggregates = aggregate(records)
+            methods = methods or names
+            tables.append(table)
+        aggregates = aggregate_table(methods, np.concatenate(tables))
         if emit_theory:
             aggregates = aggregates + _theory_rows(config, ctx)
         points.append(SweepPointResult(

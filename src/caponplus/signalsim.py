@@ -1,4 +1,5 @@
-"""Seeded random streams and the synthesis of snapshot batches, nothing else.
+"""Seeded random streams and the synthesis of snapshot batches, and of the
+outputs of fixed beamformers over them, nothing else.
 
 A batch is the named pair ``(snapshots, truth)``.  The waveform law and the
 closed-form output moments live in :mod:`.arraymodel`.
@@ -36,8 +37,9 @@ count, master_seed, trial_index)`` and the coordinates' types, and drops it
 before it synthesises another, so it never holds two.  Every held array is
 read-only, the batch included.  A trial run at every sweep point in turn
 builds its generators at the first point only; along an SNR sweep it reuses
-the draws, and along a T0 sweep the primary batch itself.
-:func:`clear_trial_memo` empties the cache and the holder, which the
+the draws, and along a T0 sweep the primary batch itself.  A trial with
+fixed weights reads its three primary draws once, for every point at once
+(:func:`synth_outputs`).  :func:`clear_trial_memo` empties the cache and the holder, which the
 Monte-Carlo harness does before every trial and when a chunk of trials ends.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
@@ -61,13 +63,27 @@ What a batch needs from the scene alone is computed once per
 amplitude per source (``sqrt(p / 2)`` per Gaussian source, ``sqrt(p)`` per
 8-PSK source), the interferer steering matrix transposed, the SOI steering
 row and ``sqrt(noise_var / 2)``.  The source powers are checked there; the
-sample count in every call.  Each trial then only scales and combines the
+sample count, which must be an integer >= 1, in every call.  Each trial then only scales and combines the
 cached draws, out of place: ``raw * amp`` multiplies each complex sample by
 its source's amplitude, which for nonzero draws gives the bits of scaling
 the real and imaginary parts apart, and the scaled noise ``N`` plus the
 interference ``I`` has the bits of ``I + N``, since IEEE addition commutes.
 So a batch has the bits of drawing, scaling and adding afresh in every
 call, whether its draws were cached or not.
+
+Beamformer outputs
+------------------
+A fixed weight's output ``w^H x(t)`` over a primary batch is a linear map of
+the batch's unscaled draws.  :func:`output_map` folds many weights, at one
+or more scenes, into the amplitudes and steering vectors of each scene,
+once: one row per weight and source kind (noise, interferers, SOI).
+:func:`synth_outputs` then gives every weight's outputs over a trial's
+primary batch from the trial's cached draws, without forming the batch.
+They equal the batch times the conjugate weight up to rounding, and a
+weight's outputs have the same bits in any map it is part of.  The sample
+count is checked first in every synthesis call, so a non-integer count is
+rejected even where the draws or the batch of an equal integer count are
+held.
 """
 
 from __future__ import annotations
@@ -75,6 +91,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +113,9 @@ __all__ = [
     "SnapshotBatch",
     "synth_scene_snapshots",
     "synth_scene_secondary",
+    "OutputMap",
+    "output_map",
+    "synth_outputs",
 ]
 
 
@@ -255,6 +275,11 @@ def _amplitudes(kind: WaveformKind, powers: np.ndarray) -> np.ndarray:
 
 
 def _checked_count(count: int) -> int:
+    """``count`` as an ``int``; :class:`DomainError` unless it is an integer >= 1."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"sample count must be an integer, got {count!r}") from None
     if count < 1:
         raise DomainError(f"sample count must be >= 1, got {count}")
     return count
@@ -360,6 +385,7 @@ def synth_scene_snapshots(
     needs another batch, and a call with the same arguments returns it again.
     """
     global _held_batch
+    count = _checked_count(count)
     seed, trial = rngs.master_seed, rngs.trial_index
     key = (geom, scene, kind, count, seed, trial, type(seed), type(trial))
     # no local name for the held batch, so nothing keeps it while the next is built
@@ -384,7 +410,6 @@ def _synth_primary(
     """The primary batch of :func:`synth_scene_snapshots`, synthesised from
     the trial's draws."""
     consts = _scene_constants(geom, scene, kind)
-    _checked_count(count)
     k, m = len(scene.interferers), geom.antennas
     soi, _ = _new_draws(master_seed, trial_index, StreamRole.SOI, kind, 1, count, 0)
     waves = None
@@ -411,8 +436,93 @@ def synth_scene_secondary(
     data of the same trial.
     """
     consts = _scene_constants(geom, scene, kind)
-    _checked_count(count)
+    count = _checked_count(count)
     waves, noise = _new_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY, kind,
                               len(scene.interferers), count, geom.antennas)
     e = _interference_plus_noise(consts, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
+
+
+class OutputMap(NamedTuple):
+    """Fixed weights folded into the scenes' amplitudes and steering vectors,
+    one row per output: ``n`` weights at each of ``P`` scenes, scene-major.
+
+    A weight ``w`` at a scene gives the rows ``noise_amp w^H`` (``noise``),
+    ``amp_k w^H a_k`` per interferer (``interference``, ``None`` without
+    interferers) and ``amp_soi w^H a`` (``soi``), so that its output over a
+    primary batch is ``noise @ N^T + interference @ E^T + soi S^T`` for the
+    unscaled noise, interferer and SOI draws ``N``, ``E`` and ``S``.
+    """
+
+    noise: np.ndarray  # (rows, M)
+    interference: np.ndarray | None  # (rows, K)
+    soi: np.ndarray  # (rows, 1)
+    soi_amp: np.ndarray  # (P, 1): each scene's SOI amplitude, which scales the true waveform
+    kind: WaveformKind
+    shape: tuple[int, int]  # (P, n)
+
+
+def output_map(
+    geom: ArrayGeometry, scenes: Sequence[SourceScene], kind: WaveformKind, weights: np.ndarray
+) -> OutputMap:
+    """The :class:`OutputMap` of ``weights[p]``, an ``(n, M)`` stack of weights,
+    at ``scenes[p]``; every scene has the same number of interferers.
+
+    Each row is computed from its own weight alone.  A map of one weight
+    holds its row twice: numpy computes a one-row product as a
+    matrix-vector product, whose bits differ from those of the same row in a
+    matrix product, and a row of a matrix product keeps its bits whatever
+    the rows around it.  So a weight's outputs do not depend on the map it
+    is in.
+    """
+    weights = np.asarray(weights, dtype=np.complex128)
+    n_scenes, n, m = weights.shape
+    if len(scenes) != n_scenes or m != geom.antennas:
+        raise DomainError(f"weights {weights.shape} do not match {len(scenes)} scenes "
+                          f"of {geom.antennas} antennas")
+    if len({len(scene.interferers) for scene in scenes}) != 1:
+        raise DomainError("every scene of an output map needs the same number of interferers")
+    consts = [_scene_constants(geom, scene, kind) for scene in scenes]
+    noise, soi, interference = [], [], []
+    for c, stack in zip(consts, weights):
+        for w_h in stack.conj():
+            noise.append(c.noise_amp * w_h)
+            soi.append(c.soi_amp * (c.soi_row @ w_h))
+            if c.interferer_amp is not None:
+                interference.append(c.interferer_amp * (c.steering_int_t @ w_h))
+    if n_scenes * n == 1:
+        noise, soi, interference = noise * 2, soi * 2, interference * 2
+    arrays = [np.array(rows) if rows else None for rows in (noise, interference, soi)]
+    arrays.append(np.array([c.soi_amp for c in consts]))
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+    return OutputMap(*arrays, kind, (n_scenes, n))
+
+
+def synth_outputs(
+    omap: OutputMap, count: int, rngs: TrialRngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs ``w^H x(t)`` of every weight of ``omap`` over a trial's
+    primary batch of ``count`` snapshots, and the true SOI waveform at each
+    scene, as ``(P, n, count)`` and ``(P, count)`` arrays.
+
+    The batch is never formed: the trial's unscaled draws, the ones
+    :func:`synth_scene_snapshots` scales and adds, are projected through the
+    map, two matrix products and one outer product for every weight and
+    scene at once.  The outputs equal that function's snapshots times the
+    conjugate weights up to rounding; the true waveforms have its bits.
+    """
+    count = _checked_count(count)
+    seed, trial = rngs.master_seed, rngs.trial_index
+    soi, _ = _new_draws(seed, trial, StreamRole.SOI, omap.kind, 1, count, 0)
+    out = omap.soi * soi.T
+    if omap.interference is not None:
+        waves, _ = _new_draws(seed, trial, StreamRole.INTERFERENCE, omap.kind,
+                              omap.interference.shape[1], count, 0)
+        out += omap.interference @ waves.T
+    _, noise = _new_draws(seed, trial, StreamRole.NOISE, omap.kind, 0, count,
+                          omap.noise.shape[1])
+    out += omap.noise @ noise.T
+    n_scenes, n = omap.shape
+    return out[:n_scenes * n].reshape(n_scenes, n, count), omap.soi_amp * soi.T

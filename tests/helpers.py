@@ -1,6 +1,7 @@
 """Shared construction helpers and independent oracles for the test suite."""
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -11,15 +12,24 @@ from caponplus.arraymodel import (
     CovarianceModel,
     SourceScene,
     SourceSpec,
+    alpha_from_kurtosis,
     build_cov_model,
     steering_vector,
 )
+from caponplus.beamformers import apply_weights
 from caponplus.errors import (
+    DegenerateSample,
     DimensionMismatch,
     DomainError,
     NotPositiveDefinite,
 )
-from caponplus.estimation import SampleCovariance
+from caponplus.estimation import (
+    SampleCovariance,
+    alpha_hat,
+    debiased_power,
+    kurtosis_estimate,
+    output_moments,
+)
 from caponplus.linalg import cholesky, quadratic_form, solve_chol, zherk
 import caponplus.signalsim as signalsim
 from caponplus.signalsim import (
@@ -383,3 +393,65 @@ def count_draws(monkeypatch) -> dict:
     lookup.cache_clear, lookup.cache_info = cache.cache_clear, cache.cache_info
     monkeypatch.setattr(signalsim, "_new_draws", lookup)
     return counts
+
+
+def mean_abs_sq(out: np.ndarray) -> float:
+    """Output power ``(1/T) sum |s_hat(t)|^2`` as one ``vdot``."""
+    return float(np.vdot(out, out).real) / out.size
+
+
+def reference_records(gamma: float, truth: np.ndarray, entries) -> list[tuple]:
+    """Score one trial method by method: one ``(method, rel_bias, se_nmse,
+    sp_nmse)`` record per ``(method, output, gamma_hat)``, with the output
+    power :func:`mean_abs_sq` where ``gamma_hat`` is ``None``."""
+    if not gamma > 0.0:
+        raise DomainError(f"true power must be positive, got {gamma}")
+    truth_energy = float(np.vdot(truth, truth).real)
+    if truth_energy <= 0.0:
+        raise DegenerateSample("true waveform has zero energy")
+    records = []
+    for method, out, gamma_hat in entries:
+        if gamma_hat is None:
+            gamma_hat = mean_abs_sq(out)
+        rel = (gamma_hat - gamma) / gamma
+        err = out - truth
+        records.append((method, rel, float(np.vdot(err, err).real) / truth_energy, rel * rel))
+    return records
+
+
+def reference_fixed_trial(config, ctx, idx: int) -> list[tuple]:
+    """One trial of the oracle regime or regime a scored from its snapshot
+    matrix: synthesise the primary batch, apply each fixed weight to it and
+    score the methods one at a time.
+
+    The reference for ``caponplus.montecarlo``'s fixed-weight trials, which
+    project the trial's draws instead; the two differ by rounding only.
+    """
+    batch = signalsim.synth_scene_snapshots(config.geom, ctx.scene, config.waveform,
+                                            config.snapshots, TrialRngs(config.master_seed, idx))
+    gamma, t = ctx.model.gamma, config.snapshots
+    out_cap = apply_weights(ctx.w_cap, batch)
+    if config.regime.value == "oracle":
+        gamma_cap_hat = mean_abs_sq(out_cap)
+        alpha = ctx.alpha_oracle
+        if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode.value == "measured":
+            alpha, _ = alpha_from_kurtosis(gamma, ctx.theory.gamma_cap, t,
+                                           kurtosis_estimate(out_cap))
+        return reference_records(gamma, batch.truth, (
+            ("CB", apply_weights(ctx.w_cb, batch), None),
+            ("Capon", out_cap, gamma_cap_hat),
+            ("MMSE", apply_weights(ctx.w_mmse, batch), None),
+            ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
+        ))
+    gamma_cap_hat, m4 = output_moments(out_cap)
+    q = ctx.model.ah_qinv_a
+    gamma_num = debiased_power(gamma_cap_hat, q)
+    mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
+    alpha = alpha_hat(gamma_cap_hat, m4, gamma_num, t)
+    deb_scale = math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0
+    return reference_records(gamma, batch.truth, (
+        ("Capon", out_cap, gamma_cap_hat),
+        ("MMSE", mmse_scale * out_cap, mmse_scale**2 * gamma_cap_hat),
+        ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
+        ("Debiased", deb_scale * out_cap, gamma_num),
+    ))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from caponplus.errors import DegenerateSample, DomainError
-from caponplus.metrics import AggregateRecord, aggregate, trial_records
+from caponplus.metrics import AggregateRecord, aggregate, aggregate_table, score_outputs
+from helpers import reference_records
 
 
 def rec(method, rel=0.0, se=0.0, sp=0.0):
@@ -13,8 +14,9 @@ S = np.array([1.0 + 1.0j, -2.0j, 0.5])
 
 
 def score(gamma_hat, gamma=1.0, out=S, truth=S):
-    """``(rel_bias, se_nmse, sp_nmse)`` of one method scored by :func:`trial_records`."""
-    ((method, rel, se, sp),) = trial_records(gamma, truth, [("Capon", out, gamma_hat)])
+    """``(rel_bias, se_nmse, sp_nmse)`` of one output scored by :func:`score_outputs`."""
+    (((method, rel, se, sp),),) = score_outputs(("Capon",), (gamma,), truth[None],
+                                                out[None, None], ((gamma_hat,),))
     assert method == "Capon"
     return rel, se, sp
 
@@ -25,9 +27,6 @@ class TestScalarMetrics:
         assert rel == 0.0
         rel, _, _ = score(1.2)
         assert rel == pytest.approx(0.2)
-        # no estimate: the output power, mean |S|^2 = (2 + 4 + 0.25) / 3 = 25/12
-        rel, _, _ = score(None)
-        assert rel == pytest.approx(13.0 / 12.0)
         with pytest.raises(DomainError):
             score(1.0, gamma=0.0)
 
@@ -48,6 +47,44 @@ class TestScalarMetrics:
         assert sp == pytest.approx(1.0)
         _, _, sp = score(1.5)
         assert sp == pytest.approx(0.25)
+
+
+class TestScoreOutputs:
+    """Outputs scored together, in one group or stacked groups, get the bits
+    each gets scored alone, and those of scoring them one ``np.vdot`` at a time."""
+
+    @pytest.mark.parametrize("t", [1, 7, 60, 200])
+    def test_stacked_groups_score_each_output_as_alone(self, t):
+        rng = np.random.default_rng(t)
+        methods = ("CB", "Capon", "MMSE", "CaponPlus")
+        shape = (3, 4, t)
+        outs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        truth = rng.standard_normal((3, t)) + 1j * rng.standard_normal((3, t))
+        gamma = (10.0 ** rng.uniform(-2, 2, size=3)).tolist()
+        powers = (10.0 ** rng.uniform(-2, 2, size=(3, 4))).tolist()
+        groups = score_outputs(methods, gamma, truth, outs, powers)
+        assert [[r[0] for r in group] for group in groups] == [list(methods)] * 3
+        for g in range(3):
+            ref = reference_records(gamma[g], truth[g], zip(methods, outs[g], powers[g]))
+            assert exact(groups[g]) == exact(ref)
+            for k in range(4):
+                (alone,), = score_outputs(methods[k:], gamma[g:g + 1], truth[g:g + 1],
+                                          outs[g:g + 1, k:k + 1], [powers[g][k:k + 1]])
+                assert exact([alone]) == exact([groups[g][k]])
+
+    def test_every_group_checked(self):
+        truth = np.stack([S, S])
+        outs, powers = np.stack([truth, truth], axis=1), [[1.0, 1.0]] * 2
+        with pytest.raises(DomainError, match="true power"):
+            score_outputs(("a", "b"), (1.0, 0.0), truth, outs, powers)
+        truth[1] = 0.0
+        with pytest.raises(DegenerateSample):
+            score_outputs(("a", "b"), (1.0, 1.0), truth, outs, powers)
+
+
+def exact(records):
+    """Records with each float as its ``float.hex``, so equal means equal bits."""
+    return [(method, *(v.hex() for v in values)) for method, *values in records]
 
 
 class TestAggregate:
@@ -106,3 +143,22 @@ class TestAggregate:
                 "stderr_rel_bias", "stderr_se_nmse", "stderr_sp_nmse",
             )
         )
+
+
+class TestAggregateTable:
+    @pytest.mark.parametrize("n_trials", [2, 3, 17, 1000])
+    def test_table_gives_the_bits_of_the_records(self, n_trials):
+        rng = np.random.default_rng(n_trials)
+        methods = ("CB", "Capon", "MMSE", "CaponPlus")
+        table = rng.standard_normal((n_trials * len(methods), 3)) * 10.0 ** rng.uniform(-8, 3)
+        records = [(method, *row) for method, row in
+                   zip(methods * n_trials, table.tolist())]
+        assert aggregate_table(methods, table) == aggregate(records)
+
+    def test_table_checks_as_records_do(self):
+        table = np.zeros((4, 3))
+        table[3, 1] = np.nan
+        with pytest.raises(DomainError, match="'Capon' must be finite"):
+            aggregate_table(("MMSE", "Capon"), table)
+        with pytest.raises(DomainError, match=r"has 1 record\(s\); need at least 2"):
+            aggregate_table(("Capon",), np.zeros((1, 3)))

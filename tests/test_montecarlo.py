@@ -39,7 +39,7 @@ from caponplus.montecarlo import (
 )
 from caponplus.presets import PRESETS
 from caponplus.signalsim import WaveformKind
-from helpers import capon_weights, count_draws, mmse_weights, random_model
+from helpers import capon_weights, count_draws, mmse_weights, random_model, reference_fixed_trial
 
 SMALL_GEOM = ArrayGeometry(4, 0.5)
 SMALL_SCENE = SourceScene(
@@ -263,9 +263,10 @@ def exact(records):
 
 
 def scenario_run(doc, trials):
-    """The ``(config, values, contexts)`` run of a config document."""
+    """The ``(config, values, contexts)`` run of a config document, as
+    :func:`run_scenario` builds it."""
     cfg = build_run_config({**doc, "trials": trials}).scenario
-    return cfg, (cfg, cfg.sweep.values, [mc.build_context(cfg, v) for v in cfg.sweep.values])
+    return cfg, (cfg, cfg.sweep.values, mc._build_contexts(cfg))
 
 
 CHUNK_TRIALS = 120
@@ -379,9 +380,16 @@ TRIAL_MAJOR_RUNS = {
 
 
 class TestTrialMajorEqualsPointMajor:
-    """A chunk that runs each trial at every point, reusing the trial's draws
-    and, along a T0 sweep, its primary batch, returns per point the records
-    of running that point's trials alone, each on an empty memo, bit for bit."""
+    """A chunk that runs each trial at every point, reusing the trial's draws,
+    along a T0 sweep its primary batch, and in the oracle regime and regime a
+    one projection of its draws for all points, returns per point the
+    records of running that point's trials alone, each on an empty memo and
+    with a context built for that point alone, bit for bit.
+
+    For the fixed-weight regimes this compares a row of a matrix product
+    that stacks every point's weights with the same row in a product of one
+    point's weights; :func:`caponplus.signalsim.output_map` keeps the two
+    alike (a map of one weight holds it twice)."""
 
     @pytest.mark.parametrize("name", sorted(TRIAL_MAJOR_RUNS))
     def test_chunk_equals_one_point_at_a_time(self, monkeypatch, name):
@@ -393,31 +401,39 @@ class TestTrialMajorEqualsPointMajor:
         parts = mc._run_chunk(run, (0, n))
         assert len(counts["made"]) == n * streams_per_trial
         # three primary draws per trial-point, plus the secondary one in c and
-        # d; along a T0 sweep the primary batch is built at the first point only
-        primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 else len(values)
+        # d; along a T0 sweep the primary batch is built at the first point
+        # only, and a fixed-weight trial projects its draws once for all points
+        fixed = cfg.regime in (Regime.ORACLE, Regime.A)
+        primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 or fixed else len(values)
         secondary_points = len(values) * (cfg.regime in (Regime.C, Regime.D))
         assert counts["lookups"] == n * (3 * primary_points + secondary_points)
         trial = mc._TRIAL_FUNCS[cfg.regime]
-        for point, ctx in enumerate(contexts):
+        for point, value in enumerate(values):
+            alone = mc.build_context(cfg, value)
+            assert (alone.projection is None) is not fixed
             reference = []
             for i in range(n):
-                signalsim.clear_trial_memo()
-                reference.extend(trial(cfg, ctx, i))
+                mc._clear_trial()
+                reference.extend(trial(cfg, alone, i))
             assert parts[point][2] == 0
             assert exact(point_records([parts], point)) == exact(reference), values[point]
 
 
 def memo_is_empty():
     return (signalsim._new_draws.cache_info().currsize == 0
-            and signalsim._held_batch == (None, None))
+            and signalsim._held_batch == (None, None)
+            and mc._held_rows == (None, None, None, None))
 
 
 class TestTrialMemo:
-    """The draw cache and the held batch of :mod:`.signalsim` hold one trial,
-    a T0 sweep's primary batch is built once per trial, and both are empty
-    once a chunk ends or raises."""
+    """The draw cache and the held batch of :mod:`.signalsim`, and the rows
+    a fixed-weight trial holds, hold one trial; a T0 sweep's primary batch is
+    built once per trial, a fixed-weight trial is projected and scored once
+    for all points and builds no batch; all are empty once a chunk ends or
+    raises."""
 
-    @pytest.mark.parametrize("name, builds_per_trial", [("c_t0", 1), ("oracle_gauss", 3)])
+    @pytest.mark.parametrize("name, builds_per_trial", [
+        ("c_t0", 1), ("b_snr", 2), ("oracle_gauss", 0), ("a_snr", 0)])
     def test_primary_batch_built_once_per_trial_and_scene(self, monkeypatch, name,
                                                           builds_per_trial):
         _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
@@ -467,20 +483,88 @@ class TestTrialMemo:
         run_scenario(cfg, threads=1)
         assert memo_is_empty()
 
+    @pytest.mark.parametrize("name", ["oracle_gauss", "a_snr"])
+    def test_fixed_weight_trial_scored_once_for_all_points(self, monkeypatch, name):
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        scored, calls = [], []
+        score, trial = mc._score_fixed, mc._TRIAL_FUNCS[cfg.regime]
+
+        def counted_score(config, projection, idx):
+            # (trial, whether the draws and the held rows are empty)
+            scored.append((idx, memo_is_empty()))
+            return score(config, projection, idx)
+
+        def counted_trial(config, ctx, idx):
+            calls.append((idx, ctx.point))
+            return trial(config, ctx, idx)
+
+        monkeypatch.setattr(mc, "_score_fixed", counted_score)
+        monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, counted_trial)
+        mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+        assert scored == [(i, True) for i in range(TRIAL_MAJOR_TRIALS)]
+        # still one trial call per (point, trial) pair, trial-major
+        assert calls == [(i, p) for i in range(TRIAL_MAJOR_TRIALS) for p in range(len(run[1]))]
+
     def test_empty_after_chunk_raises(self, monkeypatch):
-        _, run = scenario_run(TRIAL_MAJOR_RUNS["d_t0"][0], 100)
-        original = mc._TRIAL_FUNCS[Regime.D]
+        for name in ("d_t0", "oracle_gauss"):
+            cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+            original = mc._TRIAL_FUNCS[cfg.regime]
 
-        def raising(cfg, ctx, idx):
-            records = original(cfg, ctx, idx)
-            if idx == 3:
-                raise RuntimeError("synthetic error")
-            return records
+            def raising(cfg, ctx, idx, original=original):
+                records = original(cfg, ctx, idx)
+                if idx == 3:
+                    raise RuntimeError("synthetic error")
+                return records
 
-        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.D, raising)
-        with pytest.raises(RuntimeError, match="synthetic error"):
-            mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        assert memo_is_empty()
+            monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, raising)
+            with pytest.raises(RuntimeError, match="synthetic error"):
+                mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+            assert memo_is_empty(), name
+
+
+# Fixed-weight runs checked against the snapshot-matrix reference: the oracle
+# regime with Gaussian and with 8-PSK sources under each shrinkage rule, and
+# regime a with either waveform.
+PROJECTED_RUNS = {
+    "oracle_gauss": PRESETS["fig1"],
+    **{f"oracle_psk8_{mode}": {**PRESETS["fig1"], "waveform": "psk8", "psk_alpha_mode": mode}
+       for mode in ("kappa_minus_one", "exact", "measured")},
+    "a_psk8": PRESETS["fig3"],
+    "a_gauss": {**PRESETS["fig3"], "waveform": "gaussian"},
+}
+PROJECTED_SNRS = [20.0, 0.0, -10.0, -30.0]
+PROJECTED_TRIALS = 40
+
+
+class TestProjectedTrialsMatchSnapshotReference:
+    """A fixed-weight trial projects its draws through every point's stacked
+    weights instead of forming the snapshot matrix and applying each weight
+    to it (:func:`helpers.reference_fixed_trial`), so its metrics differ from
+    the reference's by rounding only.
+
+    Bound: each metric of each record is within ``16 eps (1 + m)`` of the
+    reference's, ``m`` being the largest magnitude of that metric among the
+    methods the trial scores at that point.  An output moves by a few ``eps``
+    of the largest output, which moves every relative bias by a few ``eps``
+    of the largest output power over ``gamma``.  The largest deviation seen
+    on these runs, from 20 to -30 dB, is 6.2 ``eps (1 + m)``."""
+
+    @pytest.mark.parametrize("name", sorted(PROJECTED_RUNS))
+    def test_records_match_within_rounding(self, name):
+        doc = {**PROJECTED_RUNS[name], "sweep": {"variable": "snr_db", "values": PROJECTED_SNRS}}
+        cfg, run = scenario_run(doc, 100)
+        parts = mc._run_chunk(run, (0, PROJECTED_TRIALS))
+        eps = np.finfo(np.float64).eps
+        for point, ctx in enumerate(run[2]):
+            records = point_records([parts], point)
+            n = len(records) // PROJECTED_TRIALS
+            for i in range(PROJECTED_TRIALS):
+                ref = reference_fixed_trial(cfg, ctx, i)
+                got = records[i * n:(i + 1) * n]
+                assert [r[0] for r in got] == [r[0] for r in ref]
+                got, ref = np.array([r[1:] for r in got]), np.array([r[1:] for r in ref])
+                bound = 16 * eps * (1.0 + np.abs(ref).max(axis=0))
+                assert (np.abs(got - ref) <= bound).all(), (name, PROJECTED_SNRS[point], i)
 
 
 @pytest.fixture(scope="module")

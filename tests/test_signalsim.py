@@ -456,6 +456,93 @@ class TestSynthMatchesReference:
             with pytest.raises(DomainError, match="sample count"):
                 synth(GEOM, scene, WaveformKind.PSK8, 0, TrialRngs(7, 0))
 
+    @pytest.mark.parametrize("which", ["snapshots", "secondary", "outputs"])
+    @pytest.mark.parametrize("count", [60.0, 60.5, "60", None])
+    def test_non_integer_count_rejected_cold_and_warm(self, which, count):
+        """A count that is not an integer raises ``DomainError`` on an empty
+        memo, and again once the same trial's 60-sample draws and batch are held."""
+        geom = ArrayGeometry(4, 0.5)
+        omap = signalsim.output_map(geom, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 4)))
+        synth = {
+            "snapshots": lambda n: synth_scene_snapshots(geom, PSK_SCENE, WaveformKind.PSK8, n,
+                                                         TrialRngs(7, 3)),
+            "secondary": lambda n: synth_scene_secondary(geom, PSK_SCENE, WaveformKind.PSK8, n,
+                                                         TrialRngs(7, 3)),
+            "outputs": lambda n: signalsim.synth_outputs(omap, n, TrialRngs(7, 3)),
+        }[which]
+        signalsim.clear_trial_memo()
+        with pytest.raises(DomainError, match="sample count must be an integer"):
+            synth(count)
+        synth(60)
+        with pytest.raises(DomainError, match="sample count must be an integer"):
+            synth(count)
+        synth(np.int64(60))
+        signalsim.clear_trial_memo()
+
+
+OUTPUT_SCENES = [
+    SourceScene(soi=SourceSpec(-45.02, 10.0 ** (db / 10)),
+                interferers=(SourceSpec(-30.0, 3.1), SourceSpec(0.0, 0.25), SourceSpec(20.0, 1e-3)),
+                noise_var=0.37)
+    for db in (10.0, 0.0, -10.0)
+]
+
+
+class TestSynthOutputs:
+    """Projected outputs are the snapshots times the conjugate weights, up to
+    rounding, with the batch's true waveform, and a weight's outputs have the
+    same bits in any map."""
+
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    @pytest.mark.parametrize("n_interferers", [0, 1, 3])
+    @pytest.mark.parametrize("count", [1, 60, 200])
+    def test_outputs_equal_weights_applied_to_the_batch(self, kind, n_interferers, count):
+        geom = ArrayGeometry(25, 0.5)
+        scenes = [SourceScene(s.soi, s.interferers[:n_interferers], s.noise_var)
+                  for s in OUTPUT_SCENES]
+        rng = np.random.default_rng(count)
+        weights = rng.standard_normal((3, 2, 25)) + 1j * rng.standard_normal((3, 2, 25))
+        omap = signalsim.output_map(geom, scenes, kind, weights)
+        outs, truth = signalsim.synth_outputs(omap, count, TrialRngs(7, 300))
+        assert outs.shape == (3, 2, count) and truth.shape == (3, count)
+        for p, scene in enumerate(scenes):
+            batch = synth_scene_snapshots(geom, scene, kind, count, TrialRngs(7, 300))
+            assert np.array_equal(bits(truth[p]), bits(batch.truth))
+            for k, w in enumerate(weights[p]):
+                direct = apply_weights(w, batch)
+                scale = np.abs(batch.snapshots).max() * np.abs(w).sum()
+                assert np.abs(outs[p, k] - direct).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    def test_a_weight_has_the_same_bits_in_any_map(self, kind):
+        geom = ArrayGeometry(25, 0.5)
+        rng = np.random.default_rng(5)
+        weights = rng.standard_normal((3, 3, 25)) + 1j * rng.standard_normal((3, 3, 25))
+        rngs = TrialRngs(7, 11)
+        full, _ = signalsim.synth_outputs(
+            signalsim.output_map(geom, OUTPUT_SCENES, kind, weights), 60, rngs)
+        for p, scene in enumerate(OUTPUT_SCENES):
+            for lo, hi in ((0, 3), (1, 3), (0, 1), (2, 3)):
+                part, _ = signalsim.synth_outputs(
+                    signalsim.output_map(geom, [scene], kind, weights[p:p + 1, lo:hi]), 60, rngs)
+                assert np.array_equal(bits(part[0]), bits(full[p, lo:hi])), (p, lo, hi)
+
+    def test_one_weight_is_held_twice(self):
+        omap = signalsim.output_map(GEOM, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 4)))
+        assert omap.noise.shape == (2, 4) and omap.shape == (1, 1)
+        assert np.array_equal(omap.noise[0], omap.noise[1])
+        for arr in (omap.noise, omap.interference, omap.soi, omap.soi_amp):
+            assert not arr.flags.writeable
+
+    def test_mismatched_scenes_and_weights_rejected(self):
+        lone = SourceScene(soi=PSK_SCENE.soi, interferers=(), noise_var=1.0)
+        with pytest.raises(DomainError, match="same number of interferers"):
+            signalsim.output_map(GEOM, [PSK_SCENE, lone], WaveformKind.PSK8, np.ones((2, 1, 4)))
+        with pytest.raises(DomainError, match="do not match"):
+            signalsim.output_map(GEOM, [PSK_SCENE], WaveformKind.PSK8, np.ones((2, 1, 4)))
+        with pytest.raises(DomainError, match="do not match"):
+            signalsim.output_map(GEOM, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 5)))
+
 
 MEMO_SEEDS = [7, 20250810, 2**70 + 1]
 MEMO_TRIALS = [0, 255, 256, 2**32 - 1]

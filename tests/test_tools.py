@@ -48,13 +48,52 @@ class TestResultsDigestsCompare:
         assert "1 identical, 2 differ" in out
 
 
+class TestResultsDigestsRtol:
+    def test_largest_change_per_column_and_its_gate(self, digests, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert digests.main([str(a)]) == 0 and digests.main([str(b)]) == 0
+        capsys.readouterr()
+        assert digests.main([str(a), "--rtol", "0", str(b)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"ok {column}: largest relative change 0"
+                       for column in digests.NUMERIC_COLUMNS]
+
+        # move one cell of one file by a relative 1e-9
+        path = b / "fig1-small-threads2.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = repr(float(cells[5]) * (1 + 1e-9))  # mean_se_nmse of the second row
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert digests.main([str(a), "--rtol", "1e-6", str(b)]) == 0
+        capsys.readouterr()
+        assert digests.main([str(a), "--rtol", "1e-12", str(b)]) == 1
+        out = capsys.readouterr().out
+        change = float(out.split("EXCEEDS mean_se_nmse: largest relative change ")[1].split()[0])
+        assert change == pytest.approx(1e-9, rel=1e-3)
+        assert f"at fig1-small-threads2.csv (0.0, '{cells[2]}')" in out
+        assert "ok mean_rel_bias: largest relative change 0" in out
+
+        # a row or a file missing on one side fails at any tolerance
+        path.write_text("\n".join(lines[:2]) + "\n")
+        assert digests.main([str(a), "--rtol", "1", str(b)]) == 1
+        assert "MISSING ROW fig1-small-threads2.csv" in capsys.readouterr().out
+        path.unlink()
+        assert digests.main([str(a), "--rtol", "1", str(b)]) == 1
+        assert "MISSING fig1-small-threads2.csv" in capsys.readouterr().out
+
+    def test_rtol_must_be_a_number(self, digests, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            digests.main([str(tmp_path), "--rtol", "tight", str(tmp_path)])
+        assert info.value.code == 2
+
+
 class TestPinnedDigestTable:
     def test_pinned_table_names_every_run_once(self):
         """``tools/results_digests.txt`` has one line per results file the tool
         writes, in its order, so a run cannot be added without a re-pin."""
         tool = load_tool()
-        expected = [f"{stem}-threads{threads}.{fmt}"
-                    for _, stem, _, fmt in tool._runs() for threads in tool.THREADS]
+        expected = tool._file_names()
         lines = PINNED.read_text().splitlines()
         assert len(lines) == len(expected)
         assert list(tool._read_table(PINNED)) == expected

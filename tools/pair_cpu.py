@@ -42,7 +42,7 @@ def main(argv: list[str]) -> int:
     except ConfigError as exc:
         parser.error(str(exc))
     values = config.sweep.values
-    run = (config, values, [montecarlo.build_context(config, v) for v in values])
+    run = (config, values, montecarlo._build_contexts(config))
     best = float("inf")
     for _ in range(REPEATS):
         start = time.process_time()

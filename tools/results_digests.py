@@ -19,12 +19,21 @@ With ``--compare SAVED.txt``, the table this script printed in another tree
 (say, the parent commit's), it also prints one ``DIFFERS`` line per results
 file whose digest differs from the saved one or is missing on either side,
 then a count of identical files, and exits 1 if any file differs.
+
+    python3 tools/results_digests.py OUTDIR --rtol RTOL BASEDIR
+
+runs nothing: it reads the results files this script wrote to OUTDIR and to
+BASEDIR (say, in the parent commit's tree), matches their rows by (sweep
+value, method) and prints, per numeric column, the largest relative change
+``|a - b| / max(|a|, |b|)`` over all files and where it is.  It exits 1 if a
+file or a row is missing on either side or a change exceeds RTOL.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -74,12 +83,68 @@ def _read_table(path: Path) -> dict[str, str]:
     return {m[2]: m[1] for m in lines if m}
 
 
+# The numeric columns of a results row, after its sweep value and method.
+NUMERIC_COLUMNS = ("mean_rel_bias", "stderr_rel_bias", "mean_se_nmse", "stderr_se_nmse",
+                   "mean_sp_nmse", "stderr_sp_nmse", "n_trials", "n_failed")
+
+
+def _file_names() -> list[str]:
+    """The results file names this script writes, in its order."""
+    return [f"{stem}-threads{threads}.{fmt}" for _, stem, _, fmt in _runs() for threads in THREADS]
+
+
+def _read_rows(path: Path) -> dict[tuple[float, str], dict[str, float]]:
+    """A CSV or JSON results file's numeric cells, keyed by (sweep value, method)."""
+    text = path.read_text()
+    rows = json.loads(text) if path.suffix == ".json" else csv.DictReader(io.StringIO(text))
+    return {(float(row["sweep_value"]), row["method"]): {c: float(row[c]) for c in NUMERIC_COLUMNS}
+            for row in rows}
+
+
+def compare_dirs(outdir: Path, basedir: Path, rtol: float) -> int:
+    """Print the largest relative change per numeric column between the results
+    files of two directories; 1 if anything is missing or moved more than ``rtol``."""
+    status = 0
+    worst = {c: (0.0, "") for c in NUMERIC_COLUMNS}
+    for name in _file_names():
+        if not (outdir / name).is_file() or not (basedir / name).is_file():
+            print(f"MISSING {name}: in {outdir}: {(outdir / name).is_file()}, "
+                  f"in {basedir}: {(basedir / name).is_file()}")
+            status = 1
+            continue
+        here, base = _read_rows(outdir / name), _read_rows(basedir / name)
+        for key in sorted(here.keys() ^ base.keys()):
+            print(f"MISSING ROW {name} {key}: only in {outdir if key in here else basedir}")
+            status = 1
+        for key in here.keys() & base.keys():
+            for column in NUMERIC_COLUMNS:
+                a, b = here[key][column], base[key][column]
+                change = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+                if change > worst[column][0]:
+                    worst[column] = (change, f"{name} {key}")
+    for column, (change, where) in worst.items():
+        flag = "EXCEEDS" if change > rtol else "ok"
+        print(f"{flag} {column}: largest relative change {change:.3g}" + (f" at {where}" if where else ""))
+        if change > rtol:
+            status = 1
+    return status
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--compare", type=Path, metavar="SAVED.txt",
                         help="table printed by this script in another tree")
+    parser.add_argument("--rtol", nargs=2, metavar=("RTOL", "BASEDIR"),
+                        help="run nothing; compare the results files in OUTDIR with those "
+                             "in BASEDIR, cell by cell, within the relative tolerance RTOL")
     args = parser.parse_args(argv)
+    if args.rtol is not None:
+        try:
+            rtol = float(args.rtol[0])
+        except ValueError:
+            parser.error(f"RTOL must be a number, got {args.rtol[0]!r}")
+        return compare_dirs(args.outdir, Path(args.rtol[1]), rtol)
     saved = _read_table(args.compare) if args.compare is not None else None
     outdir = args.outdir
     outdir.mkdir(parents=True, exist_ok=True)
