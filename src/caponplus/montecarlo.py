@@ -56,24 +56,24 @@ processes), and their records are aggregated as one list in trial order, so
 the thread count never changes any output bit.
 
 A run builds every sweep point's :class:`SweepContext` up front and reuses
-it for the theory rows; in the fixed-weight regimes the contexts share the
-run's projection.  A context built alone, as :func:`run_trial` builds one
-without a context, projects its point alone, and its records have the bits
-of the same point in a multi-point run (see
-:func:`~.signalsim.output_map`).  A work item is a trial range
+it for the theory rows; the contexts share the run's points, and in the
+fixed-weight regimes their one projection.  A context built alone, as
+:func:`run_trial` builds one without a context, is the one point of its
+run, and its records have the bits of the same point in a multi-point run
+(see :func:`~.signalsim.output_map`).  A work item is a trial range
 ``(start, stop)``, and a chunk runs it trial-major: each trial runs at every
 sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair.
 
-A trial's streams do not depend on the sweep point, so :mod:`.signalsim`
-keeps the trial's raw draws from its first point for the others (a cache of
-the four draws used last), and along a T0 sweep, where the scene is the same
-at every point, its primary batch too (one batch held).  A fixed-weight
-trial's first pair scores the trial at every point and holds those rows, the
-way :mod:`.signalsim` holds its draws; its later pairs read their own row.
-Each point's records are still those of running its trials alone.  A chunk
-empties the cache, the held batch and the held rows before each trial, so
-they hold one trial at a time, and when it ends or raises, so nothing
-outlives a run.
+A trial's first pair runs the trial at every point of its run and holds
+what each point gave: its records, or the :class:`NotPositiveDefinite` its
+sample covariance raised; its later pairs read their own point's entry.
+Along a T0 sweep, where the scene is the same at every point, the trial
+builds its primary batch once, and a trial's streams do not depend on the
+sweep point, so :mod:`.signalsim` keeps its raw draws from the first point
+for the others (a cache of the four draws used last).  Each point's records
+are still those of running its trials alone.  A chunk empties the cache and
+the held rows before each trial, so they hold one trial at a time, and when
+it ends or raises, so nothing outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -374,50 +374,32 @@ class SweepContext:
     w_mmse: np.ndarray
     alpha_oracle: float
     w_cap_plus: np.ndarray
-    # oracle regime and regime a: the projection of every sweep point of the
-    # run, and this point's place in it; None in regimes b to d
-    projection: _Projection | None = None
+    # the sweep points of the run this context belongs to, and its place among them
+    points: _Points | None = None
     point: int = 0
 
 
-class _Projection(NamedTuple):
-    """The fixed weights of a run's sweep points (oracle regime: CB, Capon and
-    MMSE; regime a: Capon), stacked into one :class:`~.signalsim.OutputMap`,
-    and what scoring their outputs reads at each point."""
+class _Points(NamedTuple):
+    """The sweep points of one run: their contexts, and in the oracle regime
+    and regime a the fixed weights of every point (oracle regime: CB, Capon
+    and MMSE; regime a: Capon) stacked into one :class:`~.signalsim.OutputMap`."""
 
-    outputs: OutputMap
-    gamma: tuple[float, ...]  # the true SOI power
-    alpha: tuple[float, ...]  # the oracle shrinkage factor
-    gamma_cap: tuple[float, ...]  # the closed-form Capon output power
-    ah_qinv_a: tuple[float, ...]  # a^H Q^{-1} a
-    # oracle regime: each trial estimates alpha from its own output's kurtosis
-    measure_alpha: bool
+    contexts: tuple[SweepContext, ...]
+    outputs: OutputMap | None
 
 
 # The weights a fixed-weight regime projects, as named in a SweepContext.
 _PROJECTED = {Regime.ORACLE: ("w_cb", "w_cap", "w_mmse"), Regime.A: ("w_cap",)}
 
 
-def _project(config: ScenarioConfig, contexts: Sequence[SweepContext]) -> list[SweepContext]:
-    """``contexts`` sharing one projection of all their points, in regimes
-    that have fixed weights; unchanged in the others."""
+def _join(config: ScenarioConfig, contexts: Sequence[SweepContext]) -> list[SweepContext]:
+    """``contexts`` as the points of one run, each carrying the run's :class:`_Points`."""
     names = _PROJECTED.get(config.regime)
-    if names is None:
-        return list(contexts)
-    projection = _Projection(
-        outputs=output_map(config.geom, [ctx.scene for ctx in contexts], config.waveform,
-                           [[getattr(ctx, name) for name in names] for ctx in contexts]),
-        gamma=tuple(ctx.model.gamma for ctx in contexts),
-        alpha=tuple(ctx.alpha_oracle for ctx in contexts),
-        gamma_cap=tuple(ctx.theory.gamma_cap for ctx in contexts),
-        ah_qinv_a=tuple(ctx.model.ah_qinv_a for ctx in contexts),
-        measure_alpha=(
-            config.regime is Regime.ORACLE
-            and config.waveform is WaveformKind.PSK8
-            and config.psk_alpha_mode is PskAlphaMode.MEASURED
-        ),
-    )
-    return [dataclasses.replace(ctx, projection=projection, point=point)
+    outputs = None if names is None else output_map(
+        config.geom, [ctx.scene for ctx in contexts], config.waveform,
+        [[getattr(ctx, name) for name in names] for ctx in contexts])
+    points = _Points(tuple(contexts), outputs)
+    return [dataclasses.replace(ctx, points=points, point=point)
             for point, ctx in enumerate(contexts)]
 
 
@@ -439,8 +421,8 @@ def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceM
 def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
     """Resolve the scene at one sweep point and precompute the oracle quantities.
 
-    In the oracle regime and regime a the context projects its own point
-    alone; a run's contexts share one projection of all points.
+    The context is the one point of its run; a run's contexts share one
+    :class:`_Points` of all its points.
     """
     if config.sweep.variable is SweepVariable.SNR_DB:
         scene = snr_to_scene(config.base_scene, sweep_value)
@@ -466,40 +448,12 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
         alpha_oracle=alpha_oracle,
         w_cap_plus=capon_plus_weights(w_cap, alpha_oracle),
     )
-    return _project(config, [ctx])[0]
+    return _join(config, [ctx])[0]
 
 
 def _build_contexts(config: ScenarioConfig) -> list[SweepContext]:
-    """Every sweep point's context, sharing one projection where the weights are fixed."""
-    return _project(config, [build_context(config, v) for v in config.sweep.values])
-
-
-# The rows of the trial _trial_fixed scored last, at every point of its
-# projection: ``(projection, config, (trial index, its type), records per point)``.
-_held_rows: tuple = (None, None, None, None)
-
-
-def _clear_trial() -> None:
-    """Drop the held rows, and the draws and batch :mod:`.signalsim` holds."""
-    global _held_rows
-    _held_rows = (None, None, None, None)
-    clear_trial_memo()
-
-
-def _trial_fixed(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    """One trial of the oracle regime or regime a at one sweep point.
-
-    The first call for a trial scores it at every point of the context's
-    projection and holds the rows; a call for another point of the same
-    trial reads its own.
-    """
-    global _held_rows
-    projection = ctx.projection
-    key = (idx, type(idx))
-    held = _held_rows
-    if held[0] is not projection or held[1] is not config or held[2] != key:
-        _held_rows = (projection, config, key, _score_fixed(config, projection, idx))
-    return list(_held_rows[3][ctx.point])
+    """Every sweep point's context, sharing one :class:`_Points`."""
+    return _join(config, [build_context(config, v) for v in config.sweep.values])
 
 
 _ORACLE_METHODS = ("CB", "Capon", "MMSE", "CaponPlus")
@@ -507,20 +461,22 @@ _ORACLE_METHODS = ("CB", "Capon", "MMSE", "CaponPlus")
 _CAPON_MULTIPLES = ("Capon", "MMSE", "CaponPlus", "Debiased")
 
 
-def _score_fixed(config: ScenarioConfig, projection: _Projection,
-                 idx: int) -> list[list[TrialRecord]]:
-    """One trial's records at every point of ``projection``, from one
-    projection of its draws; see the module docstring."""
+def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list[TrialRecord]]:
+    """One trial of the oracle regime or regime a: its records at every
+    point, from one projection of its draws; see the module docstring."""
     t = config.snapshots
-    outs, truth = synth_outputs(projection.outputs, t, TrialRngs(config.master_seed, idx))
+    contexts = points.contexts
+    gamma = [ctx.model.gamma for ctx in contexts]
+    outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
     if config.regime is Regime.ORACLE:
         powers, _ = output_moments(outs)
         out_cap = outs[:, 1]
-        alpha = projection.alpha
-        if projection.measure_alpha:
-            alpha = [alpha_from_kurtosis(gamma, gamma_cap, t, kurtosis_estimate(out))[0]
-                     for gamma, gamma_cap, out in zip(projection.gamma, projection.gamma_cap,
-                                                      out_cap)]
+        if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
+            # each trial estimates alpha from its own output's kurtosis
+            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, kurtosis_estimate(out))[0]
+                     for g, ctx, out in zip(gamma, contexts, out_cap)]
+        else:
+            alpha = [ctx.alpha_oracle for ctx in contexts]
         outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
         powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
         methods = _ORACLE_METHODS
@@ -528,7 +484,8 @@ def _score_fixed(config: ScenarioConfig, projection: _Projection,
         # regime a: every row scales the Capon output by a scalar of the trial
         out_cap = outs[:, 0]
         scales, powers = [], []
-        for gamma_cap_hat, m4, q in zip(*output_moments(out_cap), projection.ah_qinv_a):
+        for gamma_cap_hat, m4, ctx in zip(*output_moments(out_cap), contexts):
+            q = ctx.model.ah_qinv_a
             gamma_num = debiased_power(gamma_cap_hat, q)
             mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
             alpha = alpha_hat(gamma_cap_hat, m4, gamma_num, t)
@@ -538,7 +495,7 @@ def _score_fixed(config: ScenarioConfig, projection: _Projection,
             powers.append(point_powers)
         outs = np.array(scales)[:, :, None] * out_cap[:, None]
         methods = _CAPON_MULTIPLES
-    return score_outputs(methods, projection.gamma, truth, outs, powers)
+    return score_outputs(methods, gamma, truth, outs, powers)
 
 
 def _capon_multiples(gamma_cap_hat: float, gamma_num: float, mmse_scale: float, alpha: float,
@@ -557,37 +514,51 @@ def _capon_multiples(gamma_cap_hat: float, gamma_num: float, mmse_scale: float, 
     return scales, powers
 
 
-def _trial_adaptive(config: ScenarioConfig, ctx: SweepContext, idx: int) -> list[TrialRecord]:
-    """One trial of regime b, c or d; see the module docstring."""
+def _trial_adaptive(config: ScenarioConfig, points: _Points,
+                    idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
+    """One trial of regime b, c or d: its records at every point, or the
+    :class:`NotPositiveDefinite` a point's sample covariance raised; see the
+    module docstring.  The primary batch is synthesised once per run of
+    equal scenes, so once per trial along a T0 sweep."""
     regime = config.regime
     rngs = TrialRngs(config.master_seed, idx)
-    batch = synth_scene_snapshots(config.geom, ctx.scene, config.waveform, config.snapshots, rngs)
-    gamma = ctx.model.gamma
+    entries, scene, batch = [], None, None
+    for ctx in points.contexts:
+        if ctx.scene != scene:
+            scene, batch = ctx.scene, None  # drop the last batch before building the next
+            batch = synth_scene_snapshots(config.geom, scene, config.waveform,
+                                          config.snapshots, rngs)
+        gamma = ctx.model.gamma
+        # the SCM C_hat of the training batch: the primary one (b) or the secondary one (c, d)
+        cov = scm(batch if regime is Regime.B else synth_scene_secondary(
+            config.geom, scene, config.waveform, ctx.secondary_snapshots, rngs)).matrix
+        try:
+            # plug_in = 1 / (a^H C_hat^{-1} a)
+            w_cap, plug_in = adaptive_capon_weights(cov, ctx.model.a)
+        except NotPositiveDefinite as exc:
+            entries.append(exc.with_traceback(None))
+            continue
+        out_cap = apply_weights(w_cap, batch)
+        gamma_cap_hat, m4 = output_moments(out_cap)
 
-    training = batch if regime is Regime.B else synth_scene_secondary(
-        config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs
-    )
-    # plug_in = 1 / (a^H C_hat^{-1} a) for the SCM C_hat of the training batch
-    w_cap, plug_in = adaptive_capon_weights(scm(training).matrix, ctx.model.a)
-    out_cap = apply_weights(w_cap, batch)
-    gamma_cap_hat, m4 = output_moments(out_cap)
-
-    power = plug_in if regime is Regime.B else gamma_cap_hat
-    gamma_num = debiased_power_scaled(
-        gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
-    ) if regime is Regime.D else gamma
-    # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
-    # its plug-in power; with an estimated INCM (c/d) the measured output
-    # power stands in for the plug-in one.
-    mmse_scale = gamma_num / power if power > 0.0 else 0.0
-    alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
-    scales, powers = _capon_multiples(gamma_cap_hat, gamma_num, mmse_scale, alpha,
-                                      debiased=regime is Regime.D)
-    outs = np.multiply.outer(scales, out_cap)
-    (records,) = score_outputs(_CAPON_MULTIPLES, (gamma,), batch.truth[None], outs[None], (powers,))
-    return records
+        power = plug_in if regime is Regime.B else gamma_cap_hat
+        gamma_num = debiased_power_scaled(
+            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
+        ) if regime is Regime.D else gamma
+        # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
+        # its plug-in power; with an estimated INCM (c/d) the measured output
+        # power stands in for the plug-in one.
+        mmse_scale = gamma_num / power if power > 0.0 else 0.0
+        alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
+        scales, powers = _capon_multiples(gamma_cap_hat, gamma_num, mmse_scale, alpha,
+                                          debiased=regime is Regime.D)
+        outs = np.multiply.outer(scales, out_cap)
+        entries += score_outputs(_CAPON_MULTIPLES, (gamma,), batch.truth[None], outs[None],
+                                 (powers,))
+    return entries
 
 
+# Per regime, the function that runs one trial at every point of a run.
 _TRIAL_FUNCS = {
     Regime.ORACLE: _trial_fixed,
     Regime.A: _trial_fixed,
@@ -595,6 +566,17 @@ _TRIAL_FUNCS = {
     Regime.C: _trial_adaptive,
     Regime.D: _trial_adaptive,
 }
+
+# What the trial run_trial ran last gave at every point of its run:
+# ``(points, config, (trial index, its type), entries)``.
+_held_rows: tuple = (None, None, None, None)
+
+
+def _clear_trial() -> None:
+    """Drop the held rows, and the draws :mod:`.signalsim` caches."""
+    global _held_rows
+    _held_rows = (None, None, None, None)
+    clear_trial_memo()
 
 
 def run_trial(
@@ -605,14 +587,25 @@ def run_trial(
 ) -> list[TrialRecord]:
     """Run one Monte-Carlo trial at one sweep point and return one record per method.
 
-    Without ``ctx`` the point's context is built alone.  In the oracle
-    regime and regime a a trial is scored at every point of ``ctx``'s run
-    at once, on its first call; calls for the same trial at the other
-    points return the rows held from it.
+    Without ``ctx`` the point's context is built alone.  The first call for
+    a trial runs it at every point of ``ctx``'s run and holds what each
+    point gave; each call then returns its own point's records, or raises
+    the :class:`NotPositiveDefinite` its point's sample covariance raised.
     """
+    global _held_rows
+    trial = _TRIAL_FUNCS.get(config.regime)
+    if trial is None:
+        raise ConfigError(f"regime {config.regime.value!r} runs no Monte-Carlo trials")
     if ctx is None:
         ctx = build_context(config, sweep_value)
-    return _TRIAL_FUNCS[config.regime](config, ctx, trial_index)
+    key = (trial_index, type(trial_index))
+    held = _held_rows
+    if held[0] is not ctx.points or held[1] is not config or held[2] != key:
+        _held_rows = (ctx.points, config, key, trial(config, ctx.points, trial_index))
+    entry = _held_rows[3][ctx.point]
+    if isinstance(entry, NotPositiveDefinite):
+        raise entry.with_traceback(None)
+    return list(entry)
 
 
 # One run's ``(config, sweep values, contexts)``, one value and one context
@@ -698,20 +691,32 @@ def _theory_row(config: ScenarioConfig, ctx: SweepContext, method: str,
     circular Gaussian SOI is ``|w^H a - 1|^2 + T/(T-1) w^H Q w / gamma``:
     ``E[1 / sum_t |s(t)|^2] = 1 / ((T-1) gamma)``.  The two differ by about
     ``1/T`` of the noise term, which many trials resolve.
+
+    Raises :class:`DomainError` where a value overflows a float, as a huge
+    weight (say ``alpha = 1e160`` in an alpha sweep) makes it.
     """
     gamma = ctx.model.gamma
     t = config.snapshots
-    out_power = quadratic_form(ctx.model.full, w)
-    _, fourth = output_moments_theory(config.geom, ctx.scene, config.waveform, w)
-    var = (fourth - out_power**2) / t
-    bias = out_power - gamma
+    try:
+        with np.errstate(over="raise"):
+            out_power = quadratic_form(ctx.model.full, w)
+            _, fourth = output_moments_theory(config.geom, ctx.scene, config.waveform, w)
+            var = (fourth - out_power**2) / t
+            bias = out_power - gamma
+            row = (bias / gamma, waveform_mse_theory(ctx.model, w) / gamma,
+                   (var + bias**2) / gamma**2)
+        if not all(map(math.isfinite, row)):
+            raise OverflowError
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"the closed-form {method} row overflows a float") from None
+    rel_bias, se_nmse, sp_nmse = row
     return AggregateRecord(
         method=method,
-        mean_rel_bias=bias / gamma,
+        mean_rel_bias=rel_bias,
         stderr_rel_bias=0.0,
-        mean_se_nmse=waveform_mse_theory(ctx.model, w) / gamma,
+        mean_se_nmse=se_nmse,
         stderr_se_nmse=0.0,
-        mean_sp_nmse=(var + bias**2) / gamma**2,
+        mean_sp_nmse=sp_nmse,
         stderr_sp_nmse=0.0,
         n_trials=0,
     )

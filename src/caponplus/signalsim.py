@@ -31,15 +31,11 @@ point reads at most four (SOI, interference, noise, secondary).  It holds
 each draw in the layout synthesis reads, a read-only C-contiguous complex
 array with one row per sample: the generator calls are those of the
 contract, and only their rearrangement into complex samples is made once
-per draw instead of once per call.  :func:`synth_scene_snapshots` holds the
-primary :class:`SnapshotBatch` it built last, keyed by ``(geom, scene, kind,
-count, master_seed, trial_index)`` and the coordinates' types, and drops it
-before it synthesises another, so it never holds two.  Every held array is
-read-only, the batch included.  A trial run at every sweep point in turn
-builds its generators at the first point only; along an SNR sweep it reuses
-the draws, and along a T0 sweep the primary batch itself.  A trial with
-fixed weights reads its three primary draws once, for every point at once
-(:func:`synth_outputs`).  :func:`clear_trial_memo` empties the cache and the holder, which the
+per draw instead of once per call.  A trial run at every sweep point in
+turn builds its generators at the first point only and reuses the draws at
+the others.  A trial with fixed weights reads its three primary draws once,
+for every point at once (:func:`synth_outputs`).  The cache is the module's
+only per-trial state; :func:`clear_trial_memo` empties it, which the
 Monte-Carlo harness does before every trial and when a chunk of trials ends.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
@@ -49,9 +45,9 @@ the block.  ``TestStreamContract`` pins the result against the installed
 numpy.  Master seeds must be integers >= 0 and trial indices integers in
 ``[0, 2**32)``, the range in which the spawn key ``(trial_index, role)`` is two
 32-bit words.  :meth:`RngStream.generator`, the one reader of the seed words,
-checks them and raises :class:`DomainError`; a cached draw or held batch can
-only match coordinates of the same value and type as ones an earlier miss
-has checked, so ``7.0`` never finds seed 7's draws.
+checks them and raises :class:`DomainError`; a cached draw can only match
+coordinates of the same value and type as ones an earlier miss has checked,
+so ``7.0`` never finds seed 7's draws.
 
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
@@ -82,8 +78,7 @@ primary batch from the trial's cached draws, without forming the batch.
 They equal the batch times the conjugate weight up to rounding, and a
 weight's outputs have the same bits in any map it is part of.  The sample
 count is checked first in every synthesis call, so a non-integer count is
-rejected even where the draws or the batch of an equal integer count are
-held.
+rejected even where the draws of an equal integer count are cached.
 """
 
 from __future__ import annotations
@@ -317,16 +312,9 @@ def _new_draws(
     return waves, noise
 
 
-# The primary batch synth_scene_snapshots built last, as ``(key, batch)`` with the
-# key ``(geom, scene, kind, count, master_seed, trial_index)`` and the coordinates' types.
-_held_batch: tuple[tuple | None, SnapshotBatch | None] = (None, None)
-
-
 def clear_trial_memo() -> None:
-    """Drop every draw and the batch held."""
-    global _held_batch
+    """Drop every cached draw."""
     _new_draws.cache_clear()
-    _held_batch = (None, None)
 
 
 class _SceneConstants(NamedTuple):
@@ -381,41 +369,17 @@ def synth_scene_snapshots(
 
     This is the generator used by the experiment scenarios: the scene applies
     one waveform law to all sources, while the additive noise stays white
-    Gaussian.  The batch is read-only: it is held until the next call that
-    needs another batch, and a call with the same arguments returns it again.
+    Gaussian.
     """
-    global _held_batch
     count = _checked_count(count)
-    seed, trial = rngs.master_seed, rngs.trial_index
-    key = (geom, scene, kind, count, seed, trial, type(seed), type(trial))
-    # no local name for the held batch, so nothing keeps it while the next is built
-    if _held_batch[0] == key:
-        return _held_batch[1]
-    _held_batch = (None, None)
-    batch = _synth_primary(geom, scene, kind, count, seed, trial)
-    batch.snapshots.setflags(write=False)
-    batch.truth.setflags(write=False)
-    _held_batch = (key, batch)
-    return batch
-
-
-def _synth_primary(
-    geom: ArrayGeometry,
-    scene: SourceScene,
-    kind: WaveformKind,
-    count: int,
-    master_seed: int,
-    trial_index: int,
-) -> SnapshotBatch:
-    """The primary batch of :func:`synth_scene_snapshots`, synthesised from
-    the trial's draws."""
     consts = _scene_constants(geom, scene, kind)
-    k, m = len(scene.interferers), geom.antennas
-    soi, _ = _new_draws(master_seed, trial_index, StreamRole.SOI, kind, 1, count, 0)
+    seed, trial = rngs.master_seed, rngs.trial_index
+    soi, _ = _new_draws(seed, trial, StreamRole.SOI, kind, 1, count, 0)
     waves = None
-    if k:
-        waves, _ = _new_draws(master_seed, trial_index, StreamRole.INTERFERENCE, kind, k, count, 0)
-    _, noise = _new_draws(master_seed, trial_index, StreamRole.NOISE, kind, 0, count, m)
+    if scene.interferers:
+        waves, _ = _new_draws(seed, trial, StreamRole.INTERFERENCE, kind,
+                              len(scene.interferers), count, 0)
+    _, noise = _new_draws(seed, trial, StreamRole.NOISE, kind, 0, count, geom.antennas)
     s = soi * consts.soi_amp
     e = _interference_plus_noise(consts, waves, noise)
     e += s * consts.soi_row

@@ -239,10 +239,15 @@ class TestMain:
         ("fig5", {"sweep": {"variable": "t0", "values": [float("inf")]}}),
         ("fig5", {"sweep": {"variable": "t0", "values": [-float("inf")]}}),
         ("fig2", {"sweep": {"variable": "alpha", "values": [float("nan"), 0.5]}}),
+        # the closed-form SP-NMSE overflows to inf; the output power's square overflows
+        ("fig2", {"sweep": {"variable": "alpha", "values": [1.0, 1.3e154]}}),
+        ("fig2", {"sweep": {"variable": "alpha", "values": [1.0, 1e160]}}),
         ("fig5", {"snr_db": 4000}),
         ("fig1", {"trials": 100, "sweep": {"variable": "snr_db", "values": [4000]}}),
         ("fig1", {"interferer_offsets_db": [2, 4, -4000]}),
     ])
+    # a warning, such as numpy's on overflow, would print a second line
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_or_overflowing_numbers_exit_one(self, tmp_path, capsys, preset, doc):
         out = tmp_path / "r.csv"
         cfg = write_config(tmp_path, doc)

@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +220,11 @@ class TestRunTrial:
         records = run_trial(cfg, 0.0, 0)
         assert set(r[0] for r in records) == {"Capon", "MMSE", "CaponPlus", "Debiased"}
 
+    def test_alpha_sweep_runs_no_trial(self):
+        cfg = build_run_config(PRESETS["fig2"]).scenario
+        with pytest.raises(ConfigError, match="regime 'alpha_sweep' runs no Monte-Carlo trials"):
+            run_trial(cfg, 0.1, 0)
+
     @pytest.mark.parametrize("regime", [Regime.ORACLE, Regime.A, Regime.B, Regime.C, Regime.D])
     def test_records_are_plain_tuples(self, regime):
         cfg = config(regime=regime, snapshots=32, secondary_snapshots=16)
@@ -335,20 +341,20 @@ class TestChunkInvariance:
 
 
 def fail_at(patch, run, fails):
-    """Patch the run's trial function to raise ``NotPositiveDefinite`` at each
-    ``(point, trial)`` of ``fails`` after the trial has run, as a trial whose
-    sample covariance cannot be factored does."""
-    config, _, contexts = run
-    original = mc._TRIAL_FUNCS[config.regime]
-    points = {(ctx.scene, ctx.secondary_snapshots): p for p, ctx in enumerate(contexts)}
+    """Wrap ``mc.run_trial``, which ``_run_chunk`` looks up at call time, to
+    raise ``NotPositiveDefinite`` at each ``(point, trial)`` of ``fails``
+    after the pair has run, as a trial whose sample covariance cannot be
+    factored does."""
+    _, values, _ = run
+    original = mc.run_trial
 
-    def failing(cfg, ctx, idx):
-        records = original(cfg, ctx, idx)
-        if (points[ctx.scene, ctx.secondary_snapshots], idx) in fails:
+    def failing(cfg, value, idx, ctx=None):
+        records = original(cfg, value, idx, ctx)
+        if (values.index(value), idx) in fails:
             raise NotPositiveDefinite("synthetic failure", pivot_index=0)
         return records
 
-    patch.setitem(mc._TRIAL_FUNCS, config.regime, failing)
+    patch.setattr(mc, "run_trial", failing)
 
 
 def surviving_records(whole, point, fails):
@@ -383,8 +389,8 @@ class TestTrialMajorEqualsPointMajor:
     """A chunk that runs each trial at every point, reusing the trial's draws,
     along a T0 sweep its primary batch, and in the oracle regime and regime a
     one projection of its draws for all points, returns per point the
-    records of running that point's trials alone, each on an empty memo and
-    with a context built for that point alone, bit for bit.
+    records of :func:`run_trial` on that point's context built alone, each
+    trial on an empty memo, bit for bit.
 
     For the fixed-weight regimes this compares a row of a matrix product
     that stacks every point's weights with the same row in a product of one
@@ -407,48 +413,48 @@ class TestTrialMajorEqualsPointMajor:
         primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 or fixed else len(values)
         secondary_points = len(values) * (cfg.regime in (Regime.C, Regime.D))
         assert counts["lookups"] == n * (3 * primary_points + secondary_points)
-        trial = mc._TRIAL_FUNCS[cfg.regime]
         for point, value in enumerate(values):
-            alone = mc.build_context(cfg, value)
-            assert (alone.projection is None) is not fixed
             reference = []
             for i in range(n):
                 mc._clear_trial()
-                reference.extend(trial(cfg, alone, i))
+                reference.extend(run_trial(cfg, value, i))
             assert parts[point][2] == 0
             assert exact(point_records([parts], point)) == exact(reference), values[point]
 
 
 def memo_is_empty():
     return (signalsim._new_draws.cache_info().currsize == 0
-            and signalsim._held_batch == (None, None)
             and mc._held_rows == (None, None, None, None))
 
 
 class TestTrialMemo:
-    """The draw cache and the held batch of :mod:`.signalsim`, and the rows
-    a fixed-weight trial holds, hold one trial; a T0 sweep's primary batch is
-    built once per trial, a fixed-weight trial is projected and scored once
-    for all points and builds no batch; all are empty once a chunk ends or
-    raises."""
+    """The draw cache of :mod:`.signalsim` and the rows :func:`run_trial`
+    holds hold one trial; a trial runs once for all points, a T0 sweep's
+    primary batch is built once per trial, and a fixed-weight trial builds
+    no batch; both are empty once a chunk ends or raises."""
 
     @pytest.mark.parametrize("name, builds_per_trial", [
         ("c_t0", 1), ("b_snr", 2), ("oracle_gauss", 0), ("a_snr", 0)])
     def test_primary_batch_built_once_per_trial_and_scene(self, monkeypatch, name,
                                                           builds_per_trial):
         _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
-        built = []
-        body = signalsim._synth_primary
+        built, batches = [], []
+        synth = mc.synth_scene_snapshots
 
-        def counted(geom, scene, kind, count, master_seed, trial_index):
-            # (trial, whether the cache and the holder are empty)
-            built.append((trial_index, memo_is_empty()))
-            return body(geom, scene, kind, count, master_seed, trial_index)
+        def counted(geom, scene, kind, count, rngs):
+            # (trial, whether the cache and the held rows are empty, whether
+            # an earlier batch is still alive)
+            built.append((rngs.trial_index, memo_is_empty(),
+                          any(ref() is not None for ref in batches)))
+            batch = synth(geom, scene, kind, count, rngs)
+            batches.append(weakref.ref(batch.snapshots))
+            return batch
 
-        monkeypatch.setattr(signalsim, "_synth_primary", counted)
+        monkeypatch.setattr(mc, "synth_scene_snapshots", counted)
         mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        # the chunk empties both before each trial, so only a trial's first build finds them empty
-        assert built == [(i, j == 0) for i in range(TRIAL_MAJOR_TRIALS)
+        # the chunk empties both before each trial, so only a trial's first
+        # build finds them empty; a batch is dropped before the next is built
+        assert built == [(i, j == 0, False) for i in range(TRIAL_MAJOR_TRIALS)
                          for j in range(builds_per_trial)]
 
     @pytest.mark.parametrize("points", [6, 12])
@@ -483,43 +489,87 @@ class TestTrialMemo:
         run_scenario(cfg, threads=1)
         assert memo_is_empty()
 
-    @pytest.mark.parametrize("name", ["oracle_gauss", "a_snr"])
-    def test_fixed_weight_trial_scored_once_for_all_points(self, monkeypatch, name):
+    @pytest.mark.parametrize("name", ["oracle_gauss", "a_snr", "b_snr", "d_t0"])
+    def test_each_trial_runs_once_for_all_points(self, monkeypatch, name):
         cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
-        scored, calls = [], []
-        score, trial = mc._score_fixed, mc._TRIAL_FUNCS[cfg.regime]
+        ran, calls = [], []
+        trial, pair = mc._TRIAL_FUNCS[cfg.regime], mc.run_trial
 
-        def counted_score(config, projection, idx):
+        def counted_trial(config, points, idx):
             # (trial, whether the draws and the held rows are empty)
-            scored.append((idx, memo_is_empty()))
-            return score(config, projection, idx)
+            ran.append((idx, memo_is_empty()))
+            return trial(config, points, idx)
 
-        def counted_trial(config, ctx, idx):
+        def counted_pair(config, value, idx, ctx=None):
             calls.append((idx, ctx.point))
-            return trial(config, ctx, idx)
+            return pair(config, value, idx, ctx)
 
-        monkeypatch.setattr(mc, "_score_fixed", counted_score)
         monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, counted_trial)
+        monkeypatch.setattr(mc, "run_trial", counted_pair)
         mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        assert scored == [(i, True) for i in range(TRIAL_MAJOR_TRIALS)]
-        # still one trial call per (point, trial) pair, trial-major
+        assert ran == [(i, True) for i in range(TRIAL_MAJOR_TRIALS)]
+        # still one run_trial call per (point, trial) pair, trial-major
         assert calls == [(i, p) for i in range(TRIAL_MAJOR_TRIALS) for p in range(len(run[1]))]
 
     def test_empty_after_chunk_raises(self, monkeypatch):
         for name in ("d_t0", "oracle_gauss"):
-            cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
-            original = mc._TRIAL_FUNCS[cfg.regime]
+            _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+            original = mc.run_trial
 
-            def raising(cfg, ctx, idx, original=original):
-                records = original(cfg, ctx, idx)
+            def raising(cfg, value, idx, ctx=None, original=original):
+                records = original(cfg, value, idx, ctx)
                 if idx == 3:
                     raise RuntimeError("synthetic error")
                 return records
 
-            monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, raising)
+            monkeypatch.setattr(mc, "run_trial", raising)
             with pytest.raises(RuntimeError, match="synthetic error"):
                 mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
             assert memo_is_empty(), name
+            monkeypatch.undo()
+
+
+def fail_inside_trial(patch, run, fails):
+    """Wrap ``mc.adaptive_capon_weights``, where a regime-b to -d trial
+    factors its sample covariance, to raise the error ``fails`` maps a
+    ``(point, trial)`` to.  A trial calls it once per point, in point order,
+    so its calls count the pairs off from trial 0."""
+    _, values, _ = run
+    original, calls = mc.adaptive_capon_weights, itertools.count()
+
+    def failing(matrix, a):
+        idx, point = divmod(next(calls), len(values))
+        if (point, idx) in fails:
+            raise fails[point, idx]
+        return original(matrix, a)
+
+    patch.setattr(mc, "adaptive_capon_weights", failing)
+
+
+class TestHeldFailure:
+    """A regime-d trial runs at every point at once, so a sample covariance
+    that cannot be factored at one point is held as that point's entry."""
+
+    def test_counts_only_at_its_point(self, monkeypatch):
+        run, whole = _chunk_point("d_psk8_t0_30")
+        fails = {(0, 5): NotPositiveDefinite("synthetic failure", pivot_index=0),
+                 (1, 7): NotPositiveDefinite("synthetic failure", pivot_index=0)}
+        fail_inside_trial(monkeypatch, run, fails)
+        parts = mc._run_chunk(run, (0, CHUNK_TRIALS))
+        for point in range(len(run[1])):
+            assert parts[point][2] == sum(p == point for p, _ in fails)
+            assert (exact(point_records([parts], point))
+                    == exact(surviving_records(whole, point, fails)))
+        assert memo_is_empty()
+
+    def test_other_error_at_a_later_point_ends_the_run(self, monkeypatch):
+        run, _ = _chunk_point("d_psk8_t0_30")
+        fails = {(0, 3): NotPositiveDefinite("synthetic failure", pivot_index=0),
+                 (1, 3): RuntimeError("synthetic error")}
+        fail_inside_trial(monkeypatch, run, fails)
+        with pytest.raises(RuntimeError, match="synthetic error"):
+            mc._run_chunk(run, (0, CHUNK_TRIALS))
+        assert memo_is_empty()
 
 
 # Fixed-weight runs checked against the snapshot-matrix reference: the oracle
@@ -777,8 +827,8 @@ class TestEmitTheory:
 
 class TestFailureHandling:
     """Failed trials are counted and left out alike through the serial map and
-    the worker pool, whose forked workers inherit the patched trial table.
-    The sweep has three points, and every trial call is counted per point in
+    the worker pool, whose forked workers inherit the patched ``run_trial``.
+    The sweep has three points, and every ``run_trial`` call is counted per point in
     shared memory, so calls made in workers are seen."""
 
     SNRS = (0.0, 1.0, 2.0)
@@ -791,19 +841,18 @@ class TestFailureHandling:
         """Run the sweep with trial ``idx`` of point ``p`` failing where
         ``fails[p](idx)``; return the report, or the error it raised, and the
         trial calls made at each point."""
-        original = mc._TRIAL_FUNCS[Regime.ORACLE]
-        powers = [snr_to_scene(SMALL_SCENE, v).soi.power for v in self.SNRS]
+        original = mc.run_trial
         calls = [multiprocessing.Value("q", 0) for _ in self.SNRS]
 
-        def counted(cfg, ctx, idx):
-            point = powers.index(ctx.scene.soi.power)
+        def counted(cfg, value, idx, ctx=None):
+            point = self.SNRS.index(value)
             with calls[point].get_lock():
                 calls[point].value += 1
             if point in fails and fails[point](idx):
                 raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            return original(cfg, ctx, idx)
+            return original(cfg, value, idx, ctx)
 
-        monkeypatch.setitem(mc._TRIAL_FUNCS, Regime.ORACLE, counted)
+        monkeypatch.setattr(mc, "run_trial", counted)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = config(trials=self.TRIALS, sweep=SweepSpec(SweepVariable.SNR_DB, self.SNRS))
         try:
@@ -813,14 +862,13 @@ class TestFailureHandling:
         return outcome, [c.value for c in calls]
 
     def test_failures_counted_and_excluded(self, monkeypatch):
-        original = mc._TRIAL_FUNCS[Regime.ORACLE]
         cfg = config(trials=self.TRIALS)
         expected = []
         for point, snr in enumerate(self.SNRS):
             ctx = mc.build_context(cfg, snr)
             expected.append(mc.aggregate([
                 r for i in range(self.TRIALS) if point != 1 or i not in self.FAILING
-                for r in original(cfg, ctx, i)
+                for r in run_trial(cfg, snr, i, ctx)
             ]))
         for threads in (1, 2):
             report, calls = self._run(monkeypatch, {1: self.FAILING.__contains__}, threads)

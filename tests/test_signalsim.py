@@ -1,5 +1,4 @@
 import pickle
-import weakref
 
 import numpy as np
 import pytest
@@ -460,7 +459,7 @@ class TestSynthMatchesReference:
     @pytest.mark.parametrize("count", [60.0, 60.5, "60", None])
     def test_non_integer_count_rejected_cold_and_warm(self, which, count):
         """A count that is not an integer raises ``DomainError`` on an empty
-        memo, and again once the same trial's 60-sample draws and batch are held."""
+        memo, and again once the same trial's 60-sample draws are cached."""
         geom = ArrayGeometry(4, 0.5)
         omap = signalsim.output_map(geom, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 4)))
         synth = {
@@ -582,9 +581,9 @@ def memo_scene(n_interferers, scale):
 
 
 class TestDrawMemo:
-    """The cache of unscaled draws and the held primary batch are invisible:
-    any interleaving of synthesis calls gives what each call gives on an
-    empty memo, which is the reference, and every held array is read-only."""
+    """The cache of unscaled draws is invisible: any interleaving of
+    synthesis calls gives what each call gives on an empty cache, which is
+    the reference, and every cached array is read-only."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(calls=st.lists(MEMO_CALL, min_size=1, max_size=12))
@@ -643,7 +642,7 @@ class TestDrawMemo:
         signalsim.clear_trial_memo()
         with pytest.raises(DomainError, match="must be integers"):
             synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
-        # and again once the integer coordinates' draws and batch are held
+        # and again once the integer coordinates' draws are cached
         synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(7, 3))
         with pytest.raises(DomainError, match="must be integers"):
             synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
@@ -659,41 +658,16 @@ class TestDrawMemo:
             assert np.array_equal(bits(got.snapshots), bits(ref.snapshots))
             assert np.array_equal(bits(got.truth), bits(ref.truth))
 
-    def test_held_batch_is_read_only_and_returned_again(self):
-        signalsim.clear_trial_memo()
-        batch = synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 40, TrialRngs(7, 3))
-        assert signalsim._held_batch[1] is batch
-        for arr in batch:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-        # an equal but distinct scene and geometry find the held batch
-        scene = SourceScene(PSK_SCENE.soi, list(PSK_SCENE.interferers), PSK_SCENE.noise_var)
-        again = synth_scene_snapshots(ArrayGeometry(4, 0.5), scene, WaveformKind.PSK8, 40,
-                                      TrialRngs(7, 3))
-        assert again is batch
-
-    def test_at_most_four_draws_and_one_batch_held(self, monkeypatch):
+    def test_at_most_four_draws_held(self, monkeypatch):
         signalsim.clear_trial_memo()
         counts = count_draws(monkeypatch)
         made = counts["made"]
         kind = WaveformKind.CIRCULAR_GAUSSIAN
-        first = weakref.ref(
-            synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0)).snapshots)
-        assert first() is not None and len(made) == 3
-        # another scene of the same trial: its draws are found, and the batch is
-        # replaced, the old one dropped before the new one is built
-        alive_while_building = []
-        body = signalsim._synth_primary
-
-        def building(*args):
-            alive_while_building.append(first() is not None)
-            return body(*args)
-
-        monkeypatch.setattr(signalsim, "_synth_primary", building)
-        other = synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, TrialRngs(7, 0))
-        assert alive_while_building == [False]
-        assert signalsim._held_batch[1] is other and len(made) == 3
+        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0))
+        assert len(made) == 3
+        # another scene of the same trial: its draws are found
+        synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, TrialRngs(7, 0))
+        assert len(made) == 3
         synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 0))
         trial_0 = list(made)
         assert len(trial_0) == 4 and signalsim._new_draws.cache_info().currsize == 4
@@ -701,7 +675,6 @@ class TestDrawMemo:
         synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 1))
         synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 1))
         assert len(made) == 8 and signalsim._new_draws.cache_info().currsize == 4
-        assert signalsim._held_batch[0][4:] == (7, 1, int, int)
         for key in made[4:]:
             signalsim._new_draws(*key)
         assert len(made) == 8  # the second trial's draws are all held
@@ -709,7 +682,6 @@ class TestDrawMemo:
         assert made[-1] == trial_0[0]  # the first trial's were evicted
         signalsim.clear_trial_memo()
         assert signalsim._new_draws.cache_info().currsize == 0
-        assert signalsim._held_batch == (None, None)
 
     def test_equal_scenes_share_one_constants_entry(self):
         constants = signalsim._scene_constants

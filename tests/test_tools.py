@@ -100,13 +100,15 @@ class TestPinnedDigestTable:
 
 
 class TestPairCpu:
-    def test_prints_one_json_line_per_run(self, capsys):
+    # fig1 runs fixed weights at 5 SNRs; fig6 runs regime d at 12 T0s
+    @pytest.mark.parametrize("preset, points", [("fig1", 5), ("fig6", 12)])
+    def test_prints_one_json_line_per_run(self, capsys, preset, points):
         tool = load_tool(TOOLS / "pair_cpu.py")
-        assert tool.main(["fig1", "100"]) == 0
+        assert tool.main([preset, "100"]) == 0
         line, = capsys.readouterr().out.splitlines()
         result = json.loads(line)
         assert {k: result[k] for k in ("preset", "trials", "points", "repeats")} == {
-            "preset": "fig1", "trials": 100, "points": 5, "repeats": tool.REPEATS}
+            "preset": preset, "trials": 100, "points": points, "repeats": tool.REPEATS}
         assert result["us_per_pair"] > 0.0
 
     @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"]])
