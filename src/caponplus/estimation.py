@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DegenerateSample, DomainError
+from .errors import DegenerateDenominator, DomainError
 from .linalg import zherk
 from .signalsim import SnapshotBatch
 
@@ -23,7 +23,6 @@ __all__ = [
     "SampleCovariance",
     "scm",
     "output_moments",
-    "kurtosis_estimate",
     "debiased_power",
     "alpha_hat",
     "debiased_power_scaled",
@@ -83,22 +82,6 @@ def output_moments(out: np.ndarray) -> tuple[float | list, float | list]:
     n = abs_sq.shape[-1]
     power, fourth = np.add.reduce(abs_sq, axis=-1) / n, np.add.reduce(abs_sq**2, axis=-1) / n
     return power.tolist(), fourth.tolist()
-
-
-def kurtosis_estimate(samples: np.ndarray) -> float:
-    """Kurtosis of zero-mean circular complex samples: ``m4 / m2^2 - 2``.
-
-    Zero for circular Gaussian data, exactly -1 for any constant-modulus
-    sample set.
-    """
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.size < 2:
-        raise DegenerateSample(f"need at least 2 samples, got {samples.size}")
-    mag_sq = np.abs(samples) ** 2
-    m2 = float(np.mean(mag_sq))
-    if m2 <= 0.0:
-        raise DegenerateSample("all samples are zero; kurtosis undefined")
-    return float(np.mean(mag_sq**2)) / m2**2 - 2.0
 
 
 def debiased_power(gamma_cap_hat: float, ah_qinv_a: float) -> float:

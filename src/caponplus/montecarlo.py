@@ -20,31 +20,20 @@ Five regimes are supported, each sweeping SNR or the secondary sample count:
 
 In the oracle regime and in regime a the weights are fixed: the oracle
 regime scores the exact CB, Capon and MMSE weights and the Capon output
-shrunk by ``sqrt(alpha)``; regime a scores the exact Capon weight, and its
-MMSE, CaponPlus and Debiased rows scale the Capon output by scalars of the
-trial (MMSE by ``g q / (1 + g q)`` with the debiased power ``g`` and
-``q = a^H Q^{-1} a``).  A trial's outputs at every sweep point are then
-fixed linear maps of its three raw draws.  A run stacks the conjugate
-weights of every point, scaled by each point's source amplitudes, into one
-:class:`~.signalsim.OutputMap`, once; each trial projects its draws through
-it, two matrix products and one outer product, and scores every point and
-method from those outputs with one :func:`~.metrics.score_outputs` call,
-without forming a snapshot matrix.  In the measured-alpha 8-PSK mode each
-point's alpha comes from that point's Capon output.
+shrunk by ``sqrt(alpha)``; regime a scores the exact Capon weight.  A
+trial's outputs at every sweep point are then fixed linear maps of its three
+raw draws.  A run stacks the conjugate weights of every point, scaled by
+each point's source amplitudes, into one :class:`~.signalsim.OutputMap`,
+once; each trial projects its draws through it, two matrix products and one
+outer product, and scores every point and method from those outputs with
+one :func:`~.metrics.score_outputs` call, without forming a snapshot matrix.
+In the measured-alpha 8-PSK mode each point's alpha comes from that point's
+Capon output.
 
-Regimes b to d share one trial: synthesize the batch, form the adaptive
-Capon weight, beamform, take the output power and fourth moment, estimate
-the shrinkage, and score Capon, MMSE and CaponPlus as scalar multiples of
-the Capon output.  The regime picks
-
-* the SCM the Capon weight comes from: of the primary batch (b) or of the
-  secondary batch (c, d);
-* the SOI power in the shrinkage numerator and the MMSE scale: the known
-  ``gamma`` (b, c) or the inverse-Wishart scaled debiased estimate (d);
-* whether a ``Debiased`` row is added (d).
-
-Regime b divides by its plug-in power ``1 / (a^H S_hat^{-1} a)``, c and d
-by the measured output power.
+Regimes b to d train an adaptive Capon weight on the SCM of the primary
+batch (b) or of the secondary batch (c, d) and beamform the primary batch.
+In regimes a to d every other row is a scalar multiple of the one Capon
+output, by the rule table of :func:`_capon_rows`.
 
 An additional ``alpha_sweep`` mode tabulates the closed-form row of the
 shrunk Capon weight ``sqrt(alpha) w_cap`` over a grid of shrinkage factors;
@@ -131,13 +120,13 @@ from .arraymodel import (
     waveform_mse_theory,
 )
 from .beamformers import adaptive_capon_weights, apply_weights, capon_plus_weights, cb_weights
-from .errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
+from .errors import (ConfigError, DegenerateSample, DomainError, NotPositiveDefinite,
+                     TrialFailureError)
 from .linalg import quadratic_form
 from .estimation import (
     alpha_hat,
     debiased_power,
     debiased_power_scaled,
-    kurtosis_estimate,
     output_moments,
     scm,
 )
@@ -408,8 +397,7 @@ def _oracle_alpha(config: ScenarioConfig, scene: SourceScene, model: CovarianceM
     if config.waveform is WaveformKind.CIRCULAR_GAUSSIAN:
         return theory.alpha_o
     if config.psk_alpha_mode is PskAlphaMode.EXACT:
-        power, fourth = output_moments_theory(config.geom, scene, config.waveform, w_cap)
-        kurt = fourth / power**2 - 2.0
+        kurt = _kurtosis(*output_moments_theory(config.geom, scene, config.waveform, w_cap))
     else:
         # constant-modulus shortcut; also the placeholder in measured mode,
         # where each trial re-estimates the kurtosis from its own output.
@@ -433,7 +421,11 @@ def build_context(config: ScenarioConfig, sweep_value: float) -> SweepContext:
     else:
         scene = config.base_scene
         t0 = config.secondary_snapshots
-    model = build_cov_model(config.geom, scene)
+    try:
+        model = build_cov_model(config.geom, scene)
+    except NotPositiveDefinite as exc:
+        raise DomainError(f"sweep value {sweep_value}: the point's array covariance "
+                          f"cannot be factored ({exc})") from None
     theory = theory_report(model, config.snapshots)
     w_cap = model.sinv_a / model.ah_sinv_a
     alpha_oracle = _oracle_alpha(config, scene, model, theory, w_cap)
@@ -457,8 +449,17 @@ def _build_contexts(config: ScenarioConfig) -> list[SweepContext]:
 
 
 _ORACLE_METHODS = ("CB", "Capon", "MMSE", "CaponPlus")
-# The rows of _capon_multiples, in its order.
-_CAPON_MULTIPLES = ("Capon", "MMSE", "CaponPlus", "Debiased")
+# The rows of _capon_rows, in its order; Debiased in regimes a and d only.
+_CAPON_ROWS = ("Capon", "MMSE", "CaponPlus", "Debiased")
+
+
+def _kurtosis(power: float, fourth: float) -> float:
+    """Kurtosis ``m4 / m2^2 - 2`` of zero-mean circular complex samples of
+    power ``m2`` and fourth moment ``m4``: zero for circular Gaussian data,
+    -1 for constant-modulus data."""
+    if power <= 0.0:
+        raise DegenerateSample("all samples are zero; kurtosis undefined")
+    return fourth / power**2 - 2.0
 
 
 def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list[TrialRecord]]:
@@ -469,12 +470,12 @@ def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list
     gamma = [ctx.model.gamma for ctx in contexts]
     outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
     if config.regime is Regime.ORACLE:
-        powers, _ = output_moments(outs)
+        powers, fourths = output_moments(outs)
         out_cap = outs[:, 1]
         if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
-            # each trial estimates alpha from its own output's kurtosis
-            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, kurtosis_estimate(out))[0]
-                     for g, ctx, out in zip(gamma, contexts, out_cap)]
+            # each trial estimates alpha from its own Capon output's kurtosis
+            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
+                     for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
         else:
             alpha = [ctx.alpha_oracle for ctx in contexts]
         outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
@@ -485,30 +486,53 @@ def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list
         out_cap = outs[:, 0]
         scales, powers = [], []
         for gamma_cap_hat, m4, ctx in zip(*output_moments(out_cap), contexts):
-            q = ctx.model.ah_qinv_a
-            gamma_num = debiased_power(gamma_cap_hat, q)
-            mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
-            alpha = alpha_hat(gamma_cap_hat, m4, gamma_num, t)
-            point_scales, point_powers = _capon_multiples(
-                gamma_cap_hat, gamma_num, mmse_scale, alpha, debiased=True)
+            point_scales, point_powers = _capon_rows(config, ctx, gamma_cap_hat, m4, None)
             scales.append(point_scales)
             powers.append(point_powers)
         outs = np.array(scales)[:, :, None] * out_cap[:, None]
-        methods = _CAPON_MULTIPLES
+        methods = _CAPON_ROWS
     return score_outputs(methods, gamma, truth, outs, powers)
 
 
-def _capon_multiples(gamma_cap_hat: float, gamma_num: float, mmse_scale: float, alpha: float,
-                     debiased: bool) -> tuple[list[float], list[float]]:
-    """The scales of the Capon output that give the Capon, MMSE and CaponPlus
-    rows (and the Debiased row), and those rows' power estimates.
+def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float, m4: float,
+                plug_in: float | None) -> tuple[list[float], list[float]]:
+    """The scales of the Capon output that give one point's Capon, MMSE and
+    CaponPlus rows in regimes a to d, plus the Debiased row in a and d, and
+    those rows' power estimates.
 
-    The Debiased estimator estimates power only; its waveform column reports
-    the power-matched rescaling of the Capon output.
+    ``gamma_cap_hat`` (``ghat``) and ``m4`` are the Capon output's power and
+    fourth moment, and ``plug_in = 1 / (a^H C_hat^{-1} a)`` the plug-in power
+    of an adaptive Capon weight (``None`` in regime a).  The regimes differ
+    only in the power ``p`` the shrinkage ``alpha_hat(p, m4, g, T)`` reads,
+    the SOI power ``g`` in its numerator, and the MMSE scale::
+
+        regime  p        g                                              MMSE scale
+        a       ghat     debiased_power(ghat, q), q = a^H Q^{-1} a      g q / (1 + g q)
+        b       plug_in  gamma                                          gamma / plug_in
+        c       ghat     gamma                                          gamma / ghat
+        d       ghat     debiased_power_scaled(ghat, 1 / plug_in, T0, M)  g / ghat
+
+    The MMSE weight ``gamma S_hat^{-1} a`` of regime b is the Capon weight
+    times gamma over its plug-in power; with an estimated INCM (c, d) the
+    measured output power stands in for the plug-in one.  The Debiased row
+    estimates power only; its waveform is the Capon output rescaled to it.
     """
+    regime = config.regime
+    if regime is Regime.A:
+        q = ctx.model.ah_qinv_a
+        power = gamma_cap_hat
+        gamma_num = debiased_power(gamma_cap_hat, q)
+        mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
+    else:
+        power = plug_in if regime is Regime.B else gamma_cap_hat
+        gamma_num = debiased_power_scaled(
+            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
+        ) if regime is Regime.D else ctx.model.gamma
+        mmse_scale = gamma_num / power if power > 0.0 else 0.0
+    alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
     scales = [1.0, mmse_scale, math.sqrt(alpha)]
     powers = [gamma_cap_hat, mmse_scale**2 * gamma_cap_hat, alpha * gamma_cap_hat]
-    if debiased:
+    if regime in (Regime.A, Regime.D):
         scales.append(math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0)
         powers.append(gamma_num)
     return scales, powers
@@ -517,10 +541,10 @@ def _capon_multiples(gamma_cap_hat: float, gamma_num: float, mmse_scale: float, 
 def _trial_adaptive(config: ScenarioConfig, points: _Points,
                     idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
     """One trial of regime b, c or d: its records at every point, or the
-    :class:`NotPositiveDefinite` a point's sample covariance raised; see the
-    module docstring.  The primary batch is synthesised once per run of
-    equal scenes, so once per trial along a T0 sweep."""
-    regime = config.regime
+    :class:`NotPositiveDefinite` a point's sample covariance raised.  The
+    primary batch is synthesised once per run of equal scenes, so once per
+    trial along a T0 sweep; each point trains its Capon weight on the SCM
+    of its training batch and scores the rows :func:`_capon_rows` gives."""
     rngs = TrialRngs(config.master_seed, idx)
     entries, scene, batch = [], None, None
     for ctx in points.contexts:
@@ -528,9 +552,8 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
             scene, batch = ctx.scene, None  # drop the last batch before building the next
             batch = synth_scene_snapshots(config.geom, scene, config.waveform,
                                           config.snapshots, rngs)
-        gamma = ctx.model.gamma
         # the SCM C_hat of the training batch: the primary one (b) or the secondary one (c, d)
-        cov = scm(batch if regime is Regime.B else synth_scene_secondary(
+        cov = scm(batch if config.regime is Regime.B else synth_scene_secondary(
             config.geom, scene, config.waveform, ctx.secondary_snapshots, rngs)).matrix
         try:
             # plug_in = 1 / (a^H C_hat^{-1} a)
@@ -539,21 +562,9 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
             entries.append(exc.with_traceback(None))
             continue
         out_cap = apply_weights(w_cap, batch)
-        gamma_cap_hat, m4 = output_moments(out_cap)
-
-        power = plug_in if regime is Regime.B else gamma_cap_hat
-        gamma_num = debiased_power_scaled(
-            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
-        ) if regime is Regime.D else gamma
-        # gamma S_hat^{-1} a in regime b is the Capon weight scaled by gamma over
-        # its plug-in power; with an estimated INCM (c/d) the measured output
-        # power stands in for the plug-in one.
-        mmse_scale = gamma_num / power if power > 0.0 else 0.0
-        alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
-        scales, powers = _capon_multiples(gamma_cap_hat, gamma_num, mmse_scale, alpha,
-                                          debiased=regime is Regime.D)
+        scales, powers = _capon_rows(config, ctx, *output_moments(out_cap), plug_in)
         outs = np.multiply.outer(scales, out_cap)
-        entries += score_outputs(_CAPON_MULTIPLES, (gamma,), batch.truth[None], outs[None],
+        entries += score_outputs(_CAPON_ROWS, (ctx.model.gamma,), batch.truth[None], outs[None],
                                  (powers,))
     return entries
 
@@ -587,10 +598,11 @@ def run_trial(
 ) -> list[TrialRecord]:
     """Run one Monte-Carlo trial at one sweep point and return one record per method.
 
-    Without ``ctx`` the point's context is built alone.  The first call for
-    a trial runs it at every point of ``ctx``'s run and holds what each
-    point gave; each call then returns its own point's records, or raises
-    the :class:`NotPositiveDefinite` its point's sample covariance raised.
+    Without ``ctx`` the point's context is built alone at ``sweep_value``,
+    which is read only then.  The first call for a trial runs it at every
+    point of ``ctx``'s run and holds what each point gave; each call then
+    returns its own point's records, or raises the
+    :class:`NotPositiveDefinite` its point's sample covariance raised.
     """
     global _held_rows
     trial = _TRIAL_FUNCS.get(config.regime)

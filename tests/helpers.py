@@ -27,7 +27,6 @@ from caponplus.estimation import (
     SampleCovariance,
     alpha_hat,
     debiased_power,
-    kurtosis_estimate,
     output_moments,
 )
 from caponplus.linalg import cholesky, quadratic_form, solve_chol, zherk
@@ -400,6 +399,23 @@ def mean_abs_sq(out: np.ndarray) -> float:
     return float(np.vdot(out, out).real) / out.size
 
 
+def kurtosis_estimate(samples: np.ndarray) -> float:
+    """Kurtosis of zero-mean circular complex samples: ``m4 / m2^2 - 2``.
+
+    Zero for circular Gaussian data, exactly -1 for any constant-modulus
+    sample set.  The reference for the measured-alpha mode's kurtosis,
+    which ``caponplus.montecarlo`` takes from the Capon output's moments.
+    """
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.size < 2:
+        raise DegenerateSample(f"need at least 2 samples, got {samples.size}")
+    mag_sq = np.abs(samples) ** 2
+    m2 = float(np.mean(mag_sq))
+    if m2 <= 0.0:
+        raise DegenerateSample("all samples are zero; kurtosis undefined")
+    return float(np.mean(mag_sq**2)) / m2**2 - 2.0
+
+
 def reference_records(gamma: float, truth: np.ndarray, entries) -> list[tuple]:
     """Score one trial method by method: one ``(method, rel_bias, se_nmse,
     sp_nmse)`` record per ``(method, output, gamma_hat)``, with the output
@@ -455,3 +471,55 @@ def reference_fixed_trial(config, ctx, idx: int) -> list[tuple]:
         ("CaponPlus", math.sqrt(alpha) * out_cap, alpha * gamma_cap_hat),
         ("Debiased", deb_scale * out_cap, gamma_num),
     ))
+
+
+def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
+    """One trial of regime b, c or d from the paper's formulas, method by
+    method.
+
+    The SCM ``C_hat`` of the training batch (the primary one in regime b,
+    the secondary one in c and d) gives the Capon weight
+    ``C_hat^{-1} a / (a^H C_hat^{-1} a)`` and the plug-in power
+    ``p = 1 / (a^H C_hat^{-1} a)``.  With ``ghat`` and ``m4`` the power and
+    fourth moment of the Capon output, the SOI power is ``g = gamma`` (b, c)
+    or the inverse-Wishart debiased ``max(ghat - T0 / (T0 - M) p, 0)`` (d);
+    the MMSE weight is ``gamma C_hat^{-1} a`` (b) or ``g / ghat`` times the
+    Capon weight (c, d); and CaponPlus shrinks the Capon output by
+    ``alpha = T r g / (m4 + (T - 1) r^2)``, ``r = p`` (b) or ``ghat`` (c, d).
+    Regime d adds the Debiased row, power ``g``, waveform the Capon output
+    rescaled to that power.
+
+    The reference for ``caponplus.montecarlo``'s adaptive trials, which
+    scale the one Capon output instead; the two differ by rounding only.
+    """
+    regime = config.regime.value
+    rngs = TrialRngs(config.master_seed, idx)
+    batch = signalsim.synth_scene_snapshots(config.geom, ctx.scene, config.waveform,
+                                            config.snapshots, rngs)
+    train = batch if regime == "b" else signalsim.synth_scene_secondary(
+        config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs)
+    cov, a = reference_scm(train.snapshots), ctx.model.a
+    gamma, t = ctx.model.gamma, config.snapshots
+    plug_in = 1.0 / float(np.vdot(a, solve_hpd(cov, a)).real)
+    x = batch.snapshots
+    out_cap = x @ capon_weights(cov, a).conj()
+    gamma_cap_hat = mean_abs_sq(out_cap)
+    m4 = float(np.mean(np.abs(out_cap) ** 4))
+    if regime == "d":
+        t0, m = ctx.secondary_snapshots, config.geom.antennas
+        g = max(gamma_cap_hat - t0 / (t0 - m) * plug_in, 0.0)
+    else:
+        g = gamma
+    if regime == "b":
+        r, out_mmse = plug_in, x @ mmse_weights(gamma, cov, a).conj()
+    else:
+        r, out_mmse = gamma_cap_hat, g / gamma_cap_hat * out_cap
+    alpha = t * r * g / (m4 + (t - 1) * r * r)
+    entries = [
+        ("Capon", out_cap, None),
+        ("MMSE", out_mmse, None),
+        ("CaponPlus", math.sqrt(alpha) * out_cap, None),
+    ]
+    if regime == "d":
+        entries.append(("Debiased", math.sqrt(g / gamma_cap_hat) * out_cap, g))
+    return reference_records(gamma, batch.truth, entries)

@@ -271,6 +271,28 @@ class TestMain:
         assert not out.exists()
         assert contexts == []
 
+    @pytest.mark.parametrize("regime", ["oracle", "b"])
+    def test_unfactorable_sweep_point_named_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, regime):
+        # At 140 dB on the reference array a pivot of S = gamma a a^H + Q falls
+        # below the Cholesky rank rule's M eps max(diag); 130 dB still runs.
+        import caponplus.montecarlo as mc
+
+        trials = []
+        monkeypatch.setattr(mc, "run_trial", lambda *a: trials.append(a))
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, {
+            "regime": regime, "trials": 100,
+            "sweep": {"variable": "snr_db", "values": [0.0, 140.0]},
+        })
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: sweep value 140.0: the point's array covariance cannot be factored (pivot ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert trials == []
+
     @pytest.mark.parametrize("out_name", ["missing_dir/r.csv", "a_dir"])
     def test_unwritable_output_path_rejected_before_any_trial(
             self, tmp_path, capsys, monkeypatch, out_name):

@@ -19,7 +19,6 @@ from caponplus.estimation import (
     alpha_hat,
     debiased_power,
     debiased_power_scaled,
-    kurtosis_estimate,
     output_moments,
     scm,
 )
@@ -29,6 +28,7 @@ from helpers import (
     bits,
     capon_weights,
     draw_waveform,
+    kurtosis_estimate,
     nll_profile,
     random_cvector,
     random_hpd,

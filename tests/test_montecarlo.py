@@ -23,7 +23,14 @@ from caponplus.arraymodel import (
     theory_report,
 )
 from caponplus.cli import build_run_config
-from caponplus.errors import ConfigError, DomainError, NotPositiveDefinite, TrialFailureError
+from caponplus.errors import (
+    ConfigError,
+    DegenerateSample,
+    DomainError,
+    NotPositiveDefinite,
+    TrialFailureError,
+)
+from caponplus.estimation import output_moments
 from caponplus.linalg import cholesky, solve_chol
 from caponplus.metrics import aggregate
 from caponplus.montecarlo import (
@@ -40,7 +47,15 @@ from caponplus.montecarlo import (
 )
 from caponplus.presets import PRESETS
 from caponplus.signalsim import WaveformKind
-from helpers import capon_weights, count_draws, mmse_weights, random_model, reference_fixed_trial
+from helpers import (
+    capon_weights,
+    count_draws,
+    kurtosis_estimate,
+    mmse_weights,
+    random_model,
+    reference_adaptive_trial,
+    reference_fixed_trial,
+)
 
 SMALL_GEOM = ArrayGeometry(4, 0.5)
 SMALL_SCENE = SourceScene(
@@ -617,6 +632,41 @@ class TestProjectedTrialsMatchSnapshotReference:
                 assert (np.abs(got - ref) <= bound).all(), (name, PROJECTED_SNRS[point], i)
 
 
+ADAPTIVE_RUNS = {
+    "b_fig4c": PRESETS["fig4c"],
+    "c_t0": {**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}},
+    "d_t0": {**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}},
+    # -20 dB clamps the debiased power at zero in some trials
+    "d_snr": {**PRESETS["fig6"], "secondary_snapshots": 60,
+              "sweep": {"variable": "snr_db", "values": [5.0, 0.0, -10.0, -20.0]}},
+}
+ADAPTIVE_TRIALS = 30
+
+
+class TestAdaptiveTrialsMatchReference:
+    """An adaptive trial scales its one Capon output by the rule table of
+    ``_capon_rows``; :func:`helpers.reference_adaptive_trial` scores each
+    method from the paper's formulas, with its own MMSE weight in regime b.
+
+    Bound: as for the projected trials, each metric of each record is within
+    ``16 eps (1 + m)`` of the reference's, ``m`` being the largest magnitude
+    of that metric among the methods at that point.  The largest deviation
+    seen on these runs is 4.0 ``eps (1 + m)``, a relative change of 1.2e-12."""
+
+    @pytest.mark.parametrize("name", sorted(ADAPTIVE_RUNS))
+    def test_records_match_within_rounding(self, name):
+        cfg, (_, values, contexts) = scenario_run(ADAPTIVE_RUNS[name], 100)
+        eps = np.finfo(np.float64).eps
+        for i in range(ADAPTIVE_TRIALS):
+            for value, ctx in zip(values, contexts):
+                ref = reference_adaptive_trial(cfg, ctx, i)
+                got = run_trial(cfg, value, i, ctx)
+                assert [r[0] for r in got] == [r[0] for r in ref]
+                got, ref = np.array([r[1:] for r in got]), np.array([r[1:] for r in ref])
+                bound = 16 * eps * (1.0 + np.abs(ref).max(axis=0))
+                assert (np.abs(got - ref) <= bound).all(), (name, value, i)
+
+
 @pytest.fixture(scope="module")
 def oracle_report():
     return run_scenario(config(trials=2500, master_seed=7,
@@ -759,6 +809,19 @@ class TestPskAlphaModes:
         }
         assert alphas[PskAlphaMode.EXACT] == pytest.approx(
             alphas[PskAlphaMode.KAPPA_MINUS_ONE], rel=1e-6)
+
+    def test_kurtosis_from_moments_matches_samples(self):
+        """The measured mode's kurtosis, from the output moments, agrees with
+        the sample kurtosis to rounding; a zero output has none."""
+        rng = np.random.default_rng(5)
+        psk = 2.0 * np.exp(1j * np.pi / 4.0 * rng.integers(0, 8, 64))
+        gauss = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        for s in (psk, gauss, psk + 0.1 * gauss):
+            assert mc._kurtosis(*output_moments(s)) == pytest.approx(
+                kurtosis_estimate(s), rel=1e-13, abs=1e-13)
+        assert mc._kurtosis(*output_moments(psk)) == pytest.approx(-1.0, abs=1e-14)
+        with pytest.raises(DegenerateSample):
+            mc._kurtosis(*output_moments(np.zeros(8, dtype=complex)))
 
 
 class TestAlphaSweep:

@@ -17,7 +17,7 @@ from caponplus.arraymodel import (
 import caponplus.signalsim as signalsim
 from caponplus.errors import DomainError
 from caponplus.beamformers import apply_weights
-from caponplus.estimation import kurtosis_estimate, scm
+from caponplus.estimation import scm
 from caponplus.linalg import cholesky
 from caponplus.montecarlo import Regime, ScenarioConfig, SweepSpec, SweepVariable, run_trial
 from caponplus.signalsim import (
@@ -35,6 +35,7 @@ from helpers import (
     count_draws,
     draw_interference_noise,
     draw_waveform,
+    kurtosis_estimate,
     reference_synth_scene_secondary,
     reference_synth_scene_snapshots,
     synth_secondary,

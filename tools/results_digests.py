@@ -7,8 +7,10 @@ Runs ``caponplus run --preset P --seed 7`` for each preset at 200 trials per
 point (fig2, the closed-form alpha sweep, at its own grid; fig5 and fig6 at
 T0 in {30, 60, 120}), with ``emit_theory`` off and on.  It also runs fig1
 with 8-PSK sources and ``emit_theory`` on once per ``psk_alpha_mode``, which
-covers the oracle shrinkage rules no preset selects, and fig1 and fig6 with
-``emit_theory`` on and ``--format json``, which covers the JSON writer.
+covers the oracle shrinkage rules no preset selects, fig1 and fig6 with
+``emit_theory`` on and ``--format json``, which covers the JSON writer, and
+fig5 and fig6 (regimes c and d) with ``emit_theory`` on over an SNR sweep
+at T0 = 60, which no preset runs.
 Every run is made at ``--threads`` 1 and 2, and the results files go to
 OUTDIR.  It prints one ``<first 12 hex digits of SHA-256> <file>`` line per
 results file, so two trees give the same output exactly when their results
@@ -52,6 +54,9 @@ T0_VALUES = [30.0, 60.0, 120.0]
 THREADS = (1, 2)
 PSK_ALPHA_MODES = ("kappa_minus_one", "exact", "measured")
 JSON_PRESETS = ("fig1", "fig6")
+# Regimes c and d over an SNR sweep, at T0 = 60: no preset runs them.
+SNR_SWEEP_PRESETS = ("fig5", "fig6")
+SNR_VALUES = [0.0, -5.0, -10.0]
 
 
 def _overrides(preset: str, emit_theory: bool) -> dict:
@@ -74,6 +79,11 @@ def _runs():
         }, "csv"
     for preset in JSON_PRESETS:
         yield preset, f"{preset}-theory1", _overrides(preset, True), "json"
+    for preset in SNR_SWEEP_PRESETS:
+        yield preset, f"{preset}-snr-theory1", {
+            "emit_theory": True, "trials": TRIALS, "secondary_snapshots": 60,
+            "sweep": {"variable": "snr_db", "values": SNR_VALUES},
+        }, "csv"
 
 
 def _read_table(path: Path) -> dict[str, str]:
