@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,12 @@ class ArrayGeometry:
     d_over_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.antennas < 2:
-            raise DomainError(f"need at least 2 antennas, got {self.antennas}")
+        try:
+            antennas = operator.index(self.antennas)
+        except TypeError:
+            raise DomainError(f"antennas must be an integer, got {self.antennas!r}") from None
+        if antennas < 2:
+            raise DomainError(f"need at least 2 antennas, got {antennas}")
         if not self.d_over_lambda > 0.0:
             raise DomainError(f"element spacing must be positive, got {self.d_over_lambda}")
 

@@ -32,8 +32,8 @@ Capon output.
 
 Regimes b to d train an adaptive Capon weight on the SCM of the primary
 batch (b) or of the secondary batch (c, d) and beamform the primary batch.
-In regimes a to d every other row is a scalar multiple of the one Capon
-output, by the rule table of :func:`_capon_rows`.
+In regimes a to d every other row is the one Capon output times a scalar,
+by one rule (:func:`_capon_rows`) that each regime feeds its SOI power.
 
 An additional ``alpha_sweep`` mode tabulates the closed-form row of the
 shrunk Capon weight ``sqrt(alpha) w_cap`` over a grid of shrinkage factors;
@@ -235,33 +235,34 @@ class ScenarioConfig:
                 problems.append(f"master_seed must be >= 0, got {self.master_seed}")
         except TypeError:
             problems.append(f"master_seed must be an integer, got {self.master_seed!r}")
+        counts = {}  # the integer counts: any other gets no bound check
         for name in ("snapshots", "secondary_snapshots", "trials"):
             try:
-                operator.index(getattr(self, name))
+                counts[name] = operator.index(getattr(self, name))
             except TypeError:
                 problems.append(f"{name} must be an integer, got {getattr(self, name)!r}")
+        t, t0, trials = map(counts.get, ("snapshots", "secondary_snapshots", "trials"))
         if not values:
             problems.append("sweep.values must not be empty")
         if (self.regime is Regime.ALPHA_SWEEP) != (sweep_var is SweepVariable.ALPHA):
             problems.append("the alpha sweep variable pairs exclusively with the alpha_sweep regime")
-        if self.snapshots < 1:
-            problems.append(f"snapshots must be >= 1, got {self.snapshots}")
-        if self.regime is not Regime.ALPHA_SWEEP and self.trials < 100:
-            problems.append(f"trials must be >= 100, got {self.trials}")
-        if self.trials > 2**32:
+        if t is not None and t < 1:
+            problems.append(f"snapshots must be >= 1, got {t}")
+        if trials is not None and self.regime is not Regime.ALPHA_SWEEP and trials < 100:
+            problems.append(f"trials must be >= 100, got {trials}")
+        if trials is not None and trials > 2**32:
             problems.append(
-                "trials must be <= 2**32, the number of RNG stream trial indices, "
-                f"got {self.trials}"
+                f"trials must be <= 2**32, the number of RNG stream trial indices, got {trials}"
             )
         if (
             self.regime is Regime.ORACLE
             and self.waveform is WaveformKind.PSK8
             and self.psk_alpha_mode is PskAlphaMode.MEASURED
-            and self.snapshots < 2
+            and t is not None and t < 2
         ):
             problems.append(
                 "psk_alpha_mode 'measured' estimates each trial's kurtosis from its "
-                f"snapshots and needs snapshots >= 2, got {self.snapshots}"
+                f"snapshots and needs snapshots >= 2, got {t}"
             )
         if sweep_var is SweepVariable.T0 and self.regime not in (Regime.C, Regime.D):
             problems.append("sweeping T0 is only meaningful in regimes c and d")
@@ -276,10 +277,8 @@ class ScenarioConfig:
                         problems.append(f"SNR sweep value {v}: {exc}")
         if sweep_var is SweepVariable.ALPHA and not all(0.0 <= v < math.inf for v in values):
             problems.append("alpha sweep values must be finite and >= 0")
-        if self.regime is Regime.B and self.snapshots <= m:
-            problems.append(
-                f"regime b needs snapshots > antennas, got T = {self.snapshots}, M = {m}"
-            )
+        if self.regime is Regime.B and t is not None and t <= m:
+            problems.append(f"regime b needs snapshots > antennas, got T = {t}, M = {m}")
         if self.regime in (Regime.C, Regime.D):
             if sweep_var is SweepVariable.T0:
                 bad = [v for v in values if not math.isfinite(v) or v != int(v) or int(v) <= m]
@@ -287,21 +286,23 @@ class ScenarioConfig:
                     problems.append(
                         f"every swept T0 must be an integer > M = {m}, offending values: {bad}"
                     )
-            elif self.secondary_snapshots <= m:
+            elif t0 is not None and t0 <= m:
                 problems.append(
-                    f"regimes c/d need secondary_snapshots (T0) > M, got "
-                    f"T0 = {self.secondary_snapshots}, M = {m}"
+                    f"regimes c/d need secondary_snapshots (T0) > M, got T0 = {t0}, M = {m}"
                 )
         if problems:
             raise ConfigError("; ".join(problems))
 
 
 def _db_to_linear(db: float) -> float:
-    """``10 ** (db / 10)``; :class:`DomainError` where that overflows a float."""
+    """``10 ** (db / 10)``; :class:`DomainError` where ``db`` is not finite
+    or that overflows a float."""
     try:
-        return 10.0 ** (db / 10.0)
+        if math.isfinite(db):
+            return 10.0 ** (db / 10.0)
     except OverflowError:
-        raise DomainError(f"{db} dB overflows a float power ratio") from None
+        pass
+    raise DomainError(f"{db} dB is not finite or overflows a float power ratio")
 
 
 def scene_from_db(
@@ -502,39 +503,31 @@ def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float,
 
     ``gamma_cap_hat`` (``ghat``) and ``m4`` are the Capon output's power and
     fourth moment, and ``plug_in = 1 / (a^H C_hat^{-1} a)`` the plug-in power
-    of an adaptive Capon weight (``None`` in regime a).  The regimes differ
-    only in the power ``p`` the shrinkage ``alpha_hat(p, m4, g, T)`` reads,
-    the SOI power ``g`` in its numerator, and the MMSE scale::
-
-        regime  p        g                                              MMSE scale
-        a       ghat     debiased_power(ghat, q), q = a^H Q^{-1} a      g q / (1 + g q)
-        b       plug_in  gamma                                          gamma / plug_in
-        c       ghat     gamma                                          gamma / ghat
-        d       ghat     debiased_power_scaled(ghat, 1 / plug_in, T0, M)  g / ghat
-
-    The MMSE weight ``gamma S_hat^{-1} a`` of regime b is the Capon weight
-    times gamma over its plug-in power; with an estimated INCM (c, d) the
-    measured output power stands in for the plug-in one.  The Debiased row
-    estimates power only; its waveform is the Capon output rescaled to it.
+    of an adaptive Capon weight, read in regime d only.  The regimes differ
+    only in the SOI power ``g``: ``debiased_power(ghat, a^H Q^{-1} a)`` in a,
+    the known ``gamma`` in b and c, ``debiased_power_scaled(ghat, 1 / plug_in,
+    T0, M)`` in d.  The MMSE row scales the Capon output by ``g / ghat``, the
+    CaponPlus row by ``sqrt(alpha_hat(ghat, m4, g, T))`` and the Debiased row
+    (power ``g``) by ``sqrt(g / ghat)``.  This is the paper's rule: in a,
+    ``g q / (1 + g q)`` with ``g = ghat - 1/q`` is ``g / ghat``; in b, whose
+    weight beamforms the batch it was trained on, ``ghat`` is the plug-in
+    power, with less rounding, and ``(g / ghat) w_cap`` is ``gamma S_hat^{-1} a``.
     """
     regime = config.regime
     if regime is Regime.A:
-        q = ctx.model.ah_qinv_a
-        power = gamma_cap_hat
-        gamma_num = debiased_power(gamma_cap_hat, q)
-        mmse_scale = gamma_num * q / (1.0 + gamma_num * q)
+        g = debiased_power(gamma_cap_hat, ctx.model.ah_qinv_a)
+    elif regime is Regime.D:
+        g = debiased_power_scaled(gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots,
+                                  config.geom.antennas)
     else:
-        power = plug_in if regime is Regime.B else gamma_cap_hat
-        gamma_num = debiased_power_scaled(
-            gamma_cap_hat, 1.0 / plug_in, ctx.secondary_snapshots, config.geom.antennas
-        ) if regime is Regime.D else ctx.model.gamma
-        mmse_scale = gamma_num / power if power > 0.0 else 0.0
-    alpha = alpha_hat(power, m4, gamma_num, config.snapshots)
+        g = ctx.model.gamma
+    mmse_scale = g / gamma_cap_hat if gamma_cap_hat > 0.0 else 0.0
+    alpha = alpha_hat(gamma_cap_hat, m4, g, config.snapshots)
     scales = [1.0, mmse_scale, math.sqrt(alpha)]
     powers = [gamma_cap_hat, mmse_scale**2 * gamma_cap_hat, alpha * gamma_cap_hat]
     if regime in (Regime.A, Regime.D):
-        scales.append(math.sqrt(gamma_num / gamma_cap_hat) if gamma_cap_hat > 0.0 else 0.0)
-        powers.append(gamma_num)
+        scales.append(math.sqrt(mmse_scale))
+        powers.append(g)
     return scales, powers
 
 

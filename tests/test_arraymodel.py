@@ -63,6 +63,16 @@ class TestSteeringVector:
             a[0] = 0.0
 
 
+class TestArrayGeometry:
+    @pytest.mark.parametrize("antennas", [25.0, 2.5, "25", None])
+    def test_non_integer_antennas_rejected(self, antennas):
+        with pytest.raises(DomainError, match="antennas must be an integer"):
+            ArrayGeometry(antennas)
+
+    def test_numpy_integer_accepted(self):
+        assert ArrayGeometry(np.int64(25)).antennas == 25
+
+
 class TestSourceScene:
     def test_hash_matches_across_equal_scenes_and_equality_compares_fields(self):
         scene = SourceScene(SourceSpec(0.0, 1.0), (SourceSpec(30.0, 0.5),), 1.0)

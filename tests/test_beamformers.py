@@ -21,8 +21,9 @@ from caponplus.beamformers import (
     cb_weights,
 )
 from caponplus.errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from caponplus.estimation import output_moments, scm
 from caponplus.linalg import quadratic_form
-from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind
+from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, synth_scene_snapshots
 from helpers import capon_weights, mmse_weights, random_model, solve_hpd, synth_snapshots
 
 
@@ -248,6 +249,24 @@ class TestAdaptiveCaponWeights:
         w_ref = capon_weights(model.full, model.a)
         assert np.linalg.norm(w_hat - w_ref) <= 0.01 * np.linalg.norm(w_ref)
         assert gamma_hat == pytest.approx(capon_output_power(model), rel=0.01)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(hard_scenes(), st.integers(1, 200), st.sampled_from(list(WaveformKind)),
+           st.integers(0, 2**32 - 1))
+    def test_plug_in_power_is_output_power(self, geom_scene, excess, kind, seed):
+        """Trained on the SCM ``S_hat`` of the batch it beamforms, the weight's
+        output power ``w^H S_hat w`` is its plug-in power ``1 / (a^H S_hat^-1 a)``:
+        within ``10 cond(S_hat) eps`` relative, over hard scenes, ``T = M + 1``
+        to ``M + 200`` and both waveforms.  The largest seen in 3000 examples
+        is 2.5 ``cond(S_hat) eps``."""
+        geom, scene = geom_scene
+        batch = synth_scene_snapshots(geom, scene, kind, geom.antennas + excess,
+                                      TrialRngs(seed, 0))
+        cov = scm(batch).matrix
+        w, plug_in = adaptive_capon_weights(cov, steering_vector(geom, scene.soi.doa_deg))
+        power, _ = output_moments(apply_weights(w, batch))
+        bound = 10.0 * np.linalg.cond(cov) * np.finfo(float).eps
+        assert abs(power - plug_in) <= bound * plug_in
 
     def test_singular_scm_raises(self):
         rng = np.random.default_rng(15)
