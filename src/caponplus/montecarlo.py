@@ -31,7 +31,9 @@ In the measured-alpha 8-PSK mode each point's alpha comes from that point's
 Capon output.
 
 Regimes b to d train an adaptive Capon weight on the SCM of the primary
-batch (b) or of the secondary batch (c, d) and beamform the primary batch.
+batch (b) or of the first T0 snapshots of one secondary batch drawn at the
+run's largest T0 (c, d; :mod:`.signalsim`'s contract version 2, under which
+the points of a T0 curve are correlated) and beamform the primary batch.
 In regimes a to d every other row is the one Capon output times a scalar,
 by one rule (:func:`_capon_rows`) that each regime feeds its SOI power.
 
@@ -57,12 +59,13 @@ A trial's first pair runs the trial at every point of its run and holds
 what each point gave: its records, or the :class:`NotPositiveDefinite` its
 sample covariance raised; its later pairs read their own point's entry.
 Along a T0 sweep, where the scene is the same at every point, the trial
-builds its primary batch once, and a trial's streams do not depend on the
-sweep point, so :mod:`.signalsim` keeps its raw draws from the first point
-for the others (a cache of the four draws used last).  Each point's records
-are still those of running its trials alone.  A chunk empties the cache and
-the held rows before each trial, so they hold one trial at a time, and when
-it ends or raises, so nothing outlives a run.
+builds its primary and its secondary batch once.  A trial's streams do not
+depend on the sweep point, so :mod:`.signalsim` keeps its raw draws from the
+first point for the others (a cache of the four draws used last).  Each
+point's records are still those of running its trials alone, since a point
+run alone draws its secondary batch at the same count.  A chunk empties the
+cache and the held rows before each trial, so they hold one trial at a time,
+and when it ends or raises, so nothing outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -535,31 +538,43 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
                     idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
     """One trial of regime b, c or d: its records at every point, or the
     :class:`NotPositiveDefinite` a point's sample covariance raised.  The
-    primary batch is synthesised once per run of equal scenes, so once per
-    trial along a T0 sweep; each point trains its Capon weight on the SCM
-    of its training batch and scores the rows :func:`_capon_rows` gives."""
+    primary batch, and in c and d the secondary one at the run's largest T0,
+    are synthesised once per run of equal scenes, so once per trial along a
+    T0 sweep.  Each point trains its Capon weight on the SCM of its training
+    batch (in c and d, of its first T0 snapshots) and beamforms the primary
+    batch; the Capon outputs are then scored at once by :func:`_capon_rows`."""
     rngs = TrialRngs(config.master_seed, idx)
-    entries, scene, batch = [], None, None
+    # the largest T0 of the run's sweep, and of its points should one lie outside it
+    t0 = max([ctx.secondary_snapshots for ctx in points.contexts]
+             + [int(v) for v in config.sweep.values if config.sweep.variable is SweepVariable.T0])
+    entries, kept, scene = [], [], None
     for ctx in points.contexts:
         if ctx.scene != scene:
-            scene, batch = ctx.scene, None  # drop the last batch before building the next
+            scene, batch, secondary = ctx.scene, None, None  # drop the last batches first
             batch = synth_scene_snapshots(config.geom, scene, config.waveform,
                                           config.snapshots, rngs)
-        # the SCM C_hat of the training batch: the primary one (b) or the secondary one (c, d)
-        cov = scm(batch if config.regime is Regime.B else synth_scene_secondary(
-            config.geom, scene, config.waveform, ctx.secondary_snapshots, rngs)).matrix
+            if config.regime is not Regime.B:
+                secondary = synth_scene_secondary(config.geom, scene, config.waveform, t0, rngs)
+        # the SCM C_hat of the training batch: the primary one (b) or a secondary prefix (c, d)
+        cov = scm(batch if secondary is None else secondary._replace(
+            snapshots=secondary.snapshots[:ctx.secondary_snapshots])).matrix
         try:
             # plug_in = 1 / (a^H C_hat^{-1} a)
             w_cap, plug_in = adaptive_capon_weights(cov, ctx.model.a)
         except NotPositiveDefinite as exc:
             entries.append(exc.with_traceback(None))
             continue
-        out_cap = apply_weights(w_cap, batch)
-        scales, powers = _capon_rows(config, ctx, *output_moments(out_cap), plug_in)
-        outs = np.multiply.outer(scales, out_cap)
-        entries += score_outputs(_CAPON_ROWS, (ctx.model.gamma,), batch.truth[None], outs[None],
-                                 (powers,))
-    return entries
+        entries.append(None)
+        kept.append((ctx, plug_in, apply_weights(w_cap, batch), batch.truth))
+    if not kept:
+        return entries
+    contexts, plug_ins, out_caps, truths = zip(*kept)
+    out_cap = np.array(out_caps)
+    scales, powers = zip(*map(functools.partial(_capon_rows, config), contexts,
+                              *output_moments(out_cap), plug_ins))
+    groups = iter(score_outputs(_CAPON_ROWS, [ctx.model.gamma for ctx in contexts], np.array(truths),
+                                np.array(scales)[:, :, None] * out_cap[:, None], powers))
+    return [next(groups) if entry is None else entry for entry in entries]
 
 
 # Per regime, the function that runs one trial at every point of a run.

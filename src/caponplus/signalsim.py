@@ -19,6 +19,17 @@ execution order, process, or thread count.  The four roles are:
 ``secondary``  everything in the SOI-free secondary batch
 =============  =====================================================
 
+Contract version 2 reads the ``secondary`` stream of a T0 sweep (regimes c
+and d) once per trial: a trial draws it at the sweep's largest T0, and each
+point trains on the first T0 snapshots of that batch.  Every other run draws
+it at ``secondary_snapshots``, as version 1 did; version 1 drew a T0 sweep's
+stream afresh at each point's T0.  A prefix of i.i.d. snapshots is i.i.d., so
+each point's law, and the standard error of each of its means, is that of a
+fresh draw; but the points of one T0 curve now share their secondary data,
+so they are correlated, not independent.  A prefix is not the draw of the
+smaller count, whose real and imaginary parts are laid out differently, so a
+T0 point other than the largest reads other numbers than under version 1.
+
 A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(role)``
 with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.  Both
 are ``typing.NamedTuple`` classes of the coordinates; building one checks nothing.
@@ -26,8 +37,8 @@ are ``typing.NamedTuple`` classes of the coordinates; building one checks nothin
 A stream's draws are a pure function of its coordinates and of the shapes
 drawn, so synthesis does not draw them per call.  :func:`_new_draws`, the
 unscaled draws of one stream, is an ``lru_cache`` of the four draws used
-last, keyed by the trial coordinates, their types and the shapes: one sweep
-point reads at most four (SOI, interference, noise, secondary).  It holds
+last, keyed by the trial coordinates, their types and the shapes: a trial
+reads at most four (SOI, interference, noise, secondary).  It holds
 each draw in the layout synthesis reads, a read-only C-contiguous complex
 array with one row per sample: the generator calls are those of the
 contract, and only their rearrangement into complex samples is made once

@@ -477,17 +477,22 @@ def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
     """One trial of regime b, c or d from the paper's formulas, method by
     method.
 
-    The SCM ``C_hat`` of the training batch (the primary one in regime b,
-    the secondary one in c and d) gives the Capon weight
+    The SCM ``C_hat`` of the training snapshots (the primary batch in regime
+    b; in c and d the first T0 snapshots of a secondary batch drawn at the
+    largest T0 of the sweep, or at T0 off a T0 sweep) gives the Capon weight
     ``C_hat^{-1} a / (a^H C_hat^{-1} a)`` and the plug-in power
     ``p = 1 / (a^H C_hat^{-1} a)``.  With ``ghat`` and ``m4`` the power and
     fourth moment of the Capon output, the SOI power is ``g = gamma`` (b, c)
     or the inverse-Wishart debiased ``max(ghat - T0 / (T0 - M) p, 0)`` (d);
-    the MMSE weight is ``gamma C_hat^{-1} a`` (b) or ``g / ghat`` times the
-    Capon weight (c, d); and CaponPlus shrinks the Capon output by
-    ``alpha = T r g / (m4 + (T - 1) r^2)``, ``r = p`` (b) or ``ghat`` (c, d).
-    Regime d adds the Debiased row, power ``g``, waveform the Capon output
-    rescaled to that power.
+    the MMSE output is ``g / ghat`` times the Capon output; and CaponPlus
+    shrinks the Capon output by ``alpha = T ghat g / (m4 + (T - 1) ghat^2)``.
+    In regime b, whose weight beamforms the batch it was trained on,
+    ``ghat`` is ``p`` in exact arithmetic, so the MMSE weight is the paper's
+    ``gamma C_hat^{-1} a``; ``ghat`` carries less rounding than ``p``, which
+    grows with ``cond(C_hat)`` (``test_plug_in_power_is_output_power`` in
+    ``test_beamformers.py`` bounds the two apart).  Regime d adds the
+    Debiased row, power ``g``, waveform the Capon output rescaled to that
+    power.
 
     The reference for ``caponplus.montecarlo``'s adaptive trials, which
     scale the one Capon output instead; the two differ by rounding only.
@@ -496,25 +501,26 @@ def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
     rngs = TrialRngs(config.master_seed, idx)
     batch = signalsim.synth_scene_snapshots(config.geom, ctx.scene, config.waveform,
                                             config.snapshots, rngs)
-    train = batch if regime == "b" else signalsim.synth_scene_secondary(
-        config.geom, ctx.scene, config.waveform, ctx.secondary_snapshots, rngs)
-    cov, a = reference_scm(train.snapshots), ctx.model.a
+    if regime == "b":
+        train = batch.snapshots
+    else:
+        t0 = ctx.secondary_snapshots
+        count = int(max(config.sweep.values)) if config.sweep.variable.value == "t0" else t0
+        train = signalsim.synth_scene_secondary(config.geom, ctx.scene, config.waveform,
+                                                count, rngs).snapshots[:t0]
+    cov, a = reference_scm(train), ctx.model.a
     gamma, t = ctx.model.gamma, config.snapshots
-    plug_in = 1.0 / float(np.vdot(a, solve_hpd(cov, a)).real)
     x = batch.snapshots
     out_cap = x @ capon_weights(cov, a).conj()
     gamma_cap_hat = mean_abs_sq(out_cap)
     m4 = float(np.mean(np.abs(out_cap) ** 4))
     if regime == "d":
-        t0, m = ctx.secondary_snapshots, config.geom.antennas
-        g = max(gamma_cap_hat - t0 / (t0 - m) * plug_in, 0.0)
+        plug_in = 1.0 / float(np.vdot(a, solve_hpd(cov, a)).real)
+        g = max(gamma_cap_hat - t0 / (t0 - config.geom.antennas) * plug_in, 0.0)
     else:
         g = gamma
-    if regime == "b":
-        r, out_mmse = plug_in, x @ mmse_weights(gamma, cov, a).conj()
-    else:
-        r, out_mmse = gamma_cap_hat, g / gamma_cap_hat * out_cap
-    alpha = t * r * g / (m4 + (t - 1) * r * r)
+    out_mmse = g / gamma_cap_hat * out_cap
+    alpha = t * gamma_cap_hat * g / (m4 + (t - 1) * gamma_cap_hat**2)
     entries = [
         ("Capon", out_cap, None),
         ("MMSE", out_mmse, None),

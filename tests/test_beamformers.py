@@ -59,7 +59,9 @@ def hard_scenes(draw):
     """``(geom, scene)`` with M = 2..64, powers 1e-6..1e9 over noise
     1e-3..1e3, and 1 to 3 interferers 0.05 to 10 deg from the SOI."""
     soi_doa = draw(st.floats(-60.0, 60.0))
-    offsets = draw(st.lists(_signed_offset, min_size=1, max_size=3, unique=True))
+    # distinct offsets can give equal DOAs once added to the SOI's
+    offsets = draw(st.lists(_signed_offset, min_size=1, max_size=3,
+                            unique_by=lambda off: soi_doa + off))
     power = _log_uniform(-6.0, 9.0)
     scene = SourceScene(
         soi=SourceSpec(soi_doa, draw(power)),

@@ -30,7 +30,7 @@ from caponplus.errors import (
     NotPositiveDefinite,
     TrialFailureError,
 )
-from caponplus.estimation import output_moments
+from caponplus.estimation import output_moments, scm
 from caponplus.linalg import cholesky, solve_chol
 from caponplus.metrics import aggregate
 from caponplus.montecarlo import (
@@ -46,8 +46,9 @@ from caponplus.montecarlo import (
     snr_to_scene,
 )
 from caponplus.presets import PRESETS
-from caponplus.signalsim import WaveformKind
+from caponplus.signalsim import StreamRole, TrialRngs, WaveformKind
 from helpers import (
+    bits,
     capon_weights,
     count_draws,
     kurtosis_estimate,
@@ -400,9 +401,9 @@ TRIAL_MAJOR_RUNS = {
          "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}}, 3),
     "a_snr": ({**PRESETS["fig3"], "sweep": {"variable": "snr_db", "values": [0.0, -10.0]}}, 3),
     "b_snr": ({**PRESETS["fig4a"], "sweep": {"variable": "snr_db", "values": [5.0, -10.0]}}, 3),
-    # the primary draws are shared over T0, the secondary ones are not
-    "c_t0": ({**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}}, 6),
-    "d_t0": ({**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}}, 5),
+    # over T0 the primary draws and the one secondary draw, at the largest T0, are shared
+    "c_t0": ({**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}}, 4),
+    "d_t0": ({**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}}, 4),
     # one T0 at every SNR: the secondary draws are shared too
     "d_snr": ({**PRESETS["fig6"], "secondary_snapshots": 40,
                "sweep": {"variable": "snr_db", "values": [0.0, -5.0, -10.0]}}, 4),
@@ -411,7 +412,8 @@ TRIAL_MAJOR_RUNS = {
 
 class TestTrialMajorEqualsPointMajor:
     """A chunk that runs each trial at every point, reusing the trial's draws,
-    along a T0 sweep its primary batch, and in the oracle regime and regime a
+    along a T0 sweep its primary batch and its one secondary batch, drawn at
+    the largest T0, and in the oracle regime and regime a
     one projection of its draws for all points, returns per point the
     records of :func:`run_trial` on that point's context built alone, each
     trial on an empty memo, bit for bit.
@@ -431,11 +433,11 @@ class TestTrialMajorEqualsPointMajor:
         parts = mc._run_chunk(run, (0, n))
         assert len(counts["made"]) == n * streams_per_trial
         # three primary draws per trial-point, plus the secondary one in c and
-        # d; along a T0 sweep the primary batch is built at the first point
-        # only, and a fixed-weight trial projects its draws once for all points
+        # d; along a T0 sweep both batches are built at the first point only,
+        # and a fixed-weight trial projects its draws once for all points
         fixed = cfg.regime in (Regime.ORACLE, Regime.A)
         primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 or fixed else len(values)
-        secondary_points = len(values) * (cfg.regime in (Regime.C, Regime.D))
+        secondary_points = primary_points * (cfg.regime in (Regime.C, Regime.D))
         assert counts["lookups"] == n * (3 * primary_points + secondary_points)
         for point, value in enumerate(values):
             reference = []
@@ -484,27 +486,24 @@ class TestTrialMemo:
     @pytest.mark.parametrize("points", [6, 12])
     def test_t0_sweep_holds_only_the_last_four_draws(self, monkeypatch, points):
         # fig6 at its first `points` T0 values: one primary batch (3 draws)
-        # and one secondary draw per point, none of which is read again
+        # and one secondary draw, at the largest of those T0, for all points
         doc = PRESETS["fig6"]
         doc = {**doc, "sweep": {**doc["sweep"], "values": doc["sweep"]["values"][:points]}}
         cfg, (_, values, contexts) = scenario_run(doc, 100)
         assert len(values) == points
-        draw = signalsim._new_draws.__wrapped__
         counts = count_draws(monkeypatch)
         signalsim.clear_trial_memo()
         for value, ctx in zip(values, contexts):
             run_trial(cfg, value, 0, ctx)
         made = counts["made"]
-        assert len(made) == 3 + points
-        assert signalsim._new_draws.cache_info().currsize <= 4
-        # looking the last four draws up makes none: the cache holds them and
+        assert len(made) == 4
+        assert [key[5] for key in made if key[2] is StreamRole.SECONDARY] == [int(max(values))]
+        # looking the four draws up makes none: the cache holds them and
         # nothing else, whatever the number of points
-        for key in made[-4:]:
+        for key in made:
             signalsim._new_draws(*key)
-        assert len(made) == 3 + points
+        assert len(made) == 4
         assert signalsim._new_draws.cache_info().currsize == 4
-        held = sum(a.nbytes for key in made[-4:] for a in draw(*key) if a is not None)
-        assert held < sum(a.nbytes for key in made for a in draw(*key) if a is not None)
         signalsim.clear_trial_memo()
 
     def test_empty_after_run_scenario(self):
@@ -551,6 +550,42 @@ class TestTrialMemo:
                 mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
             assert memo_is_empty(), name
             monkeypatch.undo()
+
+
+class TestT0SweepSharesOneSecondaryDraw:
+    """Along a T0 sweep a trial draws its secondary batch once, at the
+    sweep's largest T0, and each point trains on its first T0 snapshots;
+    off a T0 sweep it draws at ``secondary_snapshots``."""
+
+    @pytest.mark.parametrize("name", ["c_t0", "d_t0", "d_snr"])
+    def test_point_scm_is_scm_of_a_prefix_of_the_largest_draw(self, monkeypatch, name):
+        cfg, (_, values, contexts) = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        largest = (int(max(values)) if cfg.sweep.variable is SweepVariable.T0
+                   else cfg.secondary_snapshots)
+        seen, original = [], mc.scm
+        monkeypatch.setattr(mc, "scm", lambda batch: seen.append(original(batch)) or seen[-1])
+        for i in range(3):
+            mc._clear_trial()
+            run_trial(cfg, values[0], i, contexts[0])
+            assert len(seen) == len(values)
+            for ctx, cov in zip(contexts, seen):
+                full = signalsim.synth_scene_secondary(cfg.geom, ctx.scene, cfg.waveform,
+                                                       largest, TrialRngs(cfg.master_seed, i))
+                expected = scm(full._replace(snapshots=full.snapshots[:ctx.secondary_snapshots]))
+                assert bits(cov.matrix).tolist() == bits(expected.matrix).tolist()
+            seen.clear()
+        mc._clear_trial()
+
+    @pytest.mark.parametrize("preset", ["fig5", "fig6"])
+    def test_sweep_order_does_not_change_a_points_records(self, preset):
+        records = []
+        for order in ([30.0, 60.0, 120.0], [120.0, 30.0, 60.0]):
+            doc = {**PRESETS[preset], "sweep": {"variable": "t0", "values": order}}
+            _, run = scenario_run(doc, 100)
+            parts = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+            records.append({value: exact(point_records([parts], point))
+                            for point, value in enumerate(order)})
+        assert records[0] == records[1]
 
 
 def fail_inside_trial(patch, run, fails):
@@ -655,15 +690,16 @@ ADAPTIVE_TRIALS = 30
 class TestAdaptiveTrialsMatchReference:
     """An adaptive trial scales its one Capon output by the rule of
     ``_capon_rows``; :func:`helpers.reference_adaptive_trial` scores each
-    method from the paper's formulas, with its own MMSE weight in regime b.
+    method from the paper's formulas, training on a prefix of the secondary
+    batch drawn at the sweep's largest T0 in regimes c and d.
 
     Bound: as for the projected trials, each metric of each record is within
     ``16 eps (1 + m)`` of the reference's, ``m`` being the largest magnitude
     of that metric among the methods at that point.  The largest deviation
-    seen on these runs is 10.8 ``eps (1 + m)``, on regime b's MMSE bias at
-    5 dB, where the reference's power reads the rounding of its plug-in
-    ``1 / (a^H C_hat^{-1} a)`` and the trial's the smaller one of the Capon
-    output's power; the largest relative change is 1.2e-12."""
+    seen on these runs is 5.1 ``eps (1 + m)``, on regime d's CaponPlus
+    SP-NMSE at T0 = 30; regime b's largest is 4.0, on its MMSE bias at
+    0 dB.  The largest relative change is 7.8e-12, on a CaponPlus SP-NMSE
+    of 3.2e-9 (regime d at 0 dB)."""
 
     @pytest.mark.parametrize("name", sorted(ADAPTIVE_RUNS))
     def test_records_match_within_rounding(self, name):

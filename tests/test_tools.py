@@ -88,6 +88,53 @@ class TestResultsDigestsRtol:
         assert info.value.code == 2
 
 
+class TestResultsDigestsZscore:
+    def test_z_per_mean_cell_and_largest_per_column(self, digests, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert digests.main([str(a)]) == 0 and digests.main([str(b)]) == 0
+        capsys.readouterr()
+        assert digests.main([str(a), "--zscore", str(b)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [line for line in out if line.startswith("z ")]
+        assert len(rows) == 2 * 4  # two files of one point and four methods
+        assert all(line.endswith("mean_rel_bias +0.00 mean_se_nmse +0.00 mean_sp_nmse +0.00")
+                   for line in rows)
+        assert out[len(rows):] == [f"largest |z| mean_{metric}: 0.00" for metric in digests.METRICS]
+
+        # move one mean by 3 of its stderr: with equal stderr on both sides, z = 3 / sqrt(2)
+        path = b / "fig1-small-threads2.csv"
+        lines = path.read_text().splitlines()
+        header, cells = lines[0].split(","), lines[2].split(",")
+        mean, stderr = header.index("mean_sp_nmse"), header.index("stderr_sp_nmse")
+        cells[mean] = repr(float(cells[mean]) - 3 * float(cells[stderr]))
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert digests.main([str(a), "--zscore", str(b)]) == 0
+        out = capsys.readouterr().out
+        where = f"fig1-small-threads2.csv (0.0, '{cells[header.index('method')]}')"
+        assert f"z {where}: mean_rel_bias +0.00 mean_se_nmse +0.00 mean_sp_nmse +2.12" in out
+        assert f"largest |z| mean_sp_nmse: 2.12 at {where}" in out
+        assert "largest |z| mean_rel_bias: 0.00\n" in out
+
+        # a moved cell with no stderr on either side has an infinite z and fails
+        cells[stderr] = "0.0"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        path_a = a / path.name
+        lines_a = path_a.read_text().splitlines()
+        cells_a = lines_a[2].split(",")
+        cells_a[stderr] = "0.0"
+        lines_a[2] = ",".join(cells_a)
+        path_a.write_text("\n".join(lines_a) + "\n")
+        assert digests.main([str(a), "--zscore", str(b)]) == 1
+        assert f"largest |z| mean_sp_nmse: inf at {where}" in capsys.readouterr().out
+
+        # a file missing on one side fails
+        path.unlink()
+        assert digests.main([str(a), "--zscore", str(b)]) == 1
+        assert "MISSING fig1-small-threads2.csv" in capsys.readouterr().out
+
+
 class TestPinnedDigestTable:
     def test_pinned_table_names_every_run_once(self):
         """``tools/results_digests.txt`` has one line per results file the tool

@@ -29,6 +29,18 @@ BASEDIR (say, in the parent commit's tree), matches their rows by (sweep
 value, method) and prints, per numeric column, the largest relative change
 ``|a - b| / max(|a|, |b|)`` over all files and where it is.  It exits 1 if a
 file or a row is missing on either side or a change exceeds RTOL.
+
+    python3 tools/results_digests.py OUTDIR --zscore BASEDIR
+
+runs nothing either: for two trees whose random numbers differ, where no
+relative tolerance applies, it prints the two-sample z of every ``mean_*``
+cell, ``(a - b) / sqrt(se_a^2 + se_b^2)`` from the two rows' ``stderr_*``
+cells, one line per row, then the largest ``|z|`` per column and where it
+is.  A cell whose two standard errors are 0 (a closed-form row) has z 0
+where it is unchanged and an infinite z where it moved.  It exits 1 if a
+file or a row is missing on either side or a z is infinite.  The z takes
+the two runs as independent; runs that share some random numbers make it
+smaller than it would be.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -111,11 +124,11 @@ def _read_rows(path: Path) -> dict[tuple[float, str], dict[str, float]]:
             for row in rows}
 
 
-def compare_dirs(outdir: Path, basedir: Path, rtol: float) -> int:
-    """Print the largest relative change per numeric column between the results
-    files of two directories; 1 if anything is missing or moved more than ``rtol``."""
-    status = 0
-    worst = {c: (0.0, "") for c in NUMERIC_COLUMNS}
+def _paired_rows(outdir: Path, basedir: Path):
+    """``(file, (sweep value, method), row in OUTDIR, row in BASEDIR)`` of every
+    row of the results files this script writes that both directories hold,
+    and 1 if a file or a row is missing on either side (each is printed), else 0."""
+    pairs, status = [], 0
     for name in _file_names():
         if not (outdir / name).is_file() or not (basedir / name).is_file():
             print(f"MISSING {name}: in {outdir}: {(outdir / name).is_file()}, "
@@ -126,16 +139,52 @@ def compare_dirs(outdir: Path, basedir: Path, rtol: float) -> int:
         for key in sorted(here.keys() ^ base.keys()):
             print(f"MISSING ROW {name} {key}: only in {outdir if key in here else basedir}")
             status = 1
-        for key in here.keys() & base.keys():
-            for column in NUMERIC_COLUMNS:
-                a, b = here[key][column], base[key][column]
-                change = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
-                if change > worst[column][0]:
-                    worst[column] = (change, f"{name} {key}")
+        pairs += [(name, key, here[key], base[key]) for key in sorted(here.keys() & base.keys())]
+    return pairs, status
+
+
+def compare_dirs(outdir: Path, basedir: Path, rtol: float) -> int:
+    """Print the largest relative change per numeric column between the results
+    files of two directories; 1 if anything is missing or moved more than ``rtol``."""
+    pairs, status = _paired_rows(outdir, basedir)
+    worst = {c: (0.0, "") for c in NUMERIC_COLUMNS}
+    for name, key, here, base in pairs:
+        for column in NUMERIC_COLUMNS:
+            a, b = here[column], base[column]
+            change = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+            if change > worst[column][0]:
+                worst[column] = (change, f"{name} {key}")
     for column, (change, where) in worst.items():
         flag = "EXCEEDS" if change > rtol else "ok"
         print(f"{flag} {column}: largest relative change {change:.3g}" + (f" at {where}" if where else ""))
         if change > rtol:
+            status = 1
+    return status
+
+
+# The metrics whose mean_* cells --zscore compares, through their stderr_* cells.
+METRICS = ("rel_bias", "se_nmse", "sp_nmse")
+
+
+def zscore_dirs(outdir: Path, basedir: Path) -> int:
+    """Print the two-sample z of every mean cell between the results files of
+    two directories, and the largest ``|z|`` per column; 1 if anything is
+    missing or a z is infinite."""
+    pairs, status = _paired_rows(outdir, basedir)
+    worst = {metric: (0.0, "") for metric in METRICS}
+    for name, key, here, base in pairs:
+        cells = []
+        for metric in METRICS:
+            diff = here[f"mean_{metric}"] - base[f"mean_{metric}"]
+            se = math.hypot(here[f"stderr_{metric}"], base[f"stderr_{metric}"])
+            z = diff / se if se > 0.0 else math.copysign(math.inf, diff) if diff else 0.0
+            cells.append(f"mean_{metric} {z:+.2f}")
+            if not abs(z) <= worst[metric][0]:  # a NaN z counts as the largest
+                worst[metric] = (abs(z), f"{name} {key}")
+        print(f"z {name} {key}: " + " ".join(cells))
+    for metric, (z, where) in worst.items():
+        print(f"largest |z| mean_{metric}: {z:.2f}" + (f" at {where}" if where else ""))
+        if math.isinf(z):
             status = 1
     return status
 
@@ -148,7 +197,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rtol", nargs=2, metavar=("RTOL", "BASEDIR"),
                         help="run nothing; compare the results files in OUTDIR with those "
                              "in BASEDIR, cell by cell, within the relative tolerance RTOL")
+    parser.add_argument("--zscore", type=Path, metavar="BASEDIR",
+                        help="run nothing; print the two-sample z of every mean cell of the "
+                             "results files in OUTDIR against those in BASEDIR")
     args = parser.parse_args(argv)
+    if args.zscore is not None:
+        return zscore_dirs(args.outdir, args.zscore)
     if args.rtol is not None:
         try:
             rtol = float(args.rtol[0])
