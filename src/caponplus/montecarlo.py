@@ -379,6 +379,8 @@ class _Points(NamedTuple):
 
     contexts: tuple[SweepContext, ...]
     outputs: OutputMap | None
+    # the secondary snapshots regimes c and d draw per trial, whose first T0 each point reads
+    secondary_draw: int
 
 
 # The weights a fixed-weight regime projects, as named in a SweepContext.
@@ -391,7 +393,10 @@ def _join(config: ScenarioConfig, contexts: Sequence[SweepContext]) -> list[Swee
     outputs = None if names is None else output_map(
         config.geom, [ctx.scene for ctx in contexts], config.waveform,
         [[getattr(ctx, name) for name in names] for ctx in contexts])
-    points = _Points(tuple(contexts), outputs)
+    # the largest T0 of the run's sweep, and of its points should one lie outside it
+    draw = max([ctx.secondary_snapshots for ctx in contexts]
+               + [int(v) for v in config.sweep.values if config.sweep.variable is SweepVariable.T0])
+    points = _Points(tuple(contexts), outputs, draw)
     return [dataclasses.replace(ctx, points=points, point=point)
             for point, ctx in enumerate(contexts)]
 
@@ -538,23 +543,21 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
                     idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
     """One trial of regime b, c or d: its records at every point, or the
     :class:`NotPositiveDefinite` a point's sample covariance raised.  The
-    primary batch, and in c and d the secondary one at the run's largest T0,
-    are synthesised once per run of equal scenes, so once per trial along a
-    T0 sweep.  Each point trains its Capon weight on the SCM of its training
-    batch (in c and d, of its first T0 snapshots) and beamforms the primary
-    batch; the Capon outputs are then scored at once by :func:`_capon_rows`."""
+    primary batch, and in c and d the secondary one at the run's largest T0
+    (``points.secondary_draw``), are synthesised once per run of equal
+    scenes, so once per trial along a T0 sweep.  Each point trains its Capon
+    weight on the SCM of its training batch (in c and d, of its first T0
+    snapshots) and scores the rows :func:`_capon_rows` gives."""
     rngs = TrialRngs(config.master_seed, idx)
-    # the largest T0 of the run's sweep, and of its points should one lie outside it
-    t0 = max([ctx.secondary_snapshots for ctx in points.contexts]
-             + [int(v) for v in config.sweep.values if config.sweep.variable is SweepVariable.T0])
-    entries, kept, scene = [], [], None
+    entries, scene = [], None
     for ctx in points.contexts:
         if ctx.scene != scene:
             scene, batch, secondary = ctx.scene, None, None  # drop the last batches first
             batch = synth_scene_snapshots(config.geom, scene, config.waveform,
                                           config.snapshots, rngs)
             if config.regime is not Regime.B:
-                secondary = synth_scene_secondary(config.geom, scene, config.waveform, t0, rngs)
+                secondary = synth_scene_secondary(config.geom, scene, config.waveform,
+                                                  points.secondary_draw, rngs)
         # the SCM C_hat of the training batch: the primary one (b) or a secondary prefix (c, d)
         cov = scm(batch if secondary is None else secondary._replace(
             snapshots=secondary.snapshots[:ctx.secondary_snapshots])).matrix
@@ -564,17 +567,12 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
         except NotPositiveDefinite as exc:
             entries.append(exc.with_traceback(None))
             continue
-        entries.append(None)
-        kept.append((ctx, plug_in, apply_weights(w_cap, batch), batch.truth))
-    if not kept:
-        return entries
-    contexts, plug_ins, out_caps, truths = zip(*kept)
-    out_cap = np.array(out_caps)
-    scales, powers = zip(*map(functools.partial(_capon_rows, config), contexts,
-                              *output_moments(out_cap), plug_ins))
-    groups = iter(score_outputs(_CAPON_ROWS, [ctx.model.gamma for ctx in contexts], np.array(truths),
-                                np.array(scales)[:, :, None] * out_cap[:, None], powers))
-    return [next(groups) if entry is None else entry for entry in entries]
+        out_cap = apply_weights(w_cap, batch)
+        scales, powers = _capon_rows(config, ctx, *output_moments(out_cap), plug_in)
+        outs = np.multiply.outer(scales, out_cap)
+        entries += score_outputs(_CAPON_ROWS, (ctx.model.gamma,), batch.truth[None], outs[None],
+                                 (powers,))
+    return entries
 
 
 # Per regime, the function that runs one trial at every point of a run.

@@ -478,18 +478,19 @@ def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
     method.
 
     The SCM ``C_hat`` of the training snapshots (the primary batch in regime
-    b; in c and d the first T0 snapshots of a secondary batch drawn at the
-    largest T0 of the sweep, or at T0 off a T0 sweep) gives the Capon weight
+    b; in c and d the first T0 snapshots of a secondary batch of the run's
+    ``points.secondary_draw`` snapshots, the largest T0 of a T0 sweep, a rule
+    ``TestT0SweepSharesOneSecondaryDraw`` checks) gives the Capon weight
     ``C_hat^{-1} a / (a^H C_hat^{-1} a)`` and the plug-in power
     ``p = 1 / (a^H C_hat^{-1} a)``.  With ``ghat`` and ``m4`` the power and
     fourth moment of the Capon output, the SOI power is ``g = gamma`` (b, c)
     or the inverse-Wishart debiased ``max(ghat - T0 / (T0 - M) p, 0)`` (d);
-    the MMSE output is ``g / ghat`` times the Capon output; and CaponPlus
-    shrinks the Capon output by ``alpha = T ghat g / (m4 + (T - 1) ghat^2)``.
-    In regime b, whose weight beamforms the batch it was trained on,
-    ``ghat`` is ``p`` in exact arithmetic, so the MMSE weight is the paper's
-    ``gamma C_hat^{-1} a``; ``ghat`` carries less rounding than ``p``, which
-    grows with ``cond(C_hat)`` (``test_plug_in_power_is_output_power`` in
+    the MMSE weight is ``gamma C_hat^{-1} a`` (b) or ``g / ghat`` times the
+    Capon weight (c, d); and CaponPlus shrinks the Capon output by
+    ``alpha = T ghat g / (m4 + (T - 1) ghat^2)``.  In regime b, whose weight
+    beamforms the batch it was trained on, ``ghat`` is ``p`` in exact
+    arithmetic; ``ghat`` carries less rounding than ``p``, which grows with
+    ``cond(C_hat)`` (``test_plug_in_power_is_output_power`` in
     ``test_beamformers.py`` bounds the two apart).  Regime d adds the
     Debiased row, power ``g``, waveform the Capon output rescaled to that
     power.
@@ -505,9 +506,8 @@ def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
         train = batch.snapshots
     else:
         t0 = ctx.secondary_snapshots
-        count = int(max(config.sweep.values)) if config.sweep.variable.value == "t0" else t0
         train = signalsim.synth_scene_secondary(config.geom, ctx.scene, config.waveform,
-                                                count, rngs).snapshots[:t0]
+                                                ctx.points.secondary_draw, rngs).snapshots[:t0]
     cov, a = reference_scm(train), ctx.model.a
     gamma, t = ctx.model.gamma, config.snapshots
     x = batch.snapshots
@@ -519,7 +519,10 @@ def reference_adaptive_trial(config, ctx, idx: int) -> list[tuple]:
         g = max(gamma_cap_hat - t0 / (t0 - config.geom.antennas) * plug_in, 0.0)
     else:
         g = gamma
-    out_mmse = g / gamma_cap_hat * out_cap
+    if regime == "b":
+        out_mmse = x @ mmse_weights(gamma, cov, a).conj()
+    else:
+        out_mmse = g / gamma_cap_hat * out_cap
     alpha = t * gamma_cap_hat * g / (m4 + (t - 1) * gamma_cap_hat**2)
     entries = [
         ("Capon", out_cap, None),

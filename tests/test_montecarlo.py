@@ -696,10 +696,13 @@ class TestAdaptiveTrialsMatchReference:
     Bound: as for the projected trials, each metric of each record is within
     ``16 eps (1 + m)`` of the reference's, ``m`` being the largest magnitude
     of that metric among the methods at that point.  The largest deviation
-    seen on these runs is 5.1 ``eps (1 + m)``, on regime d's CaponPlus
-    SP-NMSE at T0 = 30; regime b's largest is 4.0, on its MMSE bias at
-    0 dB.  The largest relative change is 7.8e-12, on a CaponPlus SP-NMSE
-    of 3.2e-9 (regime d at 0 dB)."""
+    seen on these runs is 10.8 ``eps (1 + m)``, on regime b's MMSE bias at
+    5 dB, where the reference's own MMSE weight ``gamma C_hat^{-1} a``
+    carries the rounding of its plug-in ``1 / (a^H C_hat^{-1} a)`` and the
+    trial's the smaller one of the Capon output's power; regimes c and d
+    reach 5.1, on regime d's CaponPlus SP-NMSE at T0 = 30.  The largest
+    relative change is 7.8e-12, on a CaponPlus SP-NMSE of 3.2e-9 (regime d
+    at 0 dB)."""
 
     @pytest.mark.parametrize("name", sorted(ADAPTIVE_RUNS))
     def test_records_match_within_rounding(self, name):

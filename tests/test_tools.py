@@ -129,6 +129,19 @@ class TestResultsDigestsZscore:
         assert digests.main([str(a), "--zscore", str(b)]) == 1
         assert f"largest |z| mean_sp_nmse: inf at {where}" in capsys.readouterr().out
 
+        # equal NaN means give a NaN z, which stays the largest past the later
+        # rows and files and fails
+        path.write_text(path_a.read_text())
+        for side in (path, path_a):
+            lines = side.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[mean] = "nan"
+            lines[1] = ",".join(cells)
+            side.write_text("\n".join(lines) + "\n")
+        assert digests.main([str(a), "--zscore", str(b)]) == 1
+        where = f"fig1-small-threads2.csv (0.0, '{cells[header.index('method')]}')"
+        assert f"largest |z| mean_sp_nmse: nan at {where}" in capsys.readouterr().out
+
         # a file missing on one side fails
         path.unlink()
         assert digests.main([str(a), "--zscore", str(b)]) == 1

@@ -37,10 +37,11 @@ relative tolerance applies, it prints the two-sample z of every ``mean_*``
 cell, ``(a - b) / sqrt(se_a^2 + se_b^2)`` from the two rows' ``stderr_*``
 cells, one line per row, then the largest ``|z|`` per column and where it
 is.  A cell whose two standard errors are 0 (a closed-form row) has z 0
-where it is unchanged and an infinite z where it moved.  It exits 1 if a
-file or a row is missing on either side or a z is infinite.  The z takes
-the two runs as independent; runs that share some random numbers make it
-smaller than it would be.
+where it is unchanged and an infinite z where it moved; a NaN mean gives a
+NaN z, which counts as the largest.  It exits 1 if a file or a row is
+missing on either side or a z is infinite or NaN.  The z takes the two runs
+as independent; runs that share some random numbers make it smaller than it
+would be.
 """
 
 from __future__ import annotations
@@ -179,12 +180,13 @@ def zscore_dirs(outdir: Path, basedir: Path) -> int:
             se = math.hypot(here[f"stderr_{metric}"], base[f"stderr_{metric}"])
             z = diff / se if se > 0.0 else math.copysign(math.inf, diff) if diff else 0.0
             cells.append(f"mean_{metric} {z:+.2f}")
-            if not abs(z) <= worst[metric][0]:  # a NaN z counts as the largest
+            # a NaN z counts as the largest, and the first one stays
+            if not math.isnan(worst[metric][0]) and not abs(z) <= worst[metric][0]:
                 worst[metric] = (abs(z), f"{name} {key}")
         print(f"z {name} {key}: " + " ".join(cells))
     for metric, (z, where) in worst.items():
         print(f"largest |z| mean_{metric}: {z:.2f}" + (f" at {where}" if where else ""))
-        if math.isinf(z):
+        if not math.isfinite(z):
             status = 1
     return status
 
