@@ -67,7 +67,10 @@ def adaptive_capon_weights(scm: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, 
     satisfies ``w^H a = 1``.  Callers must supply ``T > M``, as
     ``ScenarioConfig.validate`` enforces for regimes b, c and d: the
     Cholesky rule raises ``NotPositiveDefinite`` for most rank-deficient
-    (``T < M``) sample covariances but factors a few of them.
+    (``T < M``) sample covariances but factors a few of them.  Only the lower
+    triangle and the diagonal of ``scm`` are read, so the ``lower`` of a
+    :class:`~caponplus.estimation.SampleCovariance` gives the bits of its
+    full ``matrix``.
     """
     cinv_a, denom = _capon_like(scm, a)
     gamma_hat = 1.0 / denom
@@ -75,11 +78,19 @@ def adaptive_capon_weights(scm: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, 
 
 
 def apply_weights(w: np.ndarray, batch: SnapshotBatch) -> np.ndarray:
-    """Beamformer output ``s_hat(t) = w^H x(t)`` for every snapshot of the batch;
-    ``DomainError`` unless the snapshots are a ``(T, M)`` array with ``T >= 1``."""
+    """Beamformer output ``s_hat(t) = w^H x(t)`` for every snapshot of the batch:
+    ``(T,)`` for one weight ``(M,)``, ``(P, T)`` for a stack ``(P, M)`` of
+    weights.  ``DomainError`` unless the snapshots are a ``(T, M)`` array with
+    ``T >= 1``; ``DimensionMismatch`` unless the last axis of ``w`` is ``M``.
+
+    ``np.matvec`` runs one BLAS ``zgemv`` per weight, as ``x @ w.conj()``
+    does on one weight, so each row of a stack has the bits of its weight
+    applied alone.
+    """
     x = batch.snapshots
     if x.ndim != 2 or x.shape[0] < 1:
         raise DomainError(f"snapshots must be a (T, M) array with T >= 1, got {x.shape}")
-    if w.size != x.shape[1]:
-        raise DimensionMismatch(f"weights have {w.size} elements, snapshots have {x.shape[1]}")
-    return x @ w.conj()
+    if w.shape[-1:] != x.shape[1:]:
+        raise DimensionMismatch(f"weights have shape {w.shape}, snapshots have {x.shape[1]} "
+                                "elements")
+    return np.matvec(x, w.conj())

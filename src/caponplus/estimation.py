@@ -31,9 +31,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """Sample covariance matrix."""
+    """Sample covariance matrix, held as its lower triangle.
 
-    matrix: np.ndarray
+    ``lower`` is the lower triangle and the diagonal, with the strict upper
+    triangle exactly zero: what a Cholesky factorization of it reads
+    (:func:`~caponplus.linalg.cholesky`).  ``matrix`` is the full Hermitian
+    matrix, mirrored from ``lower`` each time it is read: adding the
+    conjugate transpose mirrors the triangle exactly and doubles the real
+    diagonal, which is put back.
+    """
+
+    lower: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = self.lower + self.lower.conj().T
+        np.fill_diagonal(mat, self.lower.diagonal())
+        return mat
 
 
 def scm(batch: SnapshotBatch) -> SampleCovariance:
@@ -45,9 +59,11 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     ``(T, M)`` array with ``T >= 1``.
 
     One BLAS ``zherk`` call forms the lower triangle and leaves the strict
-    upper one at the zeros its wrapper allocates ``c`` with.  Adding the
-    conjugate transpose then mirrors that triangle exactly and doubles the
-    real diagonal, which is put back.  ``zherk`` runs on one thread at every
+    upper one at the zeros its wrapper allocates ``c`` with.  That is the
+    returned ``lower``; the full matrix is mirrored from it only where
+    ``matrix`` is read, and skipping the mirror cuts ``scm`` from 14.8 to
+    9.1 us at ``T = 60``, ``M = 25`` (host below, one BLAS thread).
+    ``zherk`` runs on one thread at every
     ``T`` used here (30 to 1000 on a 25-element array), while the general product
     ``x^T conj(x)`` wakes more BLAS threads from ``T`` of about 110 and then
     spends up to two CPU seconds per wall second.  ``zherk`` is scipy's
@@ -59,11 +75,7 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     x = batch.snapshots
     if x.ndim != 2 or x.shape[0] < 1:
         raise DomainError(f"snapshots must be a (T, M) array with T >= 1, got {x.shape}")
-    t = x.shape[0]
-    lower = zherk(1.0 / t, x.T, lower=1)
-    mat = lower + lower.conj().T
-    np.fill_diagonal(mat, lower.diagonal())
-    return SampleCovariance(matrix=mat)
+    return SampleCovariance(lower=zherk(1.0 / x.shape[0], x.T, lower=1))
 
 
 def output_moments(out: np.ndarray) -> tuple[float | list, float | list]:

@@ -33,9 +33,13 @@ Capon output.
 Regimes b to d train an adaptive Capon weight on the SCM of the primary
 batch (b) or of the first T0 snapshots of one secondary batch drawn at the
 run's largest T0 (c, d; :mod:`.signalsim`'s contract version 2, under which
-the points of a T0 curve are correlated) and beamform the primary batch.
-In regimes a to d every other row is the one Capon output times a scalar,
-by one rule (:func:`_capon_rows`) that each regime feeds its SOI power.
+the points of a T0 curve are correlated), read as its lower triangle, and
+beamform the primary batch.  The weights of a run of equal scenes (every
+point of a T0 sweep) beamform their one batch as one stack, and a trial's
+Capon outputs at every point are scored as one stack, each row with the
+bits it has alone.  In regimes a to d every other row is the one Capon
+output times a scalar, by one rule (:func:`_capon_rows`) that each regime
+feeds its SOI power.
 
 An additional ``alpha_sweep`` mode tabulates the closed-form row of the
 shrunk Capon weight ``sqrt(alpha) w_cap`` over a grid of shrinkage factors;
@@ -476,31 +480,22 @@ def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list
     point, from one projection of its draws; see the module docstring."""
     t = config.snapshots
     contexts = points.contexts
-    gamma = [ctx.model.gamma for ctx in contexts]
     outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
-    if config.regime is Regime.ORACLE:
-        powers, fourths = output_moments(outs)
-        out_cap = outs[:, 1]
-        if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
-            # each trial estimates alpha from its own Capon output's kurtosis
-            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
-                     for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
-        else:
-            alpha = [ctx.alpha_oracle for ctx in contexts]
-        outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
-        powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
-        methods = _ORACLE_METHODS
+    if config.regime is Regime.A:
+        # every row scales the Capon output by a scalar of the trial
+        return _score_capon(config, contexts, [None] * len(contexts), outs[:, 0], truth)
+    gamma = [ctx.model.gamma for ctx in contexts]
+    powers, fourths = output_moments(outs)
+    out_cap = outs[:, 1]
+    if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
+        # each trial estimates alpha from its own Capon output's kurtosis
+        alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
+                 for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
     else:
-        # regime a: every row scales the Capon output by a scalar of the trial
-        out_cap = outs[:, 0]
-        scales, powers = [], []
-        for gamma_cap_hat, m4, ctx in zip(*output_moments(out_cap), contexts):
-            point_scales, point_powers = _capon_rows(config, ctx, gamma_cap_hat, m4, None)
-            scales.append(point_scales)
-            powers.append(point_powers)
-        outs = np.array(scales)[:, :, None] * out_cap[:, None]
-        methods = _CAPON_ROWS
-    return score_outputs(methods, gamma, truth, outs, powers)
+        alpha = [ctx.alpha_oracle for ctx in contexts]
+    outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
+    powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
+    return score_outputs(_ORACLE_METHODS, gamma, truth, outs, powers)
 
 
 def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float, m4: float,
@@ -539,6 +534,21 @@ def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float,
     return scales, powers
 
 
+def _score_capon(config: ScenarioConfig, contexts: Sequence[SweepContext],
+                 plug_ins: Sequence[float | None], out_cap: np.ndarray,
+                 truth: np.ndarray) -> list[list[TrialRecord]]:
+    """The records of regimes a to d at the points of ``contexts``, from their
+    Capon outputs ``out_cap`` ``(P, T)`` and true waveforms ``truth``, with
+    one :func:`output_moments` and one :func:`score_outputs` call for all
+    points: each row scales its point's Capon output by the scales of
+    :func:`_capon_rows`, and has the bits it has scored alone."""
+    scales, powers = zip(*(_capon_rows(config, ctx, gamma_cap_hat, m4, plug_in)
+                           for ctx, plug_in, gamma_cap_hat, m4
+                           in zip(contexts, plug_ins, *output_moments(out_cap))))
+    return score_outputs(_CAPON_ROWS, [ctx.model.gamma for ctx in contexts], truth,
+                         np.array(scales)[:, :, None] * out_cap[:, None], powers)
+
+
 def _trial_adaptive(config: ScenarioConfig, points: _Points,
                     idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
     """One trial of regime b, c or d: its records at every point, or the
@@ -546,32 +556,48 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
     primary batch, and in c and d the secondary one at the run's largest T0
     (``points.secondary_draw``), are synthesised once per run of equal
     scenes, so once per trial along a T0 sweep.  Each point trains its Capon
-    weight on the SCM of its training batch (in c and d, of its first T0
-    snapshots) and scores the rows :func:`_capon_rows` gives."""
+    weight on the lower triangle of the SCM of its training batch (in c and
+    d, of its first T0 snapshots).  The weights of a run of equal scenes
+    beamform its batch as one stack, and every point that trained is scored
+    in one :func:`_score_capon` call; a point whose SCM raised keeps the
+    error at its own index."""
     rngs = TrialRngs(config.master_seed, idx)
-    entries, scene = [], None
-    for ctx in points.contexts:
-        if ctx.scene != scene:
-            scene, batch, secondary = ctx.scene, None, None  # drop the last batches first
-            batch = synth_scene_snapshots(config.geom, scene, config.waveform,
-                                          config.snapshots, rngs)
-            if config.regime is not Regime.B:
-                secondary = synth_scene_secondary(config.geom, scene, config.waveform,
-                                                  points.secondary_draw, rngs)
-        # the SCM C_hat of the training batch: the primary one (b) or a secondary prefix (c, d)
-        cov = scm(batch if secondary is None else secondary._replace(
-            snapshots=secondary.snapshots[:ctx.secondary_snapshots])).matrix
-        try:
-            # plug_in = 1 / (a^H C_hat^{-1} a)
-            w_cap, plug_in = adaptive_capon_weights(cov, ctx.model.a)
-        except NotPositiveDefinite as exc:
-            entries.append(exc.with_traceback(None))
-            continue
-        out_cap = apply_weights(w_cap, batch)
-        scales, powers = _capon_rows(config, ctx, *output_moments(out_cap), plug_in)
-        outs = np.multiply.outer(scales, out_cap)
-        entries += score_outputs(_CAPON_ROWS, (ctx.model.gamma,), batch.truth[None], outs[None],
-                                 (powers,))
+    entries = [None] * len(points.contexts)
+    # (point, context, plug-in power) per point that trained; Capon outputs and truths per scene
+    trained, outs, truths = [], [], []
+    for scene, group in itertools.groupby(enumerate(points.contexts), lambda pc: pc[1].scene):
+        batch = secondary = None  # drop the last scene's batches first
+        batch = synth_scene_snapshots(config.geom, scene, config.waveform, config.snapshots, rngs)
+        if config.regime is not Regime.B:
+            secondary = synth_scene_secondary(config.geom, scene, config.waveform,
+                                              points.secondary_draw, rngs)
+        weights = []
+        for point, ctx in group:
+            # the SCM C_hat of the training batch: the primary one (b) or a secondary prefix (c, d)
+            cov = scm(batch if secondary is None else secondary._replace(
+                snapshots=secondary.snapshots[:ctx.secondary_snapshots])).lower
+            try:
+                # plug_in = 1 / (a^H C_hat^{-1} a)
+                w_cap, plug_in = adaptive_capon_weights(cov, ctx.model.a)
+            except NotPositiveDefinite as exc:
+                entries[point] = exc.with_traceback(None)
+                continue
+            weights.append(w_cap)
+            trained.append((point, ctx, plug_in))
+        if weights:
+            outs.append(apply_weights(np.array(weights), batch))
+            # the points of one scene share its truth: broadcast, not copied
+            truths.append(np.broadcast_to(batch.truth, outs[-1].shape))
+    if not trained:
+        return entries
+    if len(outs) == 1:
+        out_cap, truth = outs[0], truths[0]
+    else:
+        out_cap, truth = np.concatenate(outs), np.concatenate(truths)
+    trained_points, contexts, plug_ins = zip(*trained)
+    for point, records in zip(trained_points,
+                              _score_capon(config, contexts, plug_ins, out_cap, truth)):
+        entries[point] = records
     return entries
 
 

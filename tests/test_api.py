@@ -89,3 +89,23 @@ def test_cli_import_loads_no_third_party_package_but_numpy_and_scipy():
     # What is left and ships in no distribution is made at run time, such
     # as Cython's shared-type modules and the platform's _sysconfigdata.
     assert others & set(packages_distributions()) == set()
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """``bench/child.py``'s ``install_tracer`` looks each function it traces
+    up by name where its caller binds it (``montecarlo.scm``,
+    ``montecarlo.apply_weights``, ``beamformers.cholesky``, ...).  In a fresh
+    process it must install, and a traced regime-d trial must run, so a
+    change that drops or renames such a binding fails here and not only in
+    the traced benchmark smoke."""
+    code = ("import child; child.install_tracer()\n"
+            "from caponplus import cli, montecarlo\n"
+            "from caponplus.presets import PRESETS\n"
+            "cfg = cli.build_run_config({**PRESETS['fig6'], 'trials': 100}).scenario\n"
+            "montecarlo.run_trial(cfg, 30.0, 0)\n")
+    root = Path(caponplus.__file__).parents[2]
+    paths = [str(root / "bench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr

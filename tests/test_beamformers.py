@@ -22,9 +22,9 @@ from caponplus.beamformers import (
 )
 from caponplus.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from caponplus.estimation import output_moments, scm
-from caponplus.linalg import quadratic_form
+from caponplus.linalg import cholesky, quadratic_form
 from caponplus.signalsim import SnapshotBatch, TrialRngs, WaveformKind, synth_scene_snapshots
-from helpers import capon_weights, mmse_weights, random_model, solve_hpd, synth_snapshots
+from helpers import bits, capon_weights, mmse_weights, random_model, solve_hpd, synth_snapshots
 
 
 def make_batch(x):
@@ -270,6 +270,23 @@ class TestAdaptiveCaponWeights:
         bound = 10.0 * np.linalg.cond(cov) * np.finfo(float).eps
         assert abs(power - plug_in) <= bound * plug_in
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(hard_scenes(), st.integers(1, 200), st.sampled_from(list(WaveformKind)),
+           st.integers(0, 2**32 - 1))
+    def test_lower_triangle_gives_the_bits_of_the_full_scm(self, geom_scene, excess, kind,
+                                                           seed):
+        """The Cholesky factor and the weight read only the SCM's lower
+        triangle, so its ``lower`` gives the bits of its mirrored ``matrix``."""
+        geom, scene = geom_scene
+        cov = scm(synth_scene_snapshots(geom, scene, kind, geom.antennas + excess,
+                                        TrialRngs(seed, 0)))
+        a = steering_vector(geom, scene.soi.doa_deg)
+        assert bits(cholesky(cov.lower)).tolist() == bits(cholesky(cov.matrix)).tolist()
+        (w_low, plug_in_low), (w, plug_in) = (adaptive_capon_weights(c, a)
+                                              for c in (cov.lower, cov.matrix))
+        assert bits(w_low).tolist() == bits(w).tolist()
+        assert plug_in_low.hex() == plug_in.hex()
+
     def test_singular_scm_raises(self):
         rng = np.random.default_rng(15)
         _geom, _scene, model = random_model(rng, antennas=5)
@@ -306,3 +323,26 @@ class TestApplyWeights:
         w = cb_weights(np.ones(3, dtype=complex))
         with pytest.raises(DimensionMismatch):
             apply_weights(w, make_batch(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 1), (1, 2, 1)])
+    def test_stack_whose_last_axis_is_not_m_raises(self, shape):
+        # M = 2: (2, 1) and (1, 2, 1) hold M elements, but not along their last axis
+        with pytest.raises(DimensionMismatch):
+            apply_weights(np.ones(shape, dtype=complex), make_batch(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("t", [30, 60, 100, 200, 500, 1000])
+    @pytest.mark.parametrize("m", [2, 25, 64])
+    def test_stack_rows_have_the_bits_of_one_weight(self, t, m):
+        """A ``(P, M)`` stack gives ``(P, T)`` outputs, each row with the bits
+        of its weight applied alone, which has the bits of ``x @ w.conj()``."""
+        rng = np.random.default_rng(1000 * t + m)
+        x = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+        batch = make_batch(x)
+        for p in (1, 3, 12):
+            stack = rng.standard_normal((p, m)) + 1j * rng.standard_normal((p, m))
+            got = apply_weights(stack, batch)
+            assert got.shape == (p, t)
+            for w, row in zip(stack, got):
+                one = apply_weights(w, batch)
+                assert bits(one).tolist() == bits(x @ w.conj()).tolist()
+                assert bits(row).tolist() == bits(one).tolist()

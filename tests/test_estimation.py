@@ -82,9 +82,12 @@ class TestScm:
     def test_bits_equal_tril_mirror(self, t):
         rng = np.random.default_rng(100 + t)
         x = rng.standard_normal((t, 25)) + 1j * rng.standard_normal((t, 25))
-        got = scm(make_batch(x)).matrix
+        cov = scm(make_batch(x))
+        got = cov.matrix
         assert np.array_equal(bits(got), bits(reference_scm(x)))
         assert np.array_equal(got, got.conj().T)
+        # ``lower`` is that matrix's lower triangle, its strict upper one exactly +0.0
+        assert np.array_equal(bits(cov.lower), bits(np.tril(got)))
 
 
 def beamform(w, x):

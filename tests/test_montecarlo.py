@@ -606,8 +606,10 @@ def fail_inside_trial(patch, run, fails):
 
 
 class TestHeldFailure:
-    """A regime-d trial runs at every point at once, so a sample covariance
-    that cannot be factored at one point is held as that point's entry."""
+    """A regime-b to -d trial runs at every point at once and scores the
+    points that trained as one stack, so a sample covariance that cannot be
+    factored at one point is held as that point's entry, and every other
+    point keeps its own records."""
 
     def test_counts_only_at_its_point(self, monkeypatch):
         run, whole = _chunk_point("d_psk8_t0_30")
@@ -615,6 +617,23 @@ class TestHeldFailure:
                  (1, 7): NotPositiveDefinite("synthetic failure", pivot_index=0)}
         fail_inside_trial(monkeypatch, run, fails)
         parts = mc._run_chunk(run, (0, CHUNK_TRIALS))
+        for point in range(len(run[1])):
+            assert parts[point][2] == sum(p == point for p, _ in fails)
+            assert (exact(point_records([parts], point))
+                    == exact(surviving_records(whole, point, fails)))
+        assert memo_is_empty()
+
+    @pytest.mark.parametrize("name, fails", [
+        ("c_t0", {(1, 2), (2, 5)}),  # the middle and the last point of a T0 sweep
+        ("c_t0", {(0, 4), (1, 4), (2, 4)}),  # every point of one trial
+        ("b_snr", {(1, 3)}),  # one point of an SNR sweep, one scene per point
+    ])
+    def test_failed_point_keeps_its_place_in_the_stack(self, monkeypatch, name, fails):
+        _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        whole = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+        fail_inside_trial(monkeypatch, run, {
+            key: NotPositiveDefinite("synthetic failure", pivot_index=0) for key in fails})
+        parts = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
         for point in range(len(run[1])):
             assert parts[point][2] == sum(p == point for p, _ in fails)
             assert (exact(point_records([parts], point))
