@@ -480,22 +480,22 @@ def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list
     point, from one projection of its draws; see the module docstring."""
     t = config.snapshots
     contexts = points.contexts
-    outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
-    if config.regime is Regime.A:
-        # every row scales the Capon output by a scalar of the trial
-        return _score_capon(config, contexts, [None] * len(contexts), outs[:, 0], truth)
     gamma = [ctx.model.gamma for ctx in contexts]
-    powers, fourths = output_moments(outs)
-    out_cap = outs[:, 1]
-    if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
-        # each trial estimates alpha from its own Capon output's kurtosis
-        alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
-                 for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
-    else:
-        alpha = [ctx.alpha_oracle for ctx in contexts]
-    outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
-    powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
-    return score_outputs(_ORACLE_METHODS, gamma, truth, outs, powers)
+    outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
+    if config.regime is Regime.ORACLE:
+        powers, fourths = output_moments(outs)
+        out_cap = outs[:, 1]
+        if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
+            # each trial estimates alpha from its own Capon output's kurtosis
+            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
+                     for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
+        else:
+            alpha = [ctx.alpha_oracle for ctx in contexts]
+        outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
+        powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
+        return score_outputs(_ORACLE_METHODS, gamma, truth, outs, powers)
+    # regime a: every row scales the Capon output by a scalar of the trial
+    return _score_capon(config, contexts, [None] * len(contexts), outs[:, 0], truth)
 
 
 def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float, m4: float,
