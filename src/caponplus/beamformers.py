@@ -83,9 +83,9 @@ def apply_weights(w: np.ndarray, batch: SnapshotBatch) -> np.ndarray:
     weights.  ``DomainError`` unless the snapshots are a ``(T, M)`` array with
     ``T >= 1``; ``DimensionMismatch`` unless the last axis of ``w`` is ``M``.
 
-    ``np.matvec`` runs one BLAS ``zgemv`` per weight, as ``x @ w.conj()``
-    does on one weight, so each row of a stack has the bits of its weight
-    applied alone.
+    ``np.matvec`` (numpy 2.2, the floor ``pyproject.toml`` declares) runs
+    one BLAS ``zgemv`` per weight, as ``x @ w.conj()`` does on one weight, so
+    each row of a stack has the bits of its weight applied alone.
     """
     x = batch.snapshots
     if x.ndim != 2 or x.shape[0] < 1:

@@ -64,9 +64,13 @@ def score_outputs(methods: Sequence[str], gamma: Sequence[float], truth: np.ndar
     rest is float arithmetic per output.  So an output's metrics have the
     bits they have when it is scored alone.  Each group's true power and
     waveform energy are checked once for all its outputs.
+
+    ``outs`` is overwritten with the errors ``outs - truth``: every caller
+    passes a temporary, and subtracting in place spares a copy of the
+    size of ``outs``.
     """
     energies = np.vecdot(truth, truth).real.tolist()
-    err = outs - truth[:, None, :]
+    err = np.subtract(outs, truth[:, None, :], out=outs)
     records = []
     for g, energy, err_energies, group_powers in zip(
             gamma, energies, np.vecdot(err, err).real.tolist(), powers):

@@ -281,9 +281,10 @@ class TestAdaptiveCaponWeights:
         cov = scm(synth_scene_snapshots(geom, scene, kind, geom.antennas + excess,
                                         TrialRngs(seed, 0)))
         a = steering_vector(geom, scene.soi.doa_deg)
-        assert bits(cholesky(cov.lower)).tolist() == bits(cholesky(cov.matrix)).tolist()
+        mat = cov.matrix
+        assert bits(cholesky(cov.lower)).tolist() == bits(cholesky(mat)).tolist()
         (w_low, plug_in_low), (w, plug_in) = (adaptive_capon_weights(c, a)
-                                              for c in (cov.lower, cov.matrix))
+                                              for c in (cov.lower, mat))
         assert bits(w_low).tolist() == bits(w).tolist()
         assert plug_in_low.hex() == plug_in.hex()
 

@@ -16,7 +16,7 @@ S = np.array([1.0 + 1.0j, -2.0j, 0.5])
 def score(gamma_hat, gamma=1.0, out=S, truth=S):
     """``(rel_bias, se_nmse, sp_nmse)`` of one output scored by :func:`score_outputs`."""
     (((method, rel, se, sp),),) = score_outputs(("Capon",), (gamma,), truth[None],
-                                                out[None, None], ((gamma_hat,),))
+                                                out[None, None].copy(), ((gamma_hat,),))
     assert method == "Capon"
     return rel, se, sp
 
@@ -62,14 +62,18 @@ class TestScoreOutputs:
         truth = rng.standard_normal((3, t)) + 1j * rng.standard_normal((3, t))
         gamma = (10.0 ** rng.uniform(-2, 2, size=3)).tolist()
         powers = (10.0 ** rng.uniform(-2, 2, size=(3, 4))).tolist()
-        groups = score_outputs(methods, gamma, truth, outs, powers)
+        scored = outs.copy()
+        groups = score_outputs(methods, gamma, truth, scored, powers)
+        # the outputs passed in are overwritten with their errors
+        assert np.array_equal(scored, outs - truth[:, None])
         assert [[r[0] for r in group] for group in groups] == [list(methods)] * 3
         for g in range(3):
             ref = reference_records(gamma[g], truth[g], zip(methods, outs[g], powers[g]))
             assert exact(groups[g]) == exact(ref)
             for k in range(4):
                 (alone,), = score_outputs(methods[k:], gamma[g:g + 1], truth[g:g + 1],
-                                          outs[g:g + 1, k:k + 1], [powers[g][k:k + 1]])
+                                          outs[g:g + 1, k:k + 1].copy(),
+                                          [powers[g][k:k + 1]])
                 assert exact([alone]) == exact([groups[g][k]])
 
     def test_every_group_checked(self):
