@@ -69,8 +69,8 @@ def scm(batch: SnapshotBatch) -> SampleCovariance:
     spends up to two CPU seconds per wall second.  ``zherk`` is scipy's
     compiled BLAS wrapper as loaded by :mod:`.linalg`, which reads it from its
     file rather than importing ``scipy.linalg``: that cuts a fresh import of
-    the package from 0.39 to 0.23 s and its peak RSS from 60 to 45 MB
-    (2-vCPU x86-64 host, numpy 2.4.6, scipy 1.17.1).
+    the package from 0.43 to 0.21 s and its peak RSS from 58 to 42 MB
+    (2-vCPU x86-64 host, numpy 2.4.6, scipy 1.17.1, one BLAS thread).
     """
     x = batch.snapshots
     if x.ndim != 2 or x.shape[0] < 1:

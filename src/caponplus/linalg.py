@@ -13,11 +13,22 @@ compiled wrapper modules ``scipy/linalg/_flapack*.so`` and ``_fblas*.so``,
 which are loaded straight from their files.  Importing ``scipy.linalg``
 instead would run its package ``__init__``, whose array-API layer imports
 ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``.  On a 2-vCPU x86-64 host
-(Python 3.11, numpy 2.4.6, scipy 1.17.1, warm file cache) a fresh
-``import caponplus.cli`` took a median 0.39 s and 60 MB peak RSS that way,
-and takes 0.23 s and 45 MB without it; the two files load in about 4 ms.
+(Python 3.11, numpy 2.4.6, scipy 1.17.1, warm file cache, median of 15) a
+fresh ``python3 -c "import caponplus.cli"`` takes 0.43 s of wall time, as
+much CPU time and 58 MB peak RSS that way, and 0.21 s of wall and of CPU
+time and 42 MB without it; the two files load in about 4 ms.  Both figures
+are with BLAS loaded on one thread, as the package loads it (see its
+docstring): loaded on two, each OpenBLAS copy starts a helper thread that
+spins, and the same import took 0.26 s of wall time for 0.45 s of CPU time.
 Where no such file exists (another scipy layout) the kernels come from the
 public ``scipy.linalg.lapack`` and ``scipy.linalg.blas``.
+
+The thread count of numpy's and of scipy's OpenBLAS, the two libraries
+these kernels and numpy's products run on, is read and set through their
+``scipy_openblas_{get,set}_num_threads`` symbols (:func:`blas_threads`,
+:func:`set_blas_threads`), for the package's one-thread policy
+(:func:`pin_blas_threads`).  Where a library or its symbols are missing,
+those functions do nothing.
 
 LAPACK only stops at a non-positive pivot, so the package's stricter rule (reject
 a pivot at or below ``M * eps * max(diag)``) is applied afterwards to the
@@ -27,6 +38,7 @@ quadratic-form residues are judged relative to the scale of the matrix.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import os
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -35,7 +47,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
-__all__ = ["hermitian_matrix", "cholesky", "solve_chol", "quadratic_form"]
+__all__ = [
+    "hermitian_matrix",
+    "cholesky",
+    "solve_chol",
+    "quadratic_form",
+    "BLAS_THREAD_VARIABLES",
+    "blas_threads",
+    "set_blas_threads",
+    "pin_blas_threads",
+]
 
 _EPS = np.finfo(np.float64).eps
 
@@ -46,13 +67,18 @@ HERMITIAN_RTOL = 1e-12
 _QF_IMAG_RTOL = 1e-10
 
 
+def _wrapper_file(folders, name: str) -> str | None:
+    """The file of scipy's compiled wrapper module ``name`` in ``folders``, if any."""
+    paths = [os.path.join(d, name + s) for d in folders for s in EXTENSION_SUFFIXES]
+    return next(filter(os.path.isfile, paths), None)
+
+
 def _scipy_kernels(folders):
     """``zpotrf``, ``zpotrs`` and ``zherk`` from scipy's compiled wrapper
     modules in ``folders``, without running ``scipy.linalg``'s ``__init__``."""
     modules = {}
     for name in ("_flapack", "_fblas"):
-        paths = [os.path.join(d, name + s) for d in folders for s in EXTENSION_SUFFIXES]
-        path = next(filter(os.path.isfile, paths), None)
+        path = _wrapper_file(folders, name)
         if path is None:
             from scipy.linalg.blas import zherk
             from scipy.linalg.lapack import zpotrf, zpotrs
@@ -67,9 +93,69 @@ def _scipy_kernels(folders):
 
 
 # Finding the spec imports the top-level ``scipy`` package, but not scipy.linalg.
-zpotrf, zpotrs, zherk = _scipy_kernels(
-    importlib.util.find_spec("scipy.linalg").submodule_search_locations
-)
+_SCIPY_LINALG = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+zpotrf, zpotrs, zherk = _scipy_kernels(_SCIPY_LINALG)
+
+# A caller who sets one of these picks OpenBLAS's thread count, and the
+# package leaves it alone; otherwise it runs BLAS on one thread.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_threads(path: str | None, suffix: str):
+    """``(get, set)`` of the thread count of the ``scipy_openblas`` library
+    that the compiled module at ``path`` links, or None where there is none."""
+    if path is None:
+        return None
+    try:
+        # Opening a loaded module returns its handle, whose symbol lookup
+        # also searches the libraries the module links.
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (OSError, AttributeError):
+        return None
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+def _openblas_copies() -> list:
+    """``(get, set)`` of each OpenBLAS copy found: numpy's, whose symbols end
+    in ``64_`` (64-bit integers), then scipy's, which the kernels run on."""
+    found = (_openblas_threads(np._core._multiarray_umath.__file__, "64_"),
+             _openblas_threads(_wrapper_file(_SCIPY_LINALG, "_fblas"), ""))
+    return [copy for copy in found if copy is not None]
+
+
+_OPENBLAS = _openblas_copies()
+
+
+def blas_threads() -> tuple[int, ...]:
+    """Thread count of each OpenBLAS copy found, numpy's first; empty where
+    numpy and scipy run on another BLAS."""
+    return tuple(get() for get, _ in _OPENBLAS)
+
+
+def set_blas_threads(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Set each OpenBLAS copy found to its entry of ``counts``, in the order
+    of :func:`blas_threads`; return the counts before.
+
+    In a forked child of a process that ran more than one thread, setting a
+    count restarts OpenBLAS's thread pool, whose helper threads then spin for
+    about 0.13 s of CPU.
+    """
+    before = blas_threads()
+    for (_, put), n in zip(_OPENBLAS, counts):
+        put(n)
+    return before
+
+
+def pin_blas_threads() -> tuple[int, ...]:
+    """Set every OpenBLAS copy to one thread, unless the caller set one of
+    :data:`BLAS_THREAD_VARIABLES`; return the counts that
+    :func:`set_blas_threads` restores (none when nothing was set)."""
+    if any(map(os.environ.__contains__, BLAS_THREAD_VARIABLES)):
+        return ()
+    return set_blas_threads((1,) * len(_OPENBLAS))
 
 
 def hermitian_matrix(elements) -> np.ndarray:

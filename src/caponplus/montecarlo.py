@@ -78,7 +78,12 @@ them to the same chunk function.  The chunks go, in trial order, through one
 forked worker pool kept for the whole run.  The pool has at most one worker
 per CPU the process may run on: ``ProcessPoolExecutor`` forks all its
 workers at once, so an unbounded ``threads`` would fork that many processes.
-The trials are split into four chunks per worker.
+The trials are split into four chunks per worker.  The chunks run BLAS on
+one thread, since a trial's products are too small for more threads to pay:
+the run sets the caller's OpenBLAS copies to one thread, forks its workers,
+which inherit that count, and restores the caller's counts at its end.  A
+caller who set a BLAS thread variable keeps its count everywhere (see the
+package docstring).
 
 A chunk returns, per sweep point, the methods of a trial's records and their
 metrics as one float64 table in trial order, which pickles and holds far more
@@ -129,7 +134,7 @@ from .arraymodel import (
 from .beamformers import adaptive_capon_weights, apply_weights, capon_plus_weights, cb_weights
 from .errors import (ConfigError, DegenerateSample, DomainError, NotPositiveDefinite,
                      TrialFailureError)
-from .linalg import quadratic_form
+from .linalg import pin_blas_threads, quadratic_form, set_blas_threads
 from .estimation import (
     alpha_hat,
     debiased_power,
@@ -826,6 +831,11 @@ def run_scenario(
         contexts = _build_contexts(config)
         run = (config, values, contexts)
         work = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+        # The chunks run BLAS on one thread, and the caller gets its counts
+        # back.  A worker forked while the caller is pinned starts on one
+        # thread; setting the count in the worker instead would restart
+        # OpenBLAS's thread pool there, whose helpers spin.
+        counts = pin_blas_threads()
         # Forked workers inherit the imported package and, through the
         # initializer's arguments, the run, so neither is pickled and the
         # calling script needs no ``__main__`` guard.
@@ -839,6 +849,7 @@ def run_scenario(
             if pool is not None:
                 # A trial that raises leaves later chunks queued: drop them.
                 pool.shutdown(cancel_futures=True)
+            set_blas_threads(counts)
         points = _mc_points(config, contexts, chunks, emit_theory)
     return ScenarioReport(
         config=config, points=points, wall_time_s=time.perf_counter() - started

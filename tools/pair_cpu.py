@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CPU time per (sweep point, trial) pair of one preset's Monte-Carlo loop.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/pair_cpu.py PRESET TRIALS
+    python3 tools/pair_cpu.py PRESET TRIALS
 
 Builds PRESET's scenario at TRIALS trials per point, as ``caponplus run``
 does, and runs every trial at every sweep point in this process with
@@ -11,7 +11,9 @@ does so 5 times and prints one JSON line whose ``us_per_pair`` is the least
 Process CPU time of the best repeat leaves out set-up, pool and writing,
 and much of what other processes on the host do, so it moves far less
 between runs than a wall-clock throughput; compare two trees by running it
-in each, alternating, several times.
+in each, alternating, several times.  The package loads BLAS on one thread
+by itself, as ``caponplus run`` does; a BLAS thread variable set in the
+environment overrides that.
 """
 
 from __future__ import annotations
