@@ -15,10 +15,9 @@ output's population power and fourth moment under that law.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,17 +87,11 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class SourceScene:
-    """SOI plus interferers plus white noise of variance ``noise_var``.
-
-    The hash is computed once, when the scene is built: synthesis looks its
-    constants up by scene on every call, and the generated hash re-hashes
-    every :class:`SourceSpec`.  Equality still compares the fields.
-    """
+    """SOI plus interferers plus white noise of variance ``noise_var``."""
 
     soi: SourceSpec
     interferers: tuple[SourceSpec, ...] = ()
     noise_var: float = 1.0
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
@@ -107,19 +100,13 @@ class SourceScene:
         doas = [self.soi.doa_deg] + [s.doa_deg for s in self.interferers]
         if len(set(doas)) != len(doas):
             raise DomainError(f"all DOAs must be distinct, got {doas}")
-        object.__setattr__(self, "_hash", hash((self.soi, self.interferers, self.noise_var)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
-@functools.lru_cache(maxsize=1024)
 def steering_vector(geom: ArrayGeometry, doa_deg: float) -> np.ndarray:
     """ULA response ``a(theta)`` with elements ``exp(-j m 2 pi (d/lambda) sin(theta))``.
 
-    Elements have unit modulus, so ``||a||^2 = M``.  The array is cached per
-    ``(geom, doa_deg)`` and read-only; equal DOAs (``30`` and ``30.0``) share
-    one entry.  Copy it before writing into it.
+    Elements have unit modulus, so ``||a||^2 = M``.  The array is read-only;
+    copy it before writing into it.
     """
     if not -90.0 <= doa_deg < 90.0:
         raise DomainError(f"DOA must lie in [-90, 90), got {doa_deg}")

@@ -62,8 +62,10 @@ def score_outputs(methods: Sequence[str], gamma: Sequence[float], truth: np.ndar
     The waveform energies are ``np.vecdot`` of each row with itself, which
     calls BLAS ``zdotc`` on that row as ``np.vdot`` does on one array; the
     rest is float arithmetic per output.  So an output's metrics have the
-    bits they have when it is scored alone.  Each group's true power and
-    waveform energy are checked once for all its outputs.
+    bits they have when it is scored alone, as long as each row of ``truth``
+    is contiguous (C order, or one row broadcast): ``zdotc`` over a strided
+    row, as of a column-major ``truth``, rounds differently.  Each group's
+    true power and waveform energy are checked once for all its outputs.
 
     ``outs`` is overwritten with the errors ``outs - truth``: every caller
     passes a temporary, and subtracting in place spares a copy of the

@@ -596,9 +596,14 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
     if not trained:
         return entries
     if len(outs) == 1:
+        # one run, as along a T0 sweep: its broadcast truth is scored as it is,
+        # uncopied; np.concatenate, even of this one view, lays it out
+        # column-major, which moves the bits of its points
         out_cap, truth = outs[0], truths[0]
     else:
-        out_cap, truth = np.concatenate(outs), np.concatenate(truths)
+        # joined in C order, so each point's truth is a contiguous row
+        out_cap = np.concatenate(outs)
+        truth = np.concatenate([np.ascontiguousarray(t) for t in truths])
     trained_points, contexts, plug_ins = zip(*trained)
     for point, records in zip(trained_points,
                               _score_capon(config, contexts, plug_ins, out_cap, truth)):

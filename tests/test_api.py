@@ -95,14 +95,17 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     """``bench/child.py``'s ``install_tracer`` looks each function it traces
     up by name where its caller binds it (``montecarlo.scm``,
     ``montecarlo.apply_weights``, ``beamformers.cholesky``, ...).  In a fresh
-    process it must install, and a traced regime-d trial must run, so a
-    change that drops or renames such a binding fails here and not only in
-    the traced benchmark smoke."""
+    process it must install, and one traced trial of every regime (fig1:
+    oracle, fig3: a, fig4c: b, fig5: c, fig6: d) must run, so a change that
+    drops or renames such a binding, or hands a traced function what its
+    work function cannot read, fails here and not only in the traced
+    benchmark smoke."""
     code = ("import child; child.install_tracer()\n"
             "from caponplus import cli, montecarlo\n"
             "from caponplus.presets import PRESETS\n"
-            "cfg = cli.build_run_config({**PRESETS['fig6'], 'trials': 100}).scenario\n"
-            "montecarlo.run_trial(cfg, 30.0, 0)\n")
+            "for preset in ('fig1', 'fig3', 'fig4c', 'fig5', 'fig6'):\n"
+            "    cfg = cli.build_run_config({**PRESETS[preset], 'trials': 100}).scenario\n"
+            "    montecarlo.run_trial(cfg, cfg.sweep.values[0], 0)\n")
     root = Path(caponplus.__file__).parents[2]
     paths = [str(root / "bench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

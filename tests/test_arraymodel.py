@@ -55,10 +55,8 @@ class TestSteeringVector:
             with pytest.raises(DomainError):
                 steering_vector(geom, bad)
 
-    def test_one_cached_read_only_array_per_doa(self):
-        geom = ArrayGeometry(7, 0.5)
-        a = steering_vector(geom, 30)
-        assert steering_vector(geom, 30.0) is a
+    def test_read_only_array(self):
+        a = steering_vector(ArrayGeometry(7, 0.5), 30)
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -81,7 +79,7 @@ class TestSourceScene:
         assert hash(scene) == hash(same) and len({scene, same}) == 1
         assert scene != dataclasses.replace(scene, noise_var=2.0)
         assert scene != dataclasses.replace(scene, soi=SourceSpec(0.0, 2.0))
-        assert "_hash" not in repr(scene)
+        assert [f.name for f in dataclasses.fields(scene)] == ["soi", "interferers", "noise_var"]
 
 
 class TestCovarianceConstruction:

@@ -407,6 +407,12 @@ TRIAL_MAJOR_RUNS = {
     # one T0 at every SNR: the secondary draws are shared too
     "d_snr": ({**PRESETS["fig6"], "secondary_snapshots": 40,
                "sweep": {"variable": "snr_db", "values": [0.0, -5.0, -10.0]}}, 4),
+    # a repeated SNR value: its points share one scene, so one batch, and are
+    # scored beside the next scene's point
+    "b_snr_repeated": ({**PRESETS["fig4a"], "waveform": "gaussian", "snapshots": 60,
+                        "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}}, 3),
+    "d_snr_repeated": ({**PRESETS["fig6"], "waveform": "gaussian", "secondary_snapshots": 40,
+                        "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}}, 4),
 }
 
 
@@ -432,13 +438,14 @@ class TestTrialMajorEqualsPointMajor:
         counts = count_draws(monkeypatch)
         parts = mc._run_chunk(run, (0, n))
         assert len(counts["made"]) == n * streams_per_trial
-        # three primary draws per trial-point, plus the secondary one in c and
-        # d; along a T0 sweep both batches are built at the first point only,
-        # and a fixed-weight trial projects its draws once for all points
+        # three primary draws per run of equal scenes, plus the secondary one
+        # in c and d: both batches are built at a run's first point only (at
+        # every point of a T0 sweep the scene is the same), and a fixed-weight
+        # trial projects its draws once for all points
         fixed = cfg.regime in (Regime.ORACLE, Regime.A)
-        primary_points = 1 if cfg.sweep.variable is SweepVariable.T0 or fixed else len(values)
-        secondary_points = primary_points * (cfg.regime in (Regime.C, Regime.D))
-        assert counts["lookups"] == n * (3 * primary_points + secondary_points)
+        runs = 1 if fixed else len(list(itertools.groupby(ctx.scene for ctx in contexts)))
+        secondary_runs = runs * (cfg.regime in (Regime.C, Regime.D))
+        assert counts["lookups"] == n * (3 * runs + secondary_runs)
         for point, value in enumerate(values):
             reference = []
             for i in range(n):

@@ -170,6 +170,8 @@ class TestPairCpu:
         assert {k: result[k] for k in ("preset", "trials", "points", "repeats")} == {
             "preset": preset, "trials": 100, "points": points, "repeats": tool.REPEATS}
         assert result["us_per_pair"] > 0.0
+        assert result["minflt_per_pair"] >= 0.0
+        assert 0.0 <= result["sys_share"] <= 1.0
 
     @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"]])
     def test_rejects_alpha_sweep_and_too_few_trials(self, args):

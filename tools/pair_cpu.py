@@ -8,6 +8,9 @@ does, and runs every trial at every sweep point in this process with
 ``montecarlo._run_chunk``, the loop a pool worker runs, with no pool.  It
 does so 5 times and prints one JSON line whose ``us_per_pair`` is the least
 ``time.process_time`` of the 5 divided by the number of (point, trial) pairs.
+For that best repeat it also prints ``minflt_per_pair``, the minor page
+faults per pair, and ``sys_share``, the system share of the process's CPU
+time, both from ``resource.getrusage`` before and after the repeat.
 Process CPU time of the best repeat leaves out set-up, pool and writing,
 and much of what other processes on the host do, so it moves far less
 between runs than a wall-clock throughput; compare two trees by running it
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -45,14 +49,19 @@ def main(argv: list[str]) -> int:
         parser.error(str(exc))
     values = config.sweep.values
     run = (config, values, montecarlo._build_contexts(config))
-    best = float("inf")
+    repeats = []  # (CPU s, minor page faults, user CPU s, system CPU s) per repeat
     for _ in range(REPEATS):
-        start = time.process_time()
+        before, start = resource.getrusage(resource.RUSAGE_SELF), time.process_time()
         montecarlo._run_chunk(run, (0, config.trials))
-        best = min(best, time.process_time() - start)
+        cpu, after = time.process_time() - start, resource.getrusage(resource.RUSAGE_SELF)
+        repeats.append((cpu, after.ru_minflt - before.ru_minflt,
+                        after.ru_utime - before.ru_utime, after.ru_stime - before.ru_stime))
+    cpu, faults, user, system = min(repeats)
     pairs = len(values) * config.trials
     print(json.dumps({"preset": args.preset, "trials": config.trials, "points": len(values),
-                      "repeats": REPEATS, "us_per_pair": round(best / pairs * 1e6, 2)}))
+                      "repeats": REPEATS, "us_per_pair": round(cpu / pairs * 1e6, 2),
+                      "minflt_per_pair": round(faults / pairs, 3),
+                      "sys_share": round(system / (user + system), 3)}))
     return 0
 
 
