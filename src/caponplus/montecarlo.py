@@ -24,11 +24,14 @@ shrunk by ``sqrt(alpha)``; regime a scores the exact Capon weight.  A
 trial's outputs at every sweep point are then fixed linear maps of its three
 raw draws.  A run stacks the conjugate weights of every point, scaled by
 each point's source amplitudes, into one :class:`~.signalsim.OutputMap`,
-once; each trial projects its draws through it, two matrix products and one
-outer product, and scores every point and method from those outputs with
-one :func:`~.metrics.score_outputs` call, without forming a snapshot matrix.
-In the measured-alpha 8-PSK mode each point's alpha comes from that point's
-Capon output.
+once.  These regimes run their trials in blocks of up to ``_FIXED_BLOCK``:
+a block draws each trial's streams into arrays its chunk reuses, projects
+them through the map with stacked products, one BLAS call per trial, and scores
+every trial, point and method of the block from those outputs with one
+:func:`~.metrics.score_outputs` call, without forming a snapshot matrix.  A
+trial's records do not depend on its block.  In the measured-alpha 8-PSK
+mode each point's alpha comes from that point's Capon output; regime a
+applies :func:`_capon_rows` to each trial and point of the block.
 
 Regimes b to d train an adaptive Capon weight on the SCM of the primary
 batch (b) or of the first T0 snapshots of one secondary batch drawn at the
@@ -57,19 +60,25 @@ fixed-weight regimes their one projection.  A context built alone, as
 run, and its records have the bits of the same point in a multi-point run
 (see :func:`~.signalsim.output_map`).  A work item is a trial range
 ``(start, stop)``, and a chunk runs it trial-major: each trial runs at every
-sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair.
+sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair,
+told the chunk's end ``stop``.
 
-A trial's first pair runs the trial at every point of its run and holds
-what each point gave: its records, or the :class:`NotPositiveDefinite` its
-sample covariance raised; its later pairs read their own point's entry.
-Along a T0 sweep, where the scene is the same at every point, the trial
-builds its primary and its secondary batch once.  A trial's streams do not
-depend on the sweep point, so :mod:`.signalsim` keeps its raw draws from the
-first point for the others (a cache of the four draws used last).  Each
-point's records are still those of running its trials alone, since a point
-run alone draws its secondary batch at the same count.  A chunk empties the
-cache and the held rows before each trial, so they hold one trial at a time,
-and when it ends or raises, so nothing outlives a run.
+A chunk runs its trials in blocks from ``start``: blocks of
+``_FIXED_BLOCK`` trials in the fixed-weight regimes, the last one cut at
+``stop``, and of one trial in regimes b to d.  A block's first pair runs the
+block at every point of its run, inside its own :func:`run_trial` call, and
+holds what each trial gave at each point: its records, or the
+:class:`NotPositiveDefinite` its sample covariance raised; its later pairs
+read their own entry.  Along a T0 sweep, where the scene is the same at
+every point, a trial builds its primary and its secondary batch once.  A
+trial's streams do not depend on the sweep point, so in regimes b to d
+:mod:`.signalsim` keeps its raw draws from the first point for the others (a
+cache of the four draws used last).  Each point's records are still those
+of running its trials alone, since a point run alone draws its secondary
+batch at the same count.  A chunk empties the cache and the held rows before
+each block, so they hold one block at a time.  When it ends or raises it
+empties them again and drops the arrays its blocks drew into, so nothing
+outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -93,10 +102,10 @@ points are checked in sweep order, then each point is aggregated straight
 from its tables (:func:`~.metrics.aggregate_table`), and its tables dropped.
 
 Trials stay separate computations, each with its own ``(seed, trial, role)``
-streams.  Batching different trials does not pay at the reference size
-``M = 25``: on a 2-vCPU Intel Xeon, ``numpy.linalg.cholesky`` on a stack of
-64 such matrices cost 6.0 us per matrix, against 4.2 us for one ``zpotrf``
-call.
+streams and, in a fixed-weight block, its own BLAS product.  Batching the
+adaptive regimes' trials does not pay at the reference size ``M = 25``: on a
+2-vCPU Intel Xeon, ``numpy.linalg.cholesky`` on a stack of 64 such matrices
+cost 6.0 us per matrix, against 4.2 us for one ``zpotrf`` call.
 """
 
 from __future__ import annotations
@@ -146,6 +155,7 @@ from .metrics import AggregateRecord, TrialRecord, aggregate, aggregate_table, s
 from .signalsim import (
     OutputMap,
     TrialRngs,
+    Workspace,
     clear_trial_memo,
     output_map,
     synth_outputs,
@@ -480,27 +490,38 @@ def _kurtosis(power: float, fourth: float) -> float:
     return fourth / power**2 - 2.0
 
 
-def _trial_fixed(config: ScenarioConfig, points: _Points, idx: int) -> list[list[TrialRecord]]:
-    """One trial of the oracle regime or regime a: its records at every
-    point, from one projection of its draws; see the module docstring."""
+def _trial_fixed(config: ScenarioConfig, points: _Points, trials: range,
+                 work: Workspace) -> list[list[list[TrialRecord]]]:
+    """A block of trials of the oracle regime or regime a: each trial's
+    records at every point, from one projection of the block's draws and one
+    scoring of all its outputs; see the module docstring."""
     t = config.snapshots
     contexts = points.contexts
-    gamma = [ctx.model.gamma for ctx in contexts]
-    outs, truth = synth_outputs(points.outputs, t, TrialRngs(config.master_seed, idx))
+    outs, truth = synth_outputs(points.outputs, t, config.master_seed, trials, work)
+    b, n_points = outs.shape[:2]
+    pairs = b * n_points
     if config.regime is Regime.ORACLE:
         powers, fourths = output_moments(outs)
-        out_cap = outs[:, 1]
         if config.waveform is WaveformKind.PSK8 and config.psk_alpha_mode is PskAlphaMode.MEASURED:
             # each trial estimates alpha from its own Capon output's kurtosis
-            alpha = [alpha_from_kurtosis(g, ctx.theory.gamma_cap, t, _kurtosis(p[1], m4[1]))[0]
-                     for g, ctx, p, m4 in zip(gamma, contexts, powers, fourths)]
+            alpha = [[alpha_from_kurtosis(ctx.model.gamma, ctx.theory.gamma_cap, t,
+                                          _kurtosis(p[1], m4[1]))[0]
+                      for ctx, p, m4 in zip(contexts, *trial)] for trial in zip(powers, fourths)]
         else:
-            alpha = [ctx.alpha_oracle for ctx in contexts]
-        outs = np.concatenate((outs, np.sqrt(alpha)[:, None, None] * out_cap[:, None]), axis=1)
-        powers = [[*row, a * row[1]] for row, a in zip(powers, alpha)]
-        return score_outputs(_ORACLE_METHODS, gamma, truth, outs, powers)
-    # regime a: every row scales the Capon output by a scalar of the trial
-    return _score_capon(config, contexts, [None] * len(contexts), outs[:, 0], truth)
+            alpha = [[ctx.alpha_oracle for ctx in contexts]] * b
+        scored = work("scored", (b, n_points, 4, t), np.complex128)
+        scored[:, :, :3] = outs
+        np.multiply(np.sqrt(alpha)[..., None], outs[:, :, 1], out=scored[:, :, 3])
+        records = score_outputs(_ORACLE_METHODS, [ctx.model.gamma for ctx in contexts] * b,
+                                truth.reshape(pairs, t), scored.reshape(pairs, 4, t),
+                                [[*row, a * row[1]] for trial, trial_alpha in zip(powers, alpha)
+                                 for row, a in zip(trial, trial_alpha)])
+    else:
+        # regime a: every row scales the Capon output by a scalar of the trial
+        records = _score_capon(config, contexts * b, [None] * pairs,
+                               outs[:, :, 0].reshape(pairs, t), truth.reshape(pairs, t),
+                               work("scored", (pairs, len(_CAPON_ROWS), t), np.complex128))
+    return [records[i:i + n_points] for i in range(0, pairs, n_points)]
 
 
 def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float, m4: float,
@@ -541,23 +562,25 @@ def _capon_rows(config: ScenarioConfig, ctx: SweepContext, gamma_cap_hat: float,
 
 def _score_capon(config: ScenarioConfig, contexts: Sequence[SweepContext],
                  plug_ins: Sequence[float | None], out_cap: np.ndarray,
-                 truth: np.ndarray) -> list[list[TrialRecord]]:
+                 truth: np.ndarray, scaled: np.ndarray | None = None) -> list[list[TrialRecord]]:
     """The records of regimes a to d at the points of ``contexts``, from their
     Capon outputs ``out_cap`` ``(P, T)`` and true waveforms ``truth``, with
     one :func:`output_moments` and one :func:`score_outputs` call for all
     points: each row scales its point's Capon output by the scales of
-    :func:`_capon_rows`, and has the bits it has scored alone."""
+    :func:`_capon_rows`, into ``scaled`` where given, and has the bits it has
+    scored alone."""
     scales, powers = zip(*(_capon_rows(config, ctx, gamma_cap_hat, m4, plug_in)
                            for ctx, plug_in, gamma_cap_hat, m4
                            in zip(contexts, plug_ins, *output_moments(out_cap))))
     return score_outputs(_CAPON_ROWS, [ctx.model.gamma for ctx in contexts], truth,
-                         np.array(scales)[:, :, None] * out_cap[:, None], powers)
+                         np.multiply(np.array(scales)[:, :, None], out_cap[:, None], out=scaled),
+                         powers)
 
 
-def _trial_adaptive(config: ScenarioConfig, points: _Points,
-                    idx: int) -> list[list[TrialRecord] | NotPositiveDefinite]:
-    """One trial of regime b, c or d: its records at every point, or the
-    :class:`NotPositiveDefinite` a point's sample covariance raised.  The
+def _trial_adaptive(config: ScenarioConfig, points: _Points, trials: range,
+                    work: Workspace) -> list[list[list[TrialRecord] | NotPositiveDefinite]]:
+    """A block of one trial of regime b, c or d: its records at every point,
+    or the :class:`NotPositiveDefinite` a point's sample covariance raised.  The
     primary batch, and in c and d the secondary one at the run's largest T0
     (``points.secondary_draw``), are synthesised once per run of equal
     scenes, so once per trial along a T0 sweep.  Each point trains its Capon
@@ -566,6 +589,7 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
     beamform its batch as one stack, and every point that trained is scored
     in one :func:`_score_capon` call; a point whose SCM raised keeps the
     error at its own index."""
+    (idx,) = trials
     rngs = TrialRngs(config.master_seed, idx)
     entries = [None] * len(points.contexts)
     # (point, context, plug-in power) per point that trained; Capon outputs and truths per scene
@@ -594,7 +618,7 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
             # the points of one scene share its truth: broadcast, not copied
             truths.append(np.broadcast_to(batch.truth, outs[-1].shape))
     if not trained:
-        return entries
+        return [entries]
     if len(outs) == 1:
         # one run, as along a T0 sweep: its broadcast truth is scored as it is,
         # uncopied; np.concatenate, even of this one view, lays it out
@@ -608,10 +632,10 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points,
     for point, records in zip(trained_points,
                               _score_capon(config, contexts, plug_ins, out_cap, truth)):
         entries[point] = records
-    return entries
+    return [entries]
 
 
-# Per regime, the function that runs one trial at every point of a run.
+# Per regime, the function that runs a block of trials at every point of a run.
 _TRIAL_FUNCS = {
     Regime.ORACLE: _trial_fixed,
     Regime.A: _trial_fixed,
@@ -620,15 +644,33 @@ _TRIAL_FUNCS = {
     Regime.D: _trial_adaptive,
 }
 
-# What the trial run_trial ran last gave at every point of its run:
-# ``(points, config, (trial index, its type), entries)``.
-_held_rows: tuple = (None, None, None, None)
+# The trials of a fixed-weight block.  tools/pair_cpu.py fig1 400, four
+# alternating runs each (2-vCPU Intel Xeon, one BLAS thread), read a median
+# of 28.1 us per (point, trial) pair one trial at a time, 23.6 in blocks of
+# 4, 21.8 in blocks of 8 and 21.4 in blocks of 16.  Only blocks of 16 read
+# minor page faults in every run (0.11 per pair): at T = 60 and five points,
+# no per-block temporary of a block of 8 reaches glibc's 128 KiB mmap
+# threshold, and the arrays above it are the chunk's Workspace.
+_FIXED_BLOCK = 8
+
+
+def _block_trials(config: ScenarioConfig) -> int:
+    """The trials :func:`run_trial` runs together inside a chunk: a block in
+    the fixed-weight regimes, one trial in regimes b to d."""
+    return _FIXED_BLOCK if config.regime in _PROJECTED else 1
+
+
+# What run_trial ran last: ``(points, config, trials, entries)``, the block
+# of ``trials`` and what each of them gave at every point of its run.
+_held_rows: tuple = (None, None, range(0), None)
+# The arrays of the chunk running in this process, kept from block to block.
+_chunk_work: Workspace | None = None
 
 
 def _clear_trial() -> None:
     """Drop the held rows, and the draws :mod:`.signalsim` caches."""
     global _held_rows
-    _held_rows = (None, None, None, None)
+    _held_rows = (None, None, range(0), None)
     clear_trial_memo()
 
 
@@ -637,6 +679,8 @@ def run_trial(
     sweep_value: float,
     trial_index: int,
     ctx: SweepContext | None = None,
+    *,
+    stop: int | None = None,
 ) -> list[TrialRecord]:
     """Run one Monte-Carlo trial at one sweep point and return one record per method.
 
@@ -645,6 +689,10 @@ def run_trial(
     point of ``ctx``'s run and holds what each point gave; each call then
     returns its own point's records, or raises the
     :class:`NotPositiveDefinite` its point's sample covariance raised.
+    ``stop`` is the end of the chunk a call is part of: in the fixed-weight
+    regimes that first call runs the block of up to ``_FIXED_BLOCK`` trials
+    from ``trial_index`` that ends at ``stop`` at the latest, and holds all
+    of them.  Without ``stop`` only the call's own trial runs.
     """
     global _held_rows
     trial = _TRIAL_FUNCS.get(config.regime)
@@ -652,11 +700,18 @@ def run_trial(
         raise ConfigError(f"regime {config.regime.value!r} runs no Monte-Carlo trials")
     if ctx is None:
         ctx = build_context(config, sweep_value)
-    key = (trial_index, type(trial_index))
-    held = _held_rows
-    if held[0] is not ctx.points or held[1] is not config or held[2] != key:
-        _held_rows = (ctx.points, config, key, trial(config, ctx.points, trial_index))
-    entry = _held_rows[3][ctx.point]
+    try:
+        idx = operator.index(trial_index)
+    except TypeError:
+        raise DomainError(f"trial index must be an integer, got {trial_index!r}") from None
+    points, held_config, trials, entries = _held_rows
+    if points is not ctx.points or held_config is not config or idx not in trials:
+        end = idx + 1 if stop is None else max(idx + 1, min(idx + _block_trials(config), stop))
+        trials = range(idx, end)
+        entries = trial(config, ctx.points, trials,
+                        Workspace() if _chunk_work is None else _chunk_work)
+        _held_rows = (ctx.points, config, trials, entries)
+    entry = entries[idx - trials.start][ctx.point]
     if isinstance(entry, NotPositiveDefinite):
         raise entry.with_traceback(None)
     return list(entry)
@@ -691,21 +746,27 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     """For ``item = (start, stop)``, run trials ``start`` to ``stop - 1``, each
     at every sweep point in turn, and return one :data:`_PointPart` per point.
 
-    Every trial of a run scores the same methods in the same order, so a
-    point's records are its ``methods`` repeated beside the table's rows; a
-    trial whose sample covariance cannot be factored adds none and is counted.
+    The trials run in blocks from ``start`` (:func:`_block_trials`), and the
+    held rows are emptied before each block.  Every trial of a run scores
+    the same methods in the same order, so a point's records are its
+    ``methods`` repeated beside the table's rows; a trial whose sample
+    covariance cannot be factored adds none and is counted.
     """
+    global _chunk_work
     config, values, contexts = run
     start, stop = item
+    block = _block_trials(config)
     methods: list[tuple[str, ...]] = [()] * len(contexts)
     tables = [array.array("d") for _ in contexts]
     failed = [0] * len(contexts)
+    _chunk_work = Workspace()
     try:
         for idx in range(start, stop):
-            _clear_trial()
+            if (idx - start) % block == 0:
+                _clear_trial()
             for point, ctx in enumerate(contexts):
                 try:
-                    records = run_trial(config, values[point], idx, ctx)
+                    records = run_trial(config, values[point], idx, ctx, stop=stop)
                 except NotPositiveDefinite:
                     failed[point] += 1
                     continue
@@ -714,6 +775,7 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
                 tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
     finally:
         _clear_trial()
+        _chunk_work = None
     return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
             for names, table, n_failed in zip(methods, tables, failed)]
 

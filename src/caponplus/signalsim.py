@@ -44,10 +44,13 @@ array with one row per sample: the generator calls are those of the
 contract, and only their rearrangement into complex samples is made once
 per draw instead of once per call.  A trial run at every sweep point in
 turn builds its generators at the first point only and reuses the draws at
-the others.  A trial with fixed weights reads its three primary draws once,
-for every point at once (:func:`synth_outputs`).  The cache is the module's
+the others.  The cache serves the snapshot batches of regimes b to d only:
+fixed weights read each primary draw once, for every point at once, and
+draw it straight into the arrays of a block of trials
+(:func:`synth_outputs`), bypassing the cache.  The cache is the module's
 only per-trial state; :func:`clear_trial_memo` empties it, which the
-Monte-Carlo harness does before every trial and when a chunk of trials ends.
+Monte-Carlo harness does before every block of trials and when a chunk of
+trials ends.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -84,12 +87,15 @@ A fixed weight's output ``w^H x(t)`` over a primary batch is a linear map of
 the batch's unscaled draws.  :func:`output_map` folds many weights, at one
 or more scenes, into the amplitudes and steering vectors of each scene,
 once: one row per weight and source kind (noise, interferers, SOI).
-:func:`synth_outputs` then gives every weight's outputs over a trial's
-primary batch from the trial's cached draws, without forming the batch.
-They equal the batch times the conjugate weight up to rounding, and a
-weight's outputs have the same bits in any map it is part of.  The sample
-count is checked first in every synthesis call, so a non-integer count is
-rejected even where the draws of an equal integer count are cached.
+:func:`synth_outputs` then gives every weight's outputs over the primary
+batches of a block of trials, without forming a batch: each trial draws its
+three streams into a :class:`Workspace`, the arrays a chunk of trials keeps
+from block to block, and stacked products project the block.  The outputs
+equal the batch times the conjugate weight up to rounding, and a weight's
+outputs have the same bits in any map it is part of and in any block.  The
+sample count is checked first in every synthesis call, so a non-integer
+count is rejected even where the draws of an equal integer count are
+cached.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -121,6 +127,7 @@ __all__ = [
     "synth_scene_secondary",
     "OutputMap",
     "output_map",
+    "Workspace",
     "synth_outputs",
 ]
 
@@ -323,16 +330,6 @@ def _new_draws(
     return waves, noise
 
 
-def _primary_draws(rngs: TrialRngs, kind: WaveformKind, k: int, count: int,
-                   m: int) -> Iterator[np.ndarray | None]:
-    """A trial's unscaled primary draws of ``count`` samples, one at a time: the SOI's,
-    the ``k`` interferers' (``None`` if ``k`` is 0), the noise of ``m`` antennas.  Lazy: projecting
-    each draw as it comes made a call on fig1's map 5 % faster (2-vCPU Intel Xeon)."""
-    yield _new_draws(*rngs, StreamRole.SOI, kind, 1, count, 0)[0]
-    yield _new_draws(*rngs, StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
-    yield _new_draws(*rngs, StreamRole.NOISE, kind, 0, count, m)[1]
-
-
 def clear_trial_memo() -> None:
     """Drop every cached draw."""
     _new_draws.cache_clear()
@@ -394,7 +391,10 @@ def synth_scene_snapshots(
     """
     count = _checked_count(count)
     consts = _scene_constants(geom, scene, kind)
-    soi, waves, noise = _primary_draws(rngs, kind, len(scene.interferers), count, geom.antennas)
+    k = len(scene.interferers)
+    soi = _new_draws(*rngs, StreamRole.SOI, kind, 1, count, 0)[0]
+    waves = _new_draws(*rngs, StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
+    noise = _new_draws(*rngs, StreamRole.NOISE, kind, 0, count, geom.antennas)[1]
     s = soi * consts.soi_amp
     e = _interference_plus_noise(consts, waves, noise)
     e += s * consts.soi_row
@@ -420,6 +420,30 @@ def synth_scene_secondary(
                               len(scene.interferers), count, geom.antennas)
     e = _interference_plus_noise(consts, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
+
+
+class Workspace:
+    """Arrays reused by the blocks of trials of one chunk.
+
+    ``work(name, shape, dtype)`` is a C-contiguous array of ``shape`` whose
+    first axis counts trials: the leading rows of the array made for
+    ``name``, made again only for more rows or another trailing shape or
+    type.  A block writes every element it reads, so no row of an earlier
+    block reaches it.  Reuse spares each block the arrays above glibc's
+    128 KiB mmap threshold, whose page faults cost more than a block saves.
+    """
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if (arr is None or arr.shape[0] < shape[0] or arr.shape[1:] != shape[1:]
+                or arr.dtype != dtype):
+            arr = self._arrays[name] = np.empty(shape, dtype)
+        return arr[:shape[0]]
 
 
 class OutputMap(NamedTuple):
@@ -479,27 +503,80 @@ def output_map(
     return OutputMap(*arrays, kind, (n_scenes, n))
 
 
-def synth_outputs(
-    omap: OutputMap, count: int, rngs: TrialRngs
-) -> tuple[np.ndarray, np.ndarray]:
-    """The outputs ``w^H x(t)`` of every weight of ``omap`` over a trial's
-    primary batch of ``count`` snapshots, and the true SOI waveform at each
-    scene, as ``(P, n, count)`` and ``(P, count)`` arrays.
+def _raw_spec(kind: WaveformKind, k: int, count: int) -> tuple[tuple[int, ...], type]:
+    """The shape and type of one stream's raw draw of ``k`` waveforms of
+    ``count`` samples (:func:`_raw_draw`): ``standard_normal`` values ``(K, 2,
+    count)`` or 8-PSK symbol indices ``(K, count)``."""
+    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
+        return (k, 2, count), np.float64
+    return (k, count), np.int64
 
-    The batch is never formed: the trial's unscaled draws, the ones
-    :func:`synth_scene_snapshots` scales and adds, are projected through the
-    map, two matrix products and one outer product for every weight and
-    scene at once.  The outputs equal that function's snapshots times the
-    conjugate weights up to rounding; the true waveforms have its bits.
+
+def _fill(kind: WaveformKind, rng: np.random.Generator, raw: np.ndarray) -> None:
+    """Draw ``rng``'s raw waveforms into ``raw``, an array of :func:`_raw_spec`,
+    with the generator calls of :func:`_raw_draw`."""
+    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
+        rng.standard_normal(out=raw)
+    else:
+        raw[...] = rng.integers(0, 8, size=raw.shape)
+
+
+def _waves(kind: WaveformKind, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The complex samples ``(..., count, K)`` of a stack of raw draws of
+    :func:`_fill`, written into ``out``: those :func:`_raw_draw` returns."""
+    if kind is WaveformKind.CIRCULAR_GAUSSIAN:
+        out.real = raw[..., 0, :].swapaxes(-1, -2)
+        out.imag = raw[..., 1, :].swapaxes(-1, -2)
+    else:
+        np.take(_PSK_PHASORS, raw.swapaxes(-1, -2), out=out, mode="clip")
+    return out
+
+
+def synth_outputs(
+    omap: OutputMap, count: int, master_seed: int, trials: range, work: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs ``w^H x(t)`` of every weight of ``omap`` over the primary
+    batch of ``count`` snapshots of each trial of ``trials``, and the true SOI
+    waveform at each scene, as ``(B, P, n, count)`` and ``(B, P, count)``
+    arrays for a block of B trials.
+
+    The batches are never formed.  Each trial builds its generators in turn,
+    ``TrialRngs(master_seed, trial).stream(role)`` for the SOI, the
+    interferers (if any) and the noise, and each draws straight into an
+    array of ``work``.  The draws become complex samples once per block, in
+    the layout :func:`_raw_draw` gives them, and stacked products project
+    them: one BLAS call per trial, with the shapes, strides and transpose
+    flags of a trial projected alone, so a trial's outputs do not depend on
+    its block.  They equal :func:`synth_scene_snapshots`'s
+    snapshots times the conjugate weights up to rounding; the true waveforms
+    have its bits.  The outputs are a view of ``work``, which the next block
+    drawn into it overwrites.
     """
     count = _checked_count(count)
+    work = Workspace() if work is None else work
+    kind, b, m = omap.kind, len(trials), omap.noise.shape[1]
     k = 0 if omap.interference is None else omap.interference.shape[1]
-    draws = _primary_draws(rngs, omap.kind, k, count, omap.noise.shape[1])
-    soi = next(draws)
-    out = omap.soi * soi.T
-    waves = next(draws)
-    if waves is not None:
-        out += omap.interference @ waves.T
-    out += omap.noise @ next(draws).T
+    shape, dtype = _raw_spec(kind, 1, count)
+    soi = work("soi", (b, *shape), dtype)
+    if k:
+        shape, dtype = _raw_spec(kind, k, count)
+        waves = work("interference", (b, *shape), dtype)
+    noise = work("noise", (b, 2, count, m), np.float64)
+    for j, trial in enumerate(trials):
+        rngs = TrialRngs(master_seed, trial)
+        _fill(kind, rngs.stream(StreamRole.SOI), soi[j])
+        if k:
+            _fill(kind, rngs.stream(StreamRole.INTERFERENCE), waves[j])
+        rngs.stream(StreamRole.NOISE).standard_normal(out=noise[j])
+    soi = _waves(kind, soi, work("soi_samples", (b, count, 1), np.complex128)).swapaxes(1, 2)
+    out = np.multiply(omap.soi, soi, out=work("outputs", (b, omap.noise.shape[0], count),
+                                                 np.complex128))
+    product = work("product", out.shape, np.complex128)
+    if k:
+        waves = _waves(kind, waves, work("interference_samples", (b, count, k), np.complex128))
+        out += np.matmul(omap.interference, waves.swapaxes(1, 2), out=product)
+    samples = work("noise_samples", (b, count, m), np.complex128)
+    samples.real, samples.imag = noise[:, 0], noise[:, 1]
+    out += np.matmul(omap.noise, samples.swapaxes(1, 2), out=product)
     n_scenes, n = omap.shape
-    return out[:n_scenes * n].reshape(n_scenes, n, count), omap.soi_amp * soi.T
+    return out[:, :n_scenes * n].reshape(b, n_scenes, n, count), omap.soi_amp * soi

@@ -394,6 +394,21 @@ def count_draws(monkeypatch) -> dict:
     return counts
 
 
+def count_streams(monkeypatch) -> list:
+    """Record the ``(trial_index, role)`` of every stream generator built,
+    in order, by wrapping ``signalsim.RngStream.generator``, which every
+    generator of a trial goes through."""
+    made = []
+    generator = signalsim.RngStream.generator
+
+    def counted(stream):
+        made.append((stream.trial_index, stream.role))
+        return generator(stream)
+
+    monkeypatch.setattr(signalsim.RngStream, "generator", counted)
+    return made
+
+
 def mean_abs_sq(out: np.ndarray) -> float:
     """Output power ``(1/T) sum |s_hat(t)|^2`` as one ``vdot``."""
     return float(np.vdot(out, out).real) / out.size

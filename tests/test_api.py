@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -112,3 +113,43 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_sees_one_trial_span_per_pair_in_a_chunk():
+    """``bench/run.py`` fails a traced run unless it sees one
+    ``montecarlo.run_trial`` span per (point, trial) pair.  A fixed-weight
+    chunk runs its trials in blocks, each computed inside the span of its
+    first pair: in a fresh process under ``install_tracer``, a chunk of 11
+    trials of fig1 (oracle) and of fig3 (regime a) still makes one such span
+    per pair and builds each trial's three primary streams once, each inside
+    a ``run_trial`` span."""
+    code = ("import json, child\n"
+            "tracer = child.install_tracer()\n"
+            "from caponplus import cli, montecarlo\n"
+            "from caponplus.presets import PRESETS\n"
+            "seen = {}\n"
+            "for preset in ('fig1', 'fig3'):\n"
+            "    cfg = cli.build_run_config({**PRESETS[preset], 'trials': 100}).scenario\n"
+            "    run = (cfg, cfg.sweep.values, montecarlo._build_contexts(cfg))\n"
+            "    first = len(tracer.spans)\n"
+            "    montecarlo._run_chunk(run, (0, 11))\n"
+            "    seen[preset] = [len(run[1]), first, len(tracer.spans)]\n"
+            "print(json.dumps([seen, tracer.spans]))\n")
+    root = Path(caponplus.__file__).parents[2]
+    paths = [str(root / "bench"), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen, spans = json.loads(done.stdout)
+    for preset, (n_points, first, last) in seen.items():
+        chunk = spans[first:last]
+        names = [span[0] for span in chunk]
+        assert names.count("montecarlo.run_trial") == 11 * n_points, preset
+        assert names.count("signalsim.rng_stream") == 3 * 11, preset
+        for span in chunk:
+            if span[0] == "signalsim.rng_stream":
+                parent = span[3]
+                while parent >= 0 and spans[parent][0] != "montecarlo.run_trial":
+                    parent = spans[parent][3]
+                assert parent >= 0, (preset, span)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -51,6 +52,7 @@ from helpers import (
     bits,
     capon_weights,
     count_draws,
+    count_streams,
     kurtosis_estimate,
     mmse_weights,
     random_model,
@@ -373,8 +375,8 @@ def fail_at(patch, run, fails):
     _, values, _ = run
     original = mc.run_trial
 
-    def failing(cfg, value, idx, ctx=None):
-        records = original(cfg, value, idx, ctx)
+    def failing(cfg, value, idx, ctx=None, **chunk):
+        records = original(cfg, value, idx, ctx, **chunk)
         if (values.index(value), idx) in fails:
             raise NotPositiveDefinite("synthetic failure", pivot_index=0)
         return records
@@ -416,6 +418,63 @@ TRIAL_MAJOR_RUNS = {
 }
 
 
+# Fixed-weight runs of two points: the oracle regime with Gaussian sources
+# and with 8-PSK sources under each shrinkage rule, and regime a.
+BLOCK_RUNS = {
+    "oracle_gauss": {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0, -8.5]}},
+    **{f"oracle_psk8_{mode}": {**PRESETS["fig1"], "waveform": "psk8", "psk_alpha_mode": mode,
+                               "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}}
+       for mode in ("kappa_minus_one", "exact", "measured")},
+    "a_psk8": {**PRESETS["fig3"], "sweep": {"variable": "snr_db", "values": [0.0, -10.0]}},
+}
+BLOCK_CHUNK = 2 * mc._FIXED_BLOCK + 3  # two full blocks and a partial one
+
+
+class TestBlocksOfTrials:
+    """A fixed-weight chunk runs its trials in blocks from its first trial,
+    drawing them into arrays it reuses from block to block; a trial's
+    records do not depend on the block it falls in, on the block's length or
+    on what an earlier block left in those arrays."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+    def test_a_trials_records_do_not_depend_on_its_block(self, name):
+        cfg, run = scenario_run(BLOCK_RUNS[name], 100)
+        n, block = BLOCK_CHUNK, mc._FIXED_BLOCK
+        whole = mc._run_chunk(run, (0, n))
+        # chunks of lengths that are not multiples of the block, and one that
+        # starts inside the whole chunk's first block
+        for bounds in ([0, 5, block + 6, n], [3, n], [0, block + 1, n]):
+            parts = [mc._run_chunk(run, (start, stop)) for start, stop in itertools.pairwise(bounds)]
+            for point in range(len(run[1])):
+                methods = whole[point][0]
+                expected = point_records([whole], point)[bounds[0] * len(methods):]
+                assert exact(point_records(parts, point)) == exact(expected), (bounds, point)
+        # a public run_trial computes its own pair alone
+        for point, (value, ctx) in enumerate(zip(run[1], run[2])):
+            records = point_records([whole], point)
+            per_trial = len(whole[point][0])
+            for i in (0, block - 1, block, n - 1):
+                mc._clear_trial()
+                assert (exact(run_trial(cfg, value, i, ctx))
+                        == exact(records[i * per_trial:(i + 1) * per_trial])), (point, i)
+        mc._clear_trial()
+
+    @pytest.mark.parametrize("name", ["oracle_gauss", "oracle_psk8_measured", "a_psk8"])
+    def test_reports_alike_at_any_thread_count(self, monkeypatch, name):
+        # at threads 2 the 100 trials run in chunks of 13, none a multiple of the block
+        cfg, _ = scenario_run(BLOCK_RUNS[name], 100)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        one, two = (run_scenario(cfg, threads=threads, emit_theory=True) for threads in (1, 2))
+        assert report_bits(one) == report_bits(two)
+
+
+def report_bits(report):
+    """A report's points with each float as its ``float.hex``."""
+    return [(point.sweep_value, point.n_trials, point.n_failed,
+             [(agg.method, *(float(v).hex() for v in dataclasses.astuple(agg)[1:]))
+              for agg in point.aggregates]) for point in report.points]
+
+
 class TestTrialMajorEqualsPointMajor:
     """A chunk that runs each trial at every point, reusing the trial's draws,
     along a T0 sweep its primary batch and its one secondary batch, drawn at
@@ -435,17 +494,22 @@ class TestTrialMajorEqualsPointMajor:
         n = TRIAL_MAJOR_TRIALS
         cfg, run = scenario_run(doc, 100)  # a config needs >= 100 trials; 12 of them run
         _, values, contexts = run
-        counts = count_draws(monkeypatch)
+        counts, streams = count_draws(monkeypatch), count_streams(monkeypatch)
         parts = mc._run_chunk(run, (0, n))
-        assert len(counts["made"]) == n * streams_per_trial
-        # three primary draws per run of equal scenes, plus the secondary one
-        # in c and d: both batches are built at a run's first point only (at
-        # every point of a T0 sweep the scene is the same), and a fixed-weight
-        # trial projects its draws once for all points
-        fixed = cfg.regime in (Regime.ORACLE, Regime.A)
-        runs = 1 if fixed else len(list(itertools.groupby(ctx.scene for ctx in contexts)))
-        secondary_runs = runs * (cfg.regime in (Regime.C, Regime.D))
-        assert counts["lookups"] == n * (3 * runs + secondary_runs)
+        if cfg.regime in (Regime.ORACLE, Regime.A):
+            # a fixed-weight trial builds its three primary generators once,
+            # in trial order, and projects its draws once for all points,
+            # without the draw cache
+            assert streams == [(i, role) for i in range(n) for role in PRIMARY_ROLES]
+            assert counts == {"lookups": 0, "made": []}
+        else:
+            assert len(counts["made"]) == n * streams_per_trial
+            # three primary draws per run of equal scenes, plus the secondary
+            # one in c and d: both batches are built at a run's first point
+            # only (at every point of a T0 sweep the scene is the same)
+            runs = len(list(itertools.groupby(ctx.scene for ctx in contexts)))
+            secondary_runs = runs * (cfg.regime in (Regime.C, Regime.D))
+            assert counts["lookups"] == n * (3 * runs + secondary_runs)
         for point, value in enumerate(values):
             reference = []
             for i in range(n):
@@ -457,7 +521,10 @@ class TestTrialMajorEqualsPointMajor:
 
 def memo_is_empty():
     return (signalsim._new_draws.cache_info().currsize == 0
-            and mc._held_rows == (None, None, None, None))
+            and mc._held_rows == (None, None, range(0), None))
+
+
+PRIMARY_ROLES = (StreamRole.SOI, StreamRole.INTERFERENCE, StreamRole.NOISE)
 
 
 class TestTrialMemo:
@@ -519,35 +586,41 @@ class TestTrialMemo:
         run_scenario(cfg, threads=1)
         assert memo_is_empty()
 
-    @pytest.mark.parametrize("name", ["oracle_gauss", "a_snr", "b_snr", "d_t0"])
-    def test_each_trial_runs_once_for_all_points(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, block", [
+        ("oracle_gauss", mc._FIXED_BLOCK), ("a_snr", mc._FIXED_BLOCK), ("b_snr", 1),
+        ("d_t0", 1)])
+    def test_each_trial_runs_once_for_all_points(self, monkeypatch, name, block):
         cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
         ran, calls = [], []
         trial, pair = mc._TRIAL_FUNCS[cfg.regime], mc.run_trial
 
-        def counted_trial(config, points, idx):
-            # (trial, whether the draws and the held rows are empty)
-            ran.append((idx, memo_is_empty()))
-            return trial(config, points, idx)
+        def counted_trial(config, points, trials, work):
+            # (the block's trials, whether the draws and the held rows are empty)
+            ran.append((trials, memo_is_empty()))
+            return trial(config, points, trials, work)
 
-        def counted_pair(config, value, idx, ctx=None):
-            calls.append((idx, ctx.point))
-            return pair(config, value, idx, ctx)
+        def counted_pair(config, value, idx, ctx=None, **chunk):
+            calls.append((idx, ctx.point, chunk))
+            return pair(config, value, idx, ctx, **chunk)
 
         monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, counted_trial)
         monkeypatch.setattr(mc, "run_trial", counted_pair)
-        mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        assert ran == [(i, True) for i in range(TRIAL_MAJOR_TRIALS)]
+        n = TRIAL_MAJOR_TRIALS
+        assert n % block or block == 1  # the last fixed-weight block is partial
+        mc._run_chunk(run, (0, n))
+        # the blocks tile the chunk in order, each runs once, on empty held rows
+        assert ran == [(range(first, min(first + block, n)), True)
+                       for first in range(0, n, block)]
         # still one run_trial call per (point, trial) pair, trial-major
-        assert calls == [(i, p) for i in range(TRIAL_MAJOR_TRIALS) for p in range(len(run[1]))]
+        assert calls == [(i, p, {"stop": n}) for i in range(n) for p in range(len(run[1]))]
 
     def test_empty_after_chunk_raises(self, monkeypatch):
         for name in ("d_t0", "oracle_gauss"):
             _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
             original = mc.run_trial
 
-            def raising(cfg, value, idx, ctx=None, original=original):
-                records = original(cfg, value, idx, ctx)
+            def raising(cfg, value, idx, ctx=None, original=original, **chunk):
+                records = original(cfg, value, idx, ctx, **chunk)
                 if idx == 3:
                     raise RuntimeError("synthetic error")
                 return records
@@ -984,13 +1057,13 @@ class TestFailureHandling:
         original = mc.run_trial
         calls = [multiprocessing.Value("q", 0) for _ in self.SNRS]
 
-        def counted(cfg, value, idx, ctx=None):
+        def counted(cfg, value, idx, ctx=None, **chunk):
             point = self.SNRS.index(value)
             with calls[point].get_lock():
                 calls[point].value += 1
             if point in fails and fails[point](idx):
                 raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            return original(cfg, value, idx, ctx)
+            return original(cfg, value, idx, ctx, **chunk)
 
         monkeypatch.setattr(mc, "run_trial", counted)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

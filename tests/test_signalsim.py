@@ -468,7 +468,7 @@ class TestSynthMatchesReference:
                                                          TrialRngs(7, 3)),
             "secondary": lambda n: synth_scene_secondary(geom, PSK_SCENE, WaveformKind.PSK8, n,
                                                          TrialRngs(7, 3)),
-            "outputs": lambda n: signalsim.synth_outputs(omap, n, TrialRngs(7, 3)),
+            "outputs": lambda n: signalsim.synth_outputs(omap, n, 7, range(3, 4)),
         }[which]
         signalsim.clear_trial_memo()
         with pytest.raises(DomainError, match="sample count must be an integer"):
@@ -503,29 +503,49 @@ class TestSynthOutputs:
         rng = np.random.default_rng(count)
         weights = rng.standard_normal((3, 2, 25)) + 1j * rng.standard_normal((3, 2, 25))
         omap = signalsim.output_map(geom, scenes, kind, weights)
-        outs, truth = signalsim.synth_outputs(omap, count, TrialRngs(7, 300))
-        assert outs.shape == (3, 2, count) and truth.shape == (3, count)
-        for p, scene in enumerate(scenes):
-            batch = synth_scene_snapshots(geom, scene, kind, count, TrialRngs(7, 300))
-            assert np.array_equal(bits(truth[p]), bits(batch.truth))
-            for k, w in enumerate(weights[p]):
-                direct = apply_weights(w, batch)
-                scale = np.abs(batch.snapshots).max() * np.abs(w).sum()
-                assert np.abs(outs[p, k] - direct).max() <= 1e-14 * scale
+        trials = range(299, 302)
+        outs, truth = signalsim.synth_outputs(omap, count, 7, trials)
+        assert outs.shape == (3, 3, 2, count) and truth.shape == (3, 3, count)
+        for j, trial in enumerate(trials):
+            for p, scene in enumerate(scenes):
+                batch = synth_scene_snapshots(geom, scene, kind, count, TrialRngs(7, trial))
+                assert np.array_equal(bits(truth[j, p]), bits(batch.truth))
+                for k, w in enumerate(weights[p]):
+                    direct = apply_weights(w, batch)
+                    scale = np.abs(batch.snapshots).max() * np.abs(w).sum()
+                    assert np.abs(outs[j, p, k] - direct).max() <= 1e-14 * scale
 
     @pytest.mark.parametrize("kind", list(WaveformKind))
     def test_a_weight_has_the_same_bits_in_any_map(self, kind):
         geom = ArrayGeometry(25, 0.5)
         rng = np.random.default_rng(5)
         weights = rng.standard_normal((3, 3, 25)) + 1j * rng.standard_normal((3, 3, 25))
-        rngs = TrialRngs(7, 11)
-        full, _ = signalsim.synth_outputs(
-            signalsim.output_map(geom, OUTPUT_SCENES, kind, weights), 60, rngs)
+        (full,), _ = signalsim.synth_outputs(
+            signalsim.output_map(geom, OUTPUT_SCENES, kind, weights), 60, 7, range(11, 12))
         for p, scene in enumerate(OUTPUT_SCENES):
             for lo, hi in ((0, 3), (1, 3), (0, 1), (2, 3)):
-                part, _ = signalsim.synth_outputs(
-                    signalsim.output_map(geom, [scene], kind, weights[p:p + 1, lo:hi]), 60, rngs)
+                (part,), _ = signalsim.synth_outputs(
+                    signalsim.output_map(geom, [scene], kind, weights[p:p + 1, lo:hi]),
+                    60, 7, range(11, 12))
                 assert np.array_equal(bits(part[0]), bits(full[p, lo:hi])), (p, lo, hi)
+
+    @pytest.mark.parametrize("kind", list(WaveformKind))
+    def test_a_trials_outputs_do_not_depend_on_its_block(self, kind):
+        """Blocks drawn into one Workspace, a full block and then shorter
+        ones whose arrays still hold an earlier block's rows, give each trial
+        the bits of the trial drawn alone."""
+        geom = ArrayGeometry(25, 0.5)
+        rng = np.random.default_rng(9)
+        weights = rng.standard_normal((3, 3, 25)) + 1j * rng.standard_normal((3, 3, 25))
+        omap = signalsim.output_map(geom, OUTPUT_SCENES, kind, weights)
+        alone = [signalsim.synth_outputs(omap, 60, 7, range(i, i + 1)) for i in range(11)]
+        work = signalsim.Workspace()
+        for lo, hi in ((0, 8), (8, 11), (3, 11), (5, 6)):
+            outs, truth = signalsim.synth_outputs(omap, 60, 7, range(lo, hi), work)
+            assert outs.shape == (hi - lo, 3, 3, 60) and truth.shape == (hi - lo, 3, 60)
+            for j, i in enumerate(range(lo, hi)):
+                assert np.array_equal(bits(outs[j]), bits(alone[i][0][0])), (lo, hi, i)
+                assert np.array_equal(bits(truth[j]), bits(alone[i][1][0])), (lo, hi, i)
 
     def test_one_weight_is_held_twice(self):
         omap = signalsim.output_map(GEOM, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 4)))

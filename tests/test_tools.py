@@ -173,7 +173,22 @@ class TestPairCpu:
         assert result["minflt_per_pair"] >= 0.0
         assert 0.0 <= result["sys_share"] <= 1.0
 
-    @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"]])
+    def test_against_another_tree_alternates_fresh_runs(self, capsys):
+        # against its own tree, at the fewest trials a config accepts (100)
+        tool = load_tool(TOOLS / "pair_cpu.py")
+        assert tool.main(["fig1", "100", "--against", str(TOOLS.parent), "--rounds", "2"]) == 0
+        line, = capsys.readouterr().out.splitlines()
+        result = json.loads(line)
+        assert set(result) == {"preset", "trials", "rounds", "against", "here", "there"}
+        assert (result["preset"], result["trials"], result["rounds"]) == ("fig1", 100, 2)
+        for side in ("here", "there"):
+            assert set(result[side]) == {"median_us_per_pair", "iqr_us_per_pair", "wins"}
+            assert result[side]["median_us_per_pair"] > 0.0
+            assert result[side]["iqr_us_per_pair"] >= 0.0
+        assert result["here"]["wins"] + result["there"]["wins"] <= 2
+
+    @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"],
+                                      ["fig1", "100", "--against", "/nonexistent"]])
     def test_rejects_alpha_sweep_and_too_few_trials(self, args):
         with pytest.raises(SystemExit) as info:
             load_tool(TOOLS / "pair_cpu.py").main(args)
