@@ -60,25 +60,26 @@ fixed-weight regimes their one projection.  A context built alone, as
 run, and its records have the bits of the same point in a multi-point run
 (see :func:`~.signalsim.output_map`).  A work item is a trial range
 ``(start, stop)``, and a chunk runs it trial-major: each trial runs at every
-sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair,
-told the chunk's end ``stop``.
+sweep point in turn, one :func:`run_trial` call per ``(point, trial)`` pair.
 
-A chunk runs its trials in blocks from ``start``: blocks of
-``_FIXED_BLOCK`` trials in the fixed-weight regimes, the last one cut at
-``stop``, and of one trial in regimes b to d.  A block's first pair runs the
-block at every point of its run, inside its own :func:`run_trial` call, and
-holds what each trial gave at each point: its records, or the
-:class:`NotPositiveDefinite` its sample covariance raised; its later pairs
-read their own entry.  Along a T0 sweep, where the scene is the same at
-every point, a trial builds its primary and its secondary batch once.  A
-trial's streams do not depend on the sweep point, so in regimes b to d
-:mod:`.signalsim` keeps its raw draws from the first point for the others (a
-cache of the four draws used last).  Each point's records are still those
-of running its trials alone, since a point run alone draws its secondary
-batch at the same count.  A chunk empties the cache and the held rows before
-each block, so they hold one block at a time.  When it ends or raises it
-empties them again and drops the arrays its blocks drew into, so nothing
-outlives a run.
+A chunk runs on its own copy of the run's points, which records its end
+``stop``, holds the arrays its blocks draw into (a
+:class:`~.signalsim.Workspace`) and holds the block run last.  It runs its
+trials in blocks from ``start``: blocks of ``_FIXED_BLOCK`` trials in the
+fixed-weight regimes, the last one cut at ``stop``, and of one trial in
+regimes b to d.  A block's first pair runs the block at every point of its
+run, inside its own :func:`run_trial` call, and the points hold what each
+trial gave at each point: its records, or the :class:`NotPositiveDefinite`
+its sample covariance raised; its later pairs read their own entry.  Along
+a T0 sweep, where the scene is the same at every point, a trial builds its
+primary and its secondary batch once.  A trial's streams do not depend on
+the sweep point, so in regimes b to d :mod:`.signalsim` keeps its raw draws
+from the first point for the others (a cache of the four draws used last).
+Each point's records are still those of running its trials alone, since a
+point run alone draws its secondary batch at the same count.  The draw
+cache is emptied before each block and when a chunk ends or raises; the
+chunk's points, with the block and the arrays they hold, go when it
+returns, so nothing outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -123,7 +124,6 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -391,15 +391,27 @@ class SweepContext:
     point: int = 0
 
 
-class _Points(NamedTuple):
+@dataclass(eq=False)
+class _Points:
     """The sweep points of one run: their contexts, and in the oracle regime
     and regime a the fixed weights of every point (oracle regime: CB, Capon
-    and MMSE; regime a: Capon) stacked into one :class:`~.signalsim.OutputMap`."""
+    and MMSE; regime a: Capon) stacked into one :class:`~.signalsim.OutputMap`.
+
+    They also keep what :func:`run_trial` carries from one pair to the next:
+    the end of the chunk running on them (``None`` outside a chunk), the
+    arrays its blocks draw into, and the block run last.
+    """
 
     contexts: tuple[SweepContext, ...]
     outputs: OutputMap | None
     # the secondary snapshots regimes c and d draw per trial, whose first T0 each point reads
     secondary_draw: int
+    stop: int | None = None
+    # Not arguments, so a dataclasses.replace copy starts with fresh arrays
+    # and no block.  ``held`` is ``(config, trials, entries)``: the block of
+    # ``trials`` run last under ``config``, and what each gave at every point.
+    work: Workspace = dataclasses.field(default_factory=Workspace, init=False)
+    held: tuple = dataclasses.field(default=(None, range(0), None), init=False)
 
 
 # The weights a fixed-weight regime projects, as named in a SweepContext.
@@ -619,15 +631,9 @@ def _trial_adaptive(config: ScenarioConfig, points: _Points, trials: range,
             truths.append(np.broadcast_to(batch.truth, outs[-1].shape))
     if not trained:
         return [entries]
-    if len(outs) == 1:
-        # one run, as along a T0 sweep: its broadcast truth is scored as it is,
-        # uncopied; np.concatenate, even of this one view, lays it out
-        # column-major, which moves the bits of its points
-        out_cap, truth = outs[0], truths[0]
-    else:
-        # joined in C order, so each point's truth is a contiguous row
-        out_cap = np.concatenate(outs)
-        truth = np.concatenate([np.ascontiguousarray(t) for t in truths])
+    # joined in C order, so each point's truth is a contiguous row
+    out_cap = np.concatenate(outs)
+    truth = np.concatenate([np.ascontiguousarray(t) for t in truths])
     trained_points, contexts, plug_ins = zip(*trained)
     for point, records in zip(trained_points,
                               _score_capon(config, contexts, plug_ins, out_cap, truth)):
@@ -654,47 +660,25 @@ _TRIAL_FUNCS = {
 _FIXED_BLOCK = 8
 
 
-def _block_trials(config: ScenarioConfig) -> int:
-    """The trials :func:`run_trial` runs together inside a chunk: a block in
-    the fixed-weight regimes, one trial in regimes b to d."""
-    return _FIXED_BLOCK if config.regime in _PROJECTED else 1
-
-
-# What run_trial ran last: ``(points, config, trials, entries)``, the block
-# of ``trials`` and what each of them gave at every point of its run.
-_held_rows: tuple = (None, None, range(0), None)
-# The arrays of the chunk running in this process, kept from block to block.
-_chunk_work: Workspace | None = None
-
-
-def _clear_trial() -> None:
-    """Drop the held rows, and the draws :mod:`.signalsim` caches."""
-    global _held_rows
-    _held_rows = (None, None, range(0), None)
-    clear_trial_memo()
-
-
 def run_trial(
     config: ScenarioConfig,
     sweep_value: float,
     trial_index: int,
     ctx: SweepContext | None = None,
-    *,
-    stop: int | None = None,
 ) -> list[TrialRecord]:
     """Run one Monte-Carlo trial at one sweep point and return one record per method.
 
     Without ``ctx`` the point's context is built alone at ``sweep_value``,
     which is read only then.  The first call for a trial runs it at every
-    point of ``ctx``'s run and holds what each point gave; each call then
-    returns its own point's records, or raises the
-    :class:`NotPositiveDefinite` its point's sample covariance raised.
-    ``stop`` is the end of the chunk a call is part of: in the fixed-weight
-    regimes that first call runs the block of up to ``_FIXED_BLOCK`` trials
-    from ``trial_index`` that ends at ``stop`` at the latest, and holds all
-    of them.  Without ``stop`` only the call's own trial runs.
+    point of ``ctx``'s run, and the run's points hold what each point gave;
+    each call then returns its own point's records, or raises the
+    :class:`NotPositiveDefinite` its point's sample covariance raised.  Inside
+    a chunk (:func:`_run_chunk`), in the fixed-weight regimes, that first call
+    runs the block of up to ``_FIXED_BLOCK`` trials from ``trial_index`` that
+    ends at the chunk's end at the latest, and the points hold all of them.
+    Outside a chunk only the call's own trial runs, and the block and the
+    arrays it was drawn into live as long as the caller's context.
     """
-    global _held_rows
     trial = _TRIAL_FUNCS.get(config.regime)
     if trial is None:
         raise ConfigError(f"regime {config.regime.value!r} runs no Monte-Carlo trials")
@@ -704,16 +688,19 @@ def run_trial(
         idx = operator.index(trial_index)
     except TypeError:
         raise DomainError(f"trial index must be an integer, got {trial_index!r}") from None
-    points, held_config, trials, entries = _held_rows
-    if points is not ctx.points or held_config is not config or idx not in trials:
-        end = idx + 1 if stop is None else max(idx + 1, min(idx + _block_trials(config), stop))
-        trials = range(idx, end)
-        entries = trial(config, ctx.points, trials,
-                        Workspace() if _chunk_work is None else _chunk_work)
-        _held_rows = (ctx.points, config, trials, entries)
+    points = ctx.points
+    held_config, trials, entries = points.held
+    if held_config is not config or idx not in trials:
+        trials = range(idx, idx + 1)
+        if points.stop is not None and config.regime in _PROJECTED:
+            trials = range(idx, min(idx + _FIXED_BLOCK, points.stop))
+        clear_trial_memo()
+        entries = trial(config, points, trials, points.work)
+        points.held = (config, trials, entries)
     entry = entries[idx - trials.start][ctx.point]
     if isinstance(entry, NotPositiveDefinite):
-        raise entry.with_traceback(None)
+        # a new error: the held one would hold, in its traceback, this frame and the points
+        raise NotPositiveDefinite(*entry.args, entry.pivot_index)
     return list(entry)
 
 
@@ -746,27 +733,27 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     """For ``item = (start, stop)``, run trials ``start`` to ``stop - 1``, each
     at every sweep point in turn, and return one :data:`_PointPart` per point.
 
-    The trials run in blocks from ``start`` (:func:`_block_trials`), and the
-    held rows are emptied before each block.  Every trial of a run scores
-    the same methods in the same order, so a point's records are its
+    The run's contexts share one :class:`_Points`, as :func:`_join` builds
+    them.  The chunk runs on a copy of it, which records ``stop`` and holds
+    fresh arrays and no block, and on copies of the contexts that carry it,
+    so the block and the arrays go when the chunk returns; after it raises,
+    they live only as long as the error's traceback.  Every trial of a run
+    scores the same methods in the same order, so a point's records are its
     ``methods`` repeated beside the table's rows; a trial whose sample
     covariance cannot be factored adds none and is counted.
     """
-    global _chunk_work
     config, values, contexts = run
     start, stop = item
-    block = _block_trials(config)
+    points = dataclasses.replace(contexts[0].points, stop=stop)
+    contexts = [dataclasses.replace(ctx, points=points) for ctx in contexts]
     methods: list[tuple[str, ...]] = [()] * len(contexts)
     tables = [array.array("d") for _ in contexts]
     failed = [0] * len(contexts)
-    _chunk_work = Workspace()
     try:
         for idx in range(start, stop):
-            if (idx - start) % block == 0:
-                _clear_trial()
             for point, ctx in enumerate(contexts):
                 try:
-                    records = run_trial(config, values[point], idx, ctx, stop=stop)
+                    records = run_trial(config, values[point], idx, ctx)
                 except NotPositiveDefinite:
                     failed[point] += 1
                     continue
@@ -774,8 +761,7 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
                     methods[point] = tuple(rec[0] for rec in records)
                 tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
     finally:
-        _clear_trial()
-        _chunk_work = None
+        clear_trial_memo()
     return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
             for names, table, n_failed in zip(methods, tables, failed)]
 

@@ -48,9 +48,9 @@ the others.  The cache serves the snapshot batches of regimes b to d only:
 fixed weights read each primary draw once, for every point at once, and
 draw it straight into the arrays of a block of trials
 (:func:`synth_outputs`), bypassing the cache.  The cache is the module's
-only per-trial state; :func:`clear_trial_memo` empties it, which the
-Monte-Carlo harness does before every block of trials and when a chunk of
-trials ends.
+only per-trial state; :func:`clear_trial_memo` empties it, which
+:func:`~.montecarlo.run_trial` does before it runs a block of trials and
+the Monte-Carlo harness does again when a chunk of trials ends or raises.
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -423,7 +423,7 @@ def synth_scene_secondary(
 
 
 class Workspace:
-    """Arrays reused by the blocks of trials of one chunk.
+    """Arrays reused from one block of trials to the next.
 
     ``work(name, shape, dtype)`` is a C-contiguous array of ``shape`` whose
     first axis counts trials: the leading rows of the array made for
@@ -432,8 +432,6 @@ class Workspace:
     block reaches it.  Reuse spares each block the arrays above glibc's
     128 KiB mmap threshold, whose page faults cost more than a block saves.
     """
-
-    __slots__ = ("_arrays",)
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
@@ -533,7 +531,7 @@ def _waves(kind: WaveformKind, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def synth_outputs(
-    omap: OutputMap, count: int, master_seed: int, trials: range, work: Workspace | None = None,
+    omap: OutputMap, count: int, master_seed: int, trials: range, work: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outputs ``w^H x(t)`` of every weight of ``omap`` over the primary
     batch of ``count`` snapshots of each trial of ``trials``, and the true SOI
@@ -553,7 +551,6 @@ def synth_outputs(
     drawn into it overwrites.
     """
     count = _checked_count(count)
-    work = Workspace() if work is None else work
     kind, b, m = omap.kind, len(trials), omap.noise.shape[1]
     k = 0 if omap.interference is None else omap.interference.shape[1]
     shape, dtype = _raw_spec(kind, 1, count)

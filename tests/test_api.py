@@ -117,18 +117,21 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
 
 def test_benchmark_tracer_sees_one_trial_span_per_pair_in_a_chunk():
     """``bench/run.py`` fails a traced run unless it sees one
-    ``montecarlo.run_trial`` span per (point, trial) pair.  A fixed-weight
-    chunk runs its trials in blocks, each computed inside the span of its
-    first pair: in a fresh process under ``install_tracer``, a chunk of 11
-    trials of fig1 (oracle) and of fig3 (regime a) still makes one such span
-    per pair and builds each trial's three primary streams once, each inside
-    a ``run_trial`` span."""
+    ``montecarlo.run_trial`` span per (point, trial) pair, and counts a
+    layer's spans only inside those.  A chunk runs its trials in blocks, each
+    computed inside the span of its first pair: in a fresh process under
+    ``install_tracer``, a chunk of 11 trials of fig1 (oracle) and of fig3
+    (regime a), whose blocks hold up to eight trials, and of fig4c (regime b)
+    and fig6 (regime d), whose blocks hold one, still makes one such span per
+    pair.  Each trial's three primary streams are built once in the
+    fixed-weight regimes, and every stream, SCM, Cholesky factor and batch
+    is made inside a ``run_trial`` span."""
     code = ("import json, child\n"
             "tracer = child.install_tracer()\n"
             "from caponplus import cli, montecarlo\n"
             "from caponplus.presets import PRESETS\n"
             "seen = {}\n"
-            "for preset in ('fig1', 'fig3'):\n"
+            "for preset in ('fig1', 'fig3', 'fig4c', 'fig6'):\n"
             "    cfg = cli.build_run_config({**PRESETS[preset], 'trials': 100}).scenario\n"
             "    run = (cfg, cfg.sweep.values, montecarlo._build_contexts(cfg))\n"
             "    first = len(tracer.spans)\n"
@@ -142,13 +145,18 @@ def test_benchmark_tracer_sees_one_trial_span_per_pair_in_a_chunk():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     seen, spans = json.loads(done.stdout)
+    inside = ("signalsim.rng_stream", "estimation.scm", "linalg.cholesky",
+              "signalsim.synth_scene_snapshots", "signalsim.synth_scene_secondary")
     for preset, (n_points, first, last) in seen.items():
         chunk = spans[first:last]
         names = [span[0] for span in chunk]
         assert names.count("montecarlo.run_trial") == 11 * n_points, preset
-        assert names.count("signalsim.rng_stream") == 3 * 11, preset
+        if preset in ("fig1", "fig3"):
+            assert names.count("signalsim.rng_stream") == 3 * 11, preset
+        else:
+            assert names.count("estimation.scm") == 11 * n_points, preset
         for span in chunk:
-            if span[0] == "signalsim.rng_stream":
+            if span[0] in inside:
                 parent = span[3]
                 while parent >= 0 and spans[parent][0] != "montecarlo.run_trial":
                     parent = spans[parent][3]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import multiprocessing
@@ -375,8 +376,8 @@ def fail_at(patch, run, fails):
     _, values, _ = run
     original = mc.run_trial
 
-    def failing(cfg, value, idx, ctx=None, **chunk):
-        records = original(cfg, value, idx, ctx, **chunk)
+    def failing(cfg, value, idx, ctx=None):
+        records = original(cfg, value, idx, ctx)
         if (values.index(value), idx) in fails:
             raise NotPositiveDefinite("synthetic failure", pivot_index=0)
         return records
@@ -454,10 +455,10 @@ class TestBlocksOfTrials:
             records = point_records([whole], point)
             per_trial = len(whole[point][0])
             for i in (0, block - 1, block, n - 1):
-                mc._clear_trial()
+                signalsim.clear_trial_memo()
                 assert (exact(run_trial(cfg, value, i, ctx))
                         == exact(records[i * per_trial:(i + 1) * per_trial])), (point, i)
-        mc._clear_trial()
+        signalsim.clear_trial_memo()
 
     @pytest.mark.parametrize("name", ["oracle_gauss", "oracle_psk8_measured", "a_psk8"])
     def test_reports_alike_at_any_thread_count(self, monkeypatch, name):
@@ -513,25 +514,24 @@ class TestTrialMajorEqualsPointMajor:
         for point, value in enumerate(values):
             reference = []
             for i in range(n):
-                mc._clear_trial()
+                signalsim.clear_trial_memo()
                 reference.extend(run_trial(cfg, value, i))
             assert parts[point][2] == 0
             assert exact(point_records([parts], point)) == exact(reference), values[point]
 
 
 def memo_is_empty():
-    return (signalsim._new_draws.cache_info().currsize == 0
-            and mc._held_rows == (None, None, range(0), None))
+    return signalsim._new_draws.cache_info().currsize == 0
 
 
 PRIMARY_ROLES = (StreamRole.SOI, StreamRole.INTERFERENCE, StreamRole.NOISE)
 
 
 class TestTrialMemo:
-    """The draw cache of :mod:`.signalsim` and the rows :func:`run_trial`
-    holds hold one trial; a trial runs once for all points, a T0 sweep's
-    primary batch is built once per trial, and a fixed-weight trial builds
-    no batch; both are empty once a chunk ends or raises."""
+    """The draw cache of :mod:`.signalsim` holds one trial; a trial runs
+    once for all points, a T0 sweep's primary batch is built once per trial,
+    and a fixed-weight trial builds no batch; the cache is empty once a chunk
+    ends or raises, and the chunk's points and arrays are gone."""
 
     @pytest.mark.parametrize("name, builds_per_trial", [
         ("c_t0", 1), ("b_snr", 2), ("oracle_gauss", 0), ("a_snr", 0)])
@@ -542,8 +542,8 @@ class TestTrialMemo:
         synth = mc.synth_scene_snapshots
 
         def counted(geom, scene, kind, count, rngs):
-            # (trial, whether the cache and the held rows are empty, whether
-            # an earlier batch is still alive)
+            # (trial, whether the cache is empty, whether an earlier batch
+            # is still alive)
             built.append((rngs.trial_index, memo_is_empty(),
                           any(ref() is not None for ref in batches)))
             batch = synth(geom, scene, kind, count, rngs)
@@ -552,8 +552,8 @@ class TestTrialMemo:
 
         monkeypatch.setattr(mc, "synth_scene_snapshots", counted)
         mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        # the chunk empties both before each trial, so only a trial's first
-        # build finds them empty; a batch is dropped before the next is built
+        # the cache is emptied before each trial, so only a trial's first
+        # build finds it empty; a batch is dropped before the next is built
         assert built == [(i, j == 0, False) for i in range(TRIAL_MAJOR_TRIALS)
                          for j in range(builds_per_trial)]
 
@@ -595,32 +595,32 @@ class TestTrialMemo:
         trial, pair = mc._TRIAL_FUNCS[cfg.regime], mc.run_trial
 
         def counted_trial(config, points, trials, work):
-            # (the block's trials, whether the draws and the held rows are empty)
+            # (the block's trials, whether the draw cache is empty)
             ran.append((trials, memo_is_empty()))
             return trial(config, points, trials, work)
 
-        def counted_pair(config, value, idx, ctx=None, **chunk):
-            calls.append((idx, ctx.point, chunk))
-            return pair(config, value, idx, ctx, **chunk)
+        def counted_pair(config, value, idx, ctx=None):
+            calls.append((idx, ctx.point))
+            return pair(config, value, idx, ctx)
 
         monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, counted_trial)
         monkeypatch.setattr(mc, "run_trial", counted_pair)
         n = TRIAL_MAJOR_TRIALS
         assert n % block or block == 1  # the last fixed-weight block is partial
         mc._run_chunk(run, (0, n))
-        # the blocks tile the chunk in order, each runs once, on empty held rows
+        # the blocks tile the chunk in order, each runs once, on an empty cache
         assert ran == [(range(first, min(first + block, n)), True)
                        for first in range(0, n, block)]
         # still one run_trial call per (point, trial) pair, trial-major
-        assert calls == [(i, p, {"stop": n}) for i in range(n) for p in range(len(run[1]))]
+        assert calls == [(i, p) for i in range(n) for p in range(len(run[1]))]
 
     def test_empty_after_chunk_raises(self, monkeypatch):
         for name in ("d_t0", "oracle_gauss"):
             _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
             original = mc.run_trial
 
-            def raising(cfg, value, idx, ctx=None, original=original, **chunk):
-                records = original(cfg, value, idx, ctx, **chunk)
+            def raising(cfg, value, idx, ctx=None, original=original):
+                records = original(cfg, value, idx, ctx)
                 if idx == 3:
                     raise RuntimeError("synthetic error")
                 return records
@@ -630,6 +630,49 @@ class TestTrialMemo:
                 mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
             assert memo_is_empty(), name
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["oracle_gauss", "d_t0"])
+    def test_chunk_state_does_not_outlive_the_chunk(self, monkeypatch, name):
+        """The points a chunk runs on and the arrays its blocks draw into die
+        with the chunk, by reference counting alone: when it returns, and
+        after it raises once the error is dropped.  In d_t0 a held sample
+        covariance error is raised too."""
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        trial, refs = mc._TRIAL_FUNCS[cfg.regime], []
+
+        def watched(config, points, trials, work):
+            refs.extend((weakref.ref(points), weakref.ref(work)))
+            return trial(config, points, trials, work)
+
+        monkeypatch.setitem(mc._TRIAL_FUNCS, cfg.regime, watched)
+        if cfg.regime is Regime.D:
+            fail_inside_trial(monkeypatch, run, {
+                (1, 2): NotPositiveDefinite("synthetic failure", pivot_index=0)})
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            parts = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+            assert sum(part[2] for part in parts) == (cfg.regime is Regime.D)
+            assert refs and all(ref() is None for ref in refs)
+            refs.clear()
+            original = mc.run_trial
+
+            def raising(cfg, value, idx, ctx=None):
+                records = original(cfg, value, idx, ctx)
+                if idx == 3:
+                    raise RuntimeError("synthetic error")
+                return records
+
+            monkeypatch.setattr(mc, "run_trial", raising)
+            with pytest.raises(RuntimeError, match="synthetic error") as info:
+                mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+            # the error's traceback holds the chunk's frame, and so its points
+            assert refs and refs[-2]() is not None
+            del info
+            assert all(ref() is None for ref in refs)
+        finally:
+            if collecting:
+                gc.enable()
 
 
 class TestT0SweepSharesOneSecondaryDraw:
@@ -645,7 +688,7 @@ class TestT0SweepSharesOneSecondaryDraw:
         seen, original = [], mc.scm
         monkeypatch.setattr(mc, "scm", lambda batch: seen.append(original(batch)) or seen[-1])
         for i in range(3):
-            mc._clear_trial()
+            signalsim.clear_trial_memo()
             run_trial(cfg, values[0], i, contexts[0])
             assert len(seen) == len(values)
             for ctx, cov in zip(contexts, seen):
@@ -654,7 +697,7 @@ class TestT0SweepSharesOneSecondaryDraw:
                 expected = scm(full._replace(snapshots=full.snapshots[:ctx.secondary_snapshots]))
                 assert bits(cov.matrix).tolist() == bits(expected.matrix).tolist()
             seen.clear()
-        mc._clear_trial()
+        signalsim.clear_trial_memo()
 
     @pytest.mark.parametrize("preset", ["fig5", "fig6"])
     def test_sweep_order_does_not_change_a_points_records(self, preset):
@@ -1057,13 +1100,13 @@ class TestFailureHandling:
         original = mc.run_trial
         calls = [multiprocessing.Value("q", 0) for _ in self.SNRS]
 
-        def counted(cfg, value, idx, ctx=None, **chunk):
+        def counted(cfg, value, idx, ctx=None):
             point = self.SNRS.index(value)
             with calls[point].get_lock():
                 calls[point].value += 1
             if point in fails and fails[point](idx):
                 raise NotPositiveDefinite("synthetic failure", pivot_index=0)
-            return original(cfg, value, idx, ctx, **chunk)
+            return original(cfg, value, idx, ctx)
 
         monkeypatch.setattr(mc, "run_trial", counted)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

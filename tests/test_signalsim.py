@@ -468,7 +468,8 @@ class TestSynthMatchesReference:
                                                          TrialRngs(7, 3)),
             "secondary": lambda n: synth_scene_secondary(geom, PSK_SCENE, WaveformKind.PSK8, n,
                                                          TrialRngs(7, 3)),
-            "outputs": lambda n: signalsim.synth_outputs(omap, n, 7, range(3, 4)),
+            "outputs": lambda n: signalsim.synth_outputs(omap, n, 7, range(3, 4),
+                                                          signalsim.Workspace()),
         }[which]
         signalsim.clear_trial_memo()
         with pytest.raises(DomainError, match="sample count must be an integer"):
@@ -504,7 +505,7 @@ class TestSynthOutputs:
         weights = rng.standard_normal((3, 2, 25)) + 1j * rng.standard_normal((3, 2, 25))
         omap = signalsim.output_map(geom, scenes, kind, weights)
         trials = range(299, 302)
-        outs, truth = signalsim.synth_outputs(omap, count, 7, trials)
+        outs, truth = signalsim.synth_outputs(omap, count, 7, trials, signalsim.Workspace())
         assert outs.shape == (3, 3, 2, count) and truth.shape == (3, 3, count)
         for j, trial in enumerate(trials):
             for p, scene in enumerate(scenes):
@@ -521,12 +522,13 @@ class TestSynthOutputs:
         rng = np.random.default_rng(5)
         weights = rng.standard_normal((3, 3, 25)) + 1j * rng.standard_normal((3, 3, 25))
         (full,), _ = signalsim.synth_outputs(
-            signalsim.output_map(geom, OUTPUT_SCENES, kind, weights), 60, 7, range(11, 12))
+            signalsim.output_map(geom, OUTPUT_SCENES, kind, weights), 60, 7, range(11, 12),
+            signalsim.Workspace())
         for p, scene in enumerate(OUTPUT_SCENES):
             for lo, hi in ((0, 3), (1, 3), (0, 1), (2, 3)):
                 (part,), _ = signalsim.synth_outputs(
                     signalsim.output_map(geom, [scene], kind, weights[p:p + 1, lo:hi]),
-                    60, 7, range(11, 12))
+                    60, 7, range(11, 12), signalsim.Workspace())
                 assert np.array_equal(bits(part[0]), bits(full[p, lo:hi])), (p, lo, hi)
 
     @pytest.mark.parametrize("kind", list(WaveformKind))
@@ -538,7 +540,8 @@ class TestSynthOutputs:
         rng = np.random.default_rng(9)
         weights = rng.standard_normal((3, 3, 25)) + 1j * rng.standard_normal((3, 3, 25))
         omap = signalsim.output_map(geom, OUTPUT_SCENES, kind, weights)
-        alone = [signalsim.synth_outputs(omap, 60, 7, range(i, i + 1)) for i in range(11)]
+        alone = [signalsim.synth_outputs(omap, 60, 7, range(i, i + 1), signalsim.Workspace())
+                 for i in range(11)]
         work = signalsim.Workspace()
         for lo, hi in ((0, 8), (8, 11), (3, 11), (5, 6)):
             outs, truth = signalsim.synth_outputs(omap, 60, 7, range(lo, hi), work)

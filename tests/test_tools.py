@@ -1,8 +1,13 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from caponplus import linalg
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 TOOL = TOOLS / "results_digests.py"
@@ -172,6 +177,15 @@ class TestPairCpu:
         assert result["us_per_pair"] > 0.0
         assert result["minflt_per_pair"] >= 0.0
         assert 0.0 <= result["sys_share"] <= 1.0
+
+    def test_runs_blas_on_one_thread(self):
+        # in a fresh process with no BLAS thread variable set, as the tool is run
+        env = {k: v for k, v in os.environ.items() if k not in linalg.BLAS_THREAD_VARIABLES}
+        done = subprocess.run([sys.executable, str(TOOLS / "pair_cpu.py"), "fig1", "100"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(done.stdout.splitlines()[-1])["blas_threads"]
+        assert all(count == 1 for count in counts), counts
 
     def test_against_another_tree_alternates_fresh_runs(self, capsys):
         # against its own tree, at the fewest trials a config accepts (100)

@@ -15,8 +15,9 @@ Process CPU time of the best repeat leaves out set-up, pool and writing,
 and much of what other processes on the host do, so it moves far less
 between runs than a wall-clock throughput; compare two trees by running it
 in each, alternating, several times.  The package loads BLAS on one thread
-by itself, as ``caponplus run`` does; a BLAS thread variable set in the
-environment overrides that.
+by itself, as ``caponplus run`` does, and the line's ``blas_threads``
+gives the thread count of each OpenBLAS copy; a BLAS thread variable set in
+the environment overrides it.
 
 With ``--against DIR``, another checkout of this repository (say, the
 parent commit's), it measures nothing in this process.  It runs this
@@ -38,13 +39,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from caponplus import cli, montecarlo  # noqa: E402
+# The package first: numpy imported before it loads OpenBLAS on more threads.
+from caponplus import cli, linalg, montecarlo  # noqa: E402
 from caponplus.errors import ConfigError  # noqa: E402
 from caponplus.presets import PRESETS  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 REPEATS = 5
 
@@ -81,7 +83,8 @@ def main(argv: list[str]) -> int:
     print(json.dumps({"preset": args.preset, "trials": config.trials, "points": len(values),
                       "repeats": REPEATS, "us_per_pair": round(cpu / pairs * 1e6, 2),
                       "minflt_per_pair": round(faults / pairs, 3),
-                      "sys_share": round(system / (user + system), 3)}))
+                      "sys_share": round(system / (user + system), 3),
+                      "blas_threads": linalg.blas_threads()}))
     return 0
 
 
