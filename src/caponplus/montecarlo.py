@@ -73,13 +73,13 @@ trial gave at each point: its records, or the :class:`NotPositiveDefinite`
 its sample covariance raised; its later pairs read their own entry.  Along
 a T0 sweep, where the scene is the same at every point, a trial builds its
 primary and its secondary batch once.  A trial's streams do not depend on
-the sweep point, so in regimes b to d :mod:`.signalsim` keeps its raw draws
-from the first point for the others (a cache of the four draws used last).
-Each point's records are still those of running its trials alone, since a
-point run alone draws its secondary batch at the same count.  The draw
-cache is emptied before each block and when a chunk ends or raises; the
-chunk's points, with the block and the arrays they hold, go when it
-returns, so nothing outlives a run.
+the sweep point, so in regimes b to d a trial synthesises every point's
+batches on one :class:`~.signalsim.TrialRngs`, which reads each stream at
+the first point and holds its raw draws for the others until the trial
+returns.  Each point's records are still those of running its trials alone,
+since a point run alone draws its secondary batch at the same count.  The
+chunk's points, with the block and the arrays they hold, go when it returns,
+so nothing outlives a run.
 
 The config and the contexts reach a forked worker once, through the pool's
 initializer, whose arguments a fork does not pickle; the serial path binds
@@ -156,7 +156,6 @@ from .signalsim import (
     OutputMap,
     TrialRngs,
     Workspace,
-    clear_trial_memo,
     output_map,
     synth_outputs,
     synth_scene_secondary,
@@ -677,7 +676,9 @@ def run_trial(
     runs the block of up to ``_FIXED_BLOCK`` trials from ``trial_index`` that
     ends at the chunk's end at the latest, and the points hold all of them.
     Outside a chunk only the call's own trial runs, and the block and the
-    arrays it was drawn into live as long as the caller's context.
+    arrays it was drawn into live as long as the caller's context.  The raw
+    draws of a regime b to d trial are held by its
+    :class:`~.signalsim.TrialRngs` and go before the call returns.
     """
     trial = _TRIAL_FUNCS.get(config.regime)
     if trial is None:
@@ -694,7 +695,6 @@ def run_trial(
         trials = range(idx, idx + 1)
         if points.stop is not None and config.regime in _PROJECTED:
             trials = range(idx, min(idx + _FIXED_BLOCK, points.stop))
-        clear_trial_memo()
         entries = trial(config, points, trials, points.work)
         points.held = (config, trials, entries)
     entry = entries[idx - trials.start][ctx.point]
@@ -737,10 +737,11 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     them.  The chunk runs on a copy of it, which records ``stop`` and holds
     fresh arrays and no block, and on copies of the contexts that carry it,
     so the block and the arrays go when the chunk returns; after it raises,
-    they live only as long as the error's traceback.  Every trial of a run
-    scores the same methods in the same order, so a point's records are its
-    ``methods`` repeated beside the table's rows; a trial whose sample
-    covariance cannot be factored adds none and is counted.
+    they, and the draws of the trial it raised in, live only as long as the
+    error's traceback.  Every trial of a run scores the same methods in the
+    same order, so a point's records are its ``methods`` repeated beside the
+    table's rows; a trial whose sample covariance cannot be factored adds
+    none and is counted.
     """
     config, values, contexts = run
     start, stop = item
@@ -749,19 +750,16 @@ def _run_chunk(run: _Run, item: _WorkItem) -> list[_PointPart]:
     methods: list[tuple[str, ...]] = [()] * len(contexts)
     tables = [array.array("d") for _ in contexts]
     failed = [0] * len(contexts)
-    try:
-        for idx in range(start, stop):
-            for point, ctx in enumerate(contexts):
-                try:
-                    records = run_trial(config, values[point], idx, ctx)
-                except NotPositiveDefinite:
-                    failed[point] += 1
-                    continue
-                if not methods[point]:
-                    methods[point] = tuple(rec[0] for rec in records)
-                tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
-    finally:
-        clear_trial_memo()
+    for idx in range(start, stop):
+        for point, ctx in enumerate(contexts):
+            try:
+                records = run_trial(config, values[point], idx, ctx)
+            except NotPositiveDefinite:
+                failed[point] += 1
+                continue
+            if not methods[point]:
+                methods[point] = tuple(rec[0] for rec in records)
+            tables[point].extend(itertools.chain.from_iterable(map(_METRICS, records)))
     return [(names, np.frombuffer(table).reshape(-1, 3), n_failed)
             for names, table, n_failed in zip(methods, tables, failed)]
 

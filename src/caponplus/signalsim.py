@@ -12,12 +12,12 @@ Every random draw comes from an :class:`RngStream` identified by
 so identical coordinates reproduce identical sample sequences regardless of
 execution order, process, or thread count.  The four roles are:
 
-=============  =====================================================
-``soi``        SOI waveform draws
+================  ==================================================
+``soi``           SOI waveform draws
 ``interference``  interferer waveforms, drawn in interferer order
-``noise``      additive white noise of the primary batch
-``secondary``  everything in the SOI-free secondary batch
-=============  =====================================================
+``noise``         additive white noise of the primary batch
+``secondary``     everything in the SOI-free secondary batch
+================  ==================================================
 
 Contract version 2 reads the ``secondary`` stream of a T0 sweep (regimes c
 and d) once per trial: a trial draws it at the sweep's largest T0, and each
@@ -31,26 +31,22 @@ smaller count, whose real and imaginary parts are laid out differently, so a
 T0 point other than the largest reads other numbers than under version 1.
 
 A trial's generator for a role is ``TrialRngs(master_seed, trial_index).stream(role)``
-with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.  Both
-are ``typing.NamedTuple`` classes of the coordinates; building one checks nothing.
+with a :class:`StreamRole`, which builds ``RngStream(...).generator()``.
+:class:`RngStream` is a ``typing.NamedTuple`` of the coordinates; building
+it, or a :class:`TrialRngs`, checks nothing.
 
 A stream's draws are a pure function of its coordinates and of the shapes
-drawn, so synthesis does not draw them per call.  :func:`_new_draws`, the
-unscaled draws of one stream, is an ``lru_cache`` of the four draws used
-last, keyed by the trial coordinates, their types and the shapes: a trial
-reads at most four (SOI, interference, noise, secondary).  It holds
-each draw in the layout synthesis reads, a read-only C-contiguous complex
-array with one row per sample: the generator calls are those of the
-contract, and only their rearrangement into complex samples is made once
-per draw instead of once per call.  A trial run at every sweep point in
-turn builds its generators at the first point only and reuses the draws at
-the others.  The cache serves the snapshot batches of regimes b to d only:
-fixed weights read each primary draw once, for every point at once, and
-draw it straight into the arrays of a block of trials
-(:func:`synth_outputs`), bypassing the cache.  The cache is the module's
-only per-trial state; :func:`clear_trial_memo` empties it, which
-:func:`~.montecarlo.run_trial` does before it runs a block of trials and
-the Monte-Carlo harness does again when a chunk of trials ends or raises.
+drawn, so synthesis does not draw them per call: a :class:`TrialRngs` holds
+its trial's draws.  :meth:`TrialRngs.draws` reads a stream once per shape
+and holds each draw in the layout synthesis reads, a read-only C-contiguous
+complex array with one row per sample: the generator calls are those of the
+contract, and only their rearrangement into complex samples is made once per
+draw instead of once per call.  A trial run at every sweep point in turn on
+one :class:`TrialRngs` builds its generators at the first point only and
+reuses the draws at the others; they go with the object, when the trial
+ends.  Only the snapshot batches of regimes b to d read them: fixed weights
+read each primary draw once, for every point at once, and draw it straight
+into the arrays of a block of trials (:func:`synth_outputs`).
 
 The four PCG64 seed words of a stream are not hashed one stream at a time:
 :func:`_block_words` runs numpy's ``SeedSequence`` hash as uint32 array
@@ -59,9 +55,8 @@ the block.  ``TestStreamContract`` pins the result against the installed
 numpy.  Master seeds must be integers >= 0 and trial indices integers in
 ``[0, 2**32)``, the range in which the spawn key ``(trial_index, role)`` is two
 32-bit words.  :meth:`RngStream.generator`, the one reader of the seed words,
-checks them and raises :class:`DomainError`; a cached draw can only match
-coordinates of the same value and type as ones an earlier miss has checked,
-so ``7.0`` never finds seed 7's draws.
+checks them and raises :class:`DomainError`, so a :class:`TrialRngs` holds
+draws only for coordinates it has checked.
 
 The SOI and interference/noise streams never share state, which enforces the
 zero-correlation model assumption by construction.
@@ -73,13 +68,13 @@ What a batch needs from the scene alone is computed once per
 amplitude per source (``sqrt(p / 2)`` per Gaussian source, ``sqrt(p)`` per
 8-PSK source), the interferer steering matrix transposed, the SOI steering
 row and ``sqrt(noise_var / 2)``.  The source powers are checked there; the
-sample count, which must be an integer >= 1, in every call.  Each trial then only scales and combines the
-cached draws, out of place: ``raw * amp`` multiplies each complex sample by
-its source's amplitude, which for nonzero draws gives the bits of scaling
-the real and imaginary parts apart, and the scaled noise ``N`` plus the
-interference ``I`` has the bits of ``I + N``, since IEEE addition commutes.
-So a batch has the bits of drawing, scaling and adding afresh in every
-call, whether its draws were cached or not.
+sample count, which must be an integer >= 1, in every call.  Each trial
+then only scales and combines its held draws, out of place: ``raw * amp``
+multiplies each complex sample by its source's amplitude, which for nonzero
+draws gives the bits of scaling the real and imaginary parts apart, and the
+scaled noise ``N`` plus the interference ``I`` has the bits of ``I + N``,
+since IEEE addition commutes.  So a batch has the bits of drawing, scaling
+and adding afresh in every call, whether its draws were held or not.
 
 Beamformer outputs
 ------------------
@@ -92,10 +87,7 @@ batches of a block of trials, without forming a batch: each trial draws its
 three streams into a :class:`Workspace`, the arrays a chunk of trials keeps
 from block to block, and stacked products project the block.  The outputs
 equal the batch times the conjugate weight up to rounding, and a weight's
-outputs have the same bits in any map it is part of and in any block.  The
-sample count is checked first in every synthesis call, so a non-integer
-count is rejected even where the draws of an equal integer count are
-cached.
+outputs have the same bits in any map it is part of and in any block.
 """
 
 from __future__ import annotations
@@ -257,16 +249,47 @@ class RngStream(NamedTuple):
         return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-class TrialRngs(NamedTuple):
-    """The four per-trial role streams.  ``stream(role)`` is their one accessor:
-    each call builds that role's generator afresh, at the start of its stream,
-    and checks the coordinates as :meth:`RngStream.generator` does."""
+class TrialRngs:
+    """The four role streams of trial ``trial_index`` of ``master_seed``, and
+    the draws read from them.
 
-    master_seed: int
-    trial_index: int
+    ``stream(role)`` builds that role's generator afresh, at the start of its
+    stream, and checks the coordinates as :meth:`RngStream.generator` does.
+    :meth:`draws` reads a stream once per shape and holds the draws as long
+    as the object lives.
+    """
+
+    __slots__ = ("master_seed", "trial_index", "_draws")
+
+    def __init__(self, master_seed: int, trial_index: int):
+        self.master_seed = master_seed
+        self.trial_index = trial_index
+        self._draws = {}
 
     def stream(self, role: StreamRole) -> np.random.Generator:
         return RngStream(self.master_seed, self.trial_index, role).generator()
+
+    def draws(self, role: StreamRole, kind: WaveformKind, k: int, count: int,
+              m: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The read-only unscaled draws of ``role``'s stream: ``k`` waveforms
+        of ``count`` samples (:func:`_raw_draw`), then ``count`` noise vectors
+        of ``m`` antennas, ``standard_normal((2, count, m))`` (real parts, then
+        imaginary parts) as a C-contiguous ``(count, m)`` complex array;
+        ``None`` where ``k`` or ``m`` is 0."""
+        key = (role, kind, k, count, m)
+        held = self._draws.get(key)
+        if held is None:
+            rng = self.stream(role)
+            waves = noise = None
+            if k:
+                waves = _raw_draw(kind, k, count, rng)
+                waves.setflags(write=False)
+            if m:
+                noise = np.empty((count, m), dtype=np.complex128)
+                noise.real, noise.imag = rng.standard_normal((2, count, m))
+                noise.setflags(write=False)
+            held = self._draws[key] = (waves, noise)
+        return held
 
 
 class SnapshotBatch(NamedTuple):
@@ -307,32 +330,6 @@ def _raw_draw(kind: WaveformKind, k: int, count: int, rng: np.random.Generator) 
         parts = rng.standard_normal((k, 2, count)).transpose(2, 0, 1)
         return np.ascontiguousarray(parts).view(np.complex128)[..., 0]
     return np.ascontiguousarray(_PSK_PHASORS[rng.integers(0, 8, size=(k, count))].T)
-
-
-@functools.lru_cache(maxsize=4, typed=True)
-def _new_draws(
-    master_seed: int, trial_index: int, role: StreamRole, kind: WaveformKind,
-    k: int, count: int, m: int,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """The read-only unscaled draws of one stream: ``k`` waveforms of ``count``
-    samples (:func:`_raw_draw`), then ``count`` noise vectors of ``m`` antennas,
-    ``standard_normal((2, count, m))`` (real parts, then imaginary parts) as a
-    C-contiguous ``(count, m)`` complex array; ``None`` where ``k`` or ``m`` is 0."""
-    rng = RngStream(master_seed, trial_index, role).generator()
-    waves = noise = None
-    if k:
-        waves = _raw_draw(kind, k, count, rng)
-        waves.setflags(write=False)
-    if m:
-        noise = np.empty((count, m), dtype=np.complex128)
-        noise.real, noise.imag = rng.standard_normal((2, count, m))
-        noise.setflags(write=False)
-    return waves, noise
-
-
-def clear_trial_memo() -> None:
-    """Drop every cached draw."""
-    _new_draws.cache_clear()
 
 
 class _SceneConstants(NamedTuple):
@@ -392,9 +389,9 @@ def synth_scene_snapshots(
     count = _checked_count(count)
     consts = _scene_constants(geom, scene, kind)
     k = len(scene.interferers)
-    soi = _new_draws(*rngs, StreamRole.SOI, kind, 1, count, 0)[0]
-    waves = _new_draws(*rngs, StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
-    noise = _new_draws(*rngs, StreamRole.NOISE, kind, 0, count, geom.antennas)[1]
+    soi = rngs.draws(StreamRole.SOI, kind, 1, count, 0)[0]
+    waves = rngs.draws(StreamRole.INTERFERENCE, kind, k, count, 0)[0] if k else None
+    noise = rngs.draws(StreamRole.NOISE, kind, 0, count, geom.antennas)[1]
     s = soi * consts.soi_amp
     e = _interference_plus_noise(consts, waves, noise)
     e += s * consts.soi_row
@@ -416,8 +413,8 @@ def synth_scene_secondary(
     """
     consts = _scene_constants(geom, scene, kind)
     count = _checked_count(count)
-    waves, noise = _new_draws(rngs.master_seed, rngs.trial_index, StreamRole.SECONDARY, kind,
-                              len(scene.interferers), count, geom.antennas)
+    waves, noise = rngs.draws(StreamRole.SECONDARY, kind, len(scene.interferers), count,
+                              geom.antennas)
     e = _interference_plus_noise(consts, waves, noise)
     return SnapshotBatch(e, np.empty(0, dtype=np.complex128))
 

@@ -1,6 +1,5 @@
 """Shared construction helpers and independent oracles for the test suite."""
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -365,33 +364,6 @@ def synth_secondary(lower: np.ndarray, count: int, rng: np.random.Generator) -> 
     """SOI-free Gaussian secondary batch ``e'(t) ~ CN(0, Q)`` for ``Q = L L^H``."""
     e = draw_interference_noise(lower, count, rng)
     return SnapshotBatch(snapshots=e, truth=np.empty(0, dtype=np.complex128))
-
-
-def count_draws(monkeypatch) -> dict:
-    """Count the stream-draw lookups that synthesis makes.
-
-    Synthesis looks ``signalsim._new_draws`` up at call time, so this swaps in
-    a cache of the same size over the same draw function, which counts every
-    lookup in ``counts["lookups"]`` and appends every miss's key, in order,
-    to ``counts["made"]``.  Unlike the cache's own statistics, the counts
-    survive ``clear_trial_memo``.
-    """
-    cached = signalsim._new_draws
-    counts = {"lookups": 0, "made": []}
-
-    def draw(*key):
-        counts["made"].append(key)
-        return cached.__wrapped__(*key)
-
-    cache = functools.lru_cache(**cached.cache_parameters())(draw)
-
-    def lookup(*key):
-        counts["lookups"] += 1
-        return cache(*key)
-
-    lookup.cache_clear, lookup.cache_info = cache.cache_clear, cache.cache_info
-    monkeypatch.setattr(signalsim, "_new_draws", lookup)
-    return counts
 
 
 def count_streams(monkeypatch) -> list:

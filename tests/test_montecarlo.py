@@ -52,7 +52,6 @@ from caponplus.signalsim import StreamRole, TrialRngs, WaveformKind
 from helpers import (
     bits,
     capon_weights,
-    count_draws,
     count_streams,
     kurtosis_estimate,
     mmse_weights,
@@ -395,27 +394,25 @@ def surviving_records(whole, point, fails):
 
 
 TRIAL_MAJOR_TRIALS = 12
-# (config document, distinct stream draws a trial makes over all its points)
 TRIAL_MAJOR_RUNS = {
-    "oracle_gauss": (
-        {**PRESETS["fig1"], "sweep": {"variable": "snr_db", "values": [0.0, -4.0, -8.5]}}, 3),
-    "oracle_psk8_measured": (
-        {**PRESETS["fig1"], "waveform": "psk8", "psk_alpha_mode": "measured",
-         "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}}, 3),
-    "a_snr": ({**PRESETS["fig3"], "sweep": {"variable": "snr_db", "values": [0.0, -10.0]}}, 3),
-    "b_snr": ({**PRESETS["fig4a"], "sweep": {"variable": "snr_db", "values": [5.0, -10.0]}}, 3),
+    "oracle_gauss": {**PRESETS["fig1"],
+                     "sweep": {"variable": "snr_db", "values": [0.0, -4.0, -8.5]}},
+    "oracle_psk8_measured": {**PRESETS["fig1"], "waveform": "psk8", "psk_alpha_mode": "measured",
+                             "sweep": {"variable": "snr_db", "values": [0.0, -6.0]}},
+    "a_snr": {**PRESETS["fig3"], "sweep": {"variable": "snr_db", "values": [0.0, -10.0]}},
+    "b_snr": {**PRESETS["fig4a"], "sweep": {"variable": "snr_db", "values": [5.0, -10.0]}},
     # over T0 the primary draws and the one secondary draw, at the largest T0, are shared
-    "c_t0": ({**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}}, 4),
-    "d_t0": ({**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}}, 4),
+    "c_t0": {**PRESETS["fig5"], "sweep": {"variable": "t0", "values": [30.0, 60.0, 120.0]}},
+    "d_t0": {**PRESETS["fig6"], "sweep": {"variable": "t0", "values": [30.0, 120.0]}},
     # one T0 at every SNR: the secondary draws are shared too
-    "d_snr": ({**PRESETS["fig6"], "secondary_snapshots": 40,
-               "sweep": {"variable": "snr_db", "values": [0.0, -5.0, -10.0]}}, 4),
+    "d_snr": {**PRESETS["fig6"], "secondary_snapshots": 40,
+              "sweep": {"variable": "snr_db", "values": [0.0, -5.0, -10.0]}},
     # a repeated SNR value: its points share one scene, so one batch, and are
     # scored beside the next scene's point
-    "b_snr_repeated": ({**PRESETS["fig4a"], "waveform": "gaussian", "snapshots": 60,
-                        "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}}, 3),
-    "d_snr_repeated": ({**PRESETS["fig6"], "waveform": "gaussian", "secondary_snapshots": 40,
-                        "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}}, 4),
+    "b_snr_repeated": {**PRESETS["fig4a"], "waveform": "gaussian", "snapshots": 60,
+                       "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}},
+    "d_snr_repeated": {**PRESETS["fig6"], "waveform": "gaussian", "secondary_snapshots": 40,
+                       "sweep": {"variable": "snr_db", "values": [0.0, 0.0, -5.0]}},
 }
 
 
@@ -455,10 +452,8 @@ class TestBlocksOfTrials:
             records = point_records([whole], point)
             per_trial = len(whole[point][0])
             for i in (0, block - 1, block, n - 1):
-                signalsim.clear_trial_memo()
                 assert (exact(run_trial(cfg, value, i, ctx))
                         == exact(records[i * per_trial:(i + 1) * per_trial])), (point, i)
-        signalsim.clear_trial_memo()
 
     @pytest.mark.parametrize("name", ["oracle_gauss", "oracle_psk8_measured", "a_psk8"])
     def test_reports_alike_at_any_thread_count(self, monkeypatch, name):
@@ -476,13 +471,25 @@ def report_bits(report):
               for agg in point.aggregates]) for point in report.points]
 
 
+PRIMARY_ROLES = (StreamRole.SOI, StreamRole.INTERFERENCE, StreamRole.NOISE)
+
+
+def trial_streams(regime, trials):
+    """The ``(trial, role)`` of every stream generator a run of ``regime``
+    builds over ``trials``, in order: each trial's three primary streams,
+    and in regimes c and d its secondary one, each once."""
+    roles = PRIMARY_ROLES + (StreamRole.SECONDARY,) * (regime in (Regime.C, Regime.D))
+    return [(i, role) for i in trials for role in roles]
+
+
 class TestTrialMajorEqualsPointMajor:
-    """A chunk that runs each trial at every point, reusing the trial's draws,
+    """A chunk that runs each trial at every point, a regime-b to -d trial on
+    one :class:`~caponplus.signalsim.TrialRngs` that reads each stream once,
     along a T0 sweep its primary batch and its one secondary batch, drawn at
     the largest T0, and in the oracle regime and regime a
     one projection of its draws for all points, returns per point the
-    records of :func:`run_trial` on that point's context built alone, each
-    trial on an empty memo, bit for bit.
+    records of :func:`run_trial` on that point's context built alone, bit
+    for bit.
 
     For the fixed-weight regimes this compares a row of a matrix product
     that stacks every point's weights with the same row in a product of one
@@ -491,112 +498,88 @@ class TestTrialMajorEqualsPointMajor:
 
     @pytest.mark.parametrize("name", sorted(TRIAL_MAJOR_RUNS))
     def test_chunk_equals_one_point_at_a_time(self, monkeypatch, name):
-        doc, streams_per_trial = TRIAL_MAJOR_RUNS[name]
         n = TRIAL_MAJOR_TRIALS
-        cfg, run = scenario_run(doc, 100)  # a config needs >= 100 trials; 12 of them run
-        _, values, contexts = run
-        counts, streams = count_draws(monkeypatch), count_streams(monkeypatch)
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)  # >= 100 trials; 12 of them run
+        streams = count_streams(monkeypatch)
         parts = mc._run_chunk(run, (0, n))
-        if cfg.regime in (Regime.ORACLE, Regime.A):
-            # a fixed-weight trial builds its three primary generators once,
-            # in trial order, and projects its draws once for all points,
-            # without the draw cache
-            assert streams == [(i, role) for i in range(n) for role in PRIMARY_ROLES]
-            assert counts == {"lookups": 0, "made": []}
-        else:
-            assert len(counts["made"]) == n * streams_per_trial
-            # three primary draws per run of equal scenes, plus the secondary
-            # one in c and d: both batches are built at a run's first point
-            # only (at every point of a T0 sweep the scene is the same)
-            runs = len(list(itertools.groupby(ctx.scene for ctx in contexts)))
-            secondary_runs = runs * (cfg.regime in (Regime.C, Regime.D))
-            assert counts["lookups"] == n * (3 * runs + secondary_runs)
-        for point, value in enumerate(values):
+        # each trial builds each of its generators once, in trial order, at
+        # any number of points and scenes: a fixed-weight trial projects its
+        # draws once for all points, and a regime-b to -d trial synthesises
+        # the batches of every scene from the draws of its first
+        assert streams == trial_streams(cfg.regime, range(n))
+        for point, value in enumerate(run[1]):
             reference = []
             for i in range(n):
-                signalsim.clear_trial_memo()
                 reference.extend(run_trial(cfg, value, i))
             assert parts[point][2] == 0
-            assert exact(point_records([parts], point)) == exact(reference), values[point]
-
-
-def memo_is_empty():
-    return signalsim._new_draws.cache_info().currsize == 0
-
-
-PRIMARY_ROLES = (StreamRole.SOI, StreamRole.INTERFERENCE, StreamRole.NOISE)
+            assert exact(point_records([parts], point)) == exact(reference), value
 
 
 class TestTrialMemo:
-    """The draw cache of :mod:`.signalsim` holds one trial; a trial runs
-    once for all points, a T0 sweep's primary batch is built once per trial,
-    and a fixed-weight trial builds no batch; the cache is empty once a chunk
-    ends or raises, and the chunk's points and arrays are gone."""
+    """A trial's :class:`~caponplus.signalsim.TrialRngs` holds its draws: a
+    trial runs once for all points and reads each of its streams once, a T0
+    sweep's primary batch is built once per trial, and a fixed-weight trial
+    builds no batch; a trial's draws, and a chunk's points and arrays, are
+    gone once the trial or the chunk returns, or raises and its error is
+    dropped."""
 
     @pytest.mark.parametrize("name, builds_per_trial", [
         ("c_t0", 1), ("b_snr", 2), ("oracle_gauss", 0), ("a_snr", 0)])
     def test_primary_batch_built_once_per_trial_and_scene(self, monkeypatch, name,
                                                           builds_per_trial):
-        _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        _, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
+        streams = count_streams(monkeypatch)
         built, batches = [], []
         synth = mc.synth_scene_snapshots
 
         def counted(geom, scene, kind, count, rngs):
-            # (trial, whether the cache is empty, whether an earlier batch
+            # (trial, the streams the build reads, whether an earlier batch
             # is still alive)
-            built.append((rngs.trial_index, memo_is_empty(),
-                          any(ref() is not None for ref in batches)))
+            alive, before = any(ref() is not None for ref in batches), len(streams)
             batch = synth(geom, scene, kind, count, rngs)
+            built.append((rngs.trial_index, len(streams) - before, alive))
             batches.append(weakref.ref(batch.snapshots))
             return batch
 
         monkeypatch.setattr(mc, "synth_scene_snapshots", counted)
         mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-        # the cache is emptied before each trial, so only a trial's first
-        # build finds it empty; a batch is dropped before the next is built
-        assert built == [(i, j == 0, False) for i in range(TRIAL_MAJOR_TRIALS)
+        # only a trial's first build reads its three primary streams, and a
+        # batch is dropped before the next is built
+        assert built == [(i, 3 * (j == 0), False) for i in range(TRIAL_MAJOR_TRIALS)
                          for j in range(builds_per_trial)]
 
     @pytest.mark.parametrize("points", [6, 12])
-    def test_t0_sweep_holds_only_the_last_four_draws(self, monkeypatch, points):
-        # fig6 at its first `points` T0 values: one primary batch (3 draws)
+    def test_t0_sweep_reads_four_streams_at_any_number_of_points(self, monkeypatch, points):
+        # fig6 at its first `points` T0 values: one primary batch (3 streams)
         # and one secondary draw, at the largest of those T0, for all points
         doc = PRESETS["fig6"]
         doc = {**doc, "sweep": {**doc["sweep"], "values": doc["sweep"]["values"][:points]}}
         cfg, (_, values, contexts) = scenario_run(doc, 100)
         assert len(values) == points
-        counts = count_draws(monkeypatch)
-        signalsim.clear_trial_memo()
+        streams = count_streams(monkeypatch)
         for value, ctx in zip(values, contexts):
             run_trial(cfg, value, 0, ctx)
-        made = counts["made"]
-        assert len(made) == 4
-        assert [key[5] for key in made if key[2] is StreamRole.SECONDARY] == [int(max(values))]
-        # looking the four draws up makes none: the cache holds them and
-        # nothing else, whatever the number of points
-        for key in made:
-            signalsim._new_draws(*key)
-        assert len(made) == 4
-        assert signalsim._new_draws.cache_info().currsize == 4
-        signalsim.clear_trial_memo()
+        assert streams == trial_streams(Regime.D, range(1))
 
-    def test_empty_after_run_scenario(self):
+    def test_run_scenario_reads_each_stream_once(self, monkeypatch):
         cfg = config(regime=Regime.D, trials=100, secondary_snapshots=0,
                      sweep=SweepSpec(SweepVariable.T0, (8.0, 16.0)))
+        streams = count_streams(monkeypatch)
         run_scenario(cfg, threads=1)
-        assert memo_is_empty()
+        assert streams == trial_streams(Regime.D, range(100))
 
     @pytest.mark.parametrize("name, block", [
         ("oracle_gauss", mc._FIXED_BLOCK), ("a_snr", mc._FIXED_BLOCK), ("b_snr", 1),
         ("d_t0", 1)])
     def test_each_trial_runs_once_for_all_points(self, monkeypatch, name, block):
-        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
+        streams = count_streams(monkeypatch)
         ran, calls = [], []
         trial, pair = mc._TRIAL_FUNCS[cfg.regime], mc.run_trial
 
         def counted_trial(config, points, trials, work):
-            # (the block's trials, whether the draw cache is empty)
-            ran.append((trials, memo_is_empty()))
+            # (the block's trials, the streams read before it)
+            ran.append((trials, len(streams)))
             return trial(config, points, trials, work)
 
         def counted_pair(config, value, idx, ctx=None):
@@ -608,28 +591,74 @@ class TestTrialMemo:
         n = TRIAL_MAJOR_TRIALS
         assert n % block or block == 1  # the last fixed-weight block is partial
         mc._run_chunk(run, (0, n))
-        # the blocks tile the chunk in order, each runs once, on an empty cache
-        assert ran == [(range(first, min(first + block, n)), True)
+        # the blocks tile the chunk in order, each runs once, and each reads
+        # only its own trials' streams
+        assert ran == [(range(first, min(first + block, n)),
+                        len(trial_streams(cfg.regime, range(first))))
                        for first in range(0, n, block)]
+        assert streams == trial_streams(cfg.regime, range(n))
         # still one run_trial call per (point, trial) pair, trial-major
         assert calls == [(i, p) for i in range(n) for p in range(len(run[1]))]
 
-    def test_empty_after_chunk_raises(self, monkeypatch):
-        for name in ("d_t0", "oracle_gauss"):
-            _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
-            original = mc.run_trial
+    @pytest.mark.parametrize("name, block", [("d_t0", 1), ("oracle_gauss", mc._FIXED_BLOCK)])
+    def test_chunk_that_raises_reads_no_stream_after_it(self, monkeypatch, name, block):
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
+        original = mc.run_trial
 
-            def raising(cfg, value, idx, ctx=None, original=original):
-                records = original(cfg, value, idx, ctx)
-                if idx == 3:
-                    raise RuntimeError("synthetic error")
-                return records
+        def raising(cfg, value, idx, ctx=None):
+            records = original(cfg, value, idx, ctx)
+            if idx == 3:
+                raise RuntimeError("synthetic error")
+            return records
 
-            monkeypatch.setattr(mc, "run_trial", raising)
-            with pytest.raises(RuntimeError, match="synthetic error"):
+        monkeypatch.setattr(mc, "run_trial", raising)
+        streams = count_streams(monkeypatch)
+        with pytest.raises(RuntimeError, match="synthetic error"):
+            mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
+        # the blocks up to the one of trial 3, each trial's streams once
+        assert streams == trial_streams(cfg.regime, range(block * (3 // block + 1)))
+
+    @pytest.mark.parametrize("name", ["b_snr", "c_t0", "d_snr"])
+    def test_trial_draws_do_not_outlive_the_trial(self, monkeypatch, name):
+        """Every draw a trial's :class:`~caponplus.signalsim.TrialRngs`
+        reads dies with the trial, by reference counting alone: when a
+        public :func:`run_trial` returns, and after a chunk raises inside a
+        trial once the error is dropped."""
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
+        _, values, contexts = run
+        refs, draws = [], signalsim.TrialRngs.draws
+
+        def watched(rngs, *shape):
+            held = draws(rngs, *shape)
+            refs.extend(weakref.ref(arr) for arr in held if arr is not None)
+            return held
+
+        monkeypatch.setattr(signalsim.TrialRngs, "draws", watched)
+        original, calls = mc.adaptive_capon_weights, itertools.count()
+
+        def failing(matrix, a):
+            # a trial factors one covariance per point: raise in trial 3
+            if next(calls) == 3 * len(values):
+                raise RuntimeError("synthetic error")
+            return original(matrix, a)
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            run_trial(cfg, values[0], 0, contexts[0])
+            run_trial(cfg, values[-1], 1)  # on a context built alone
+            assert refs and all(ref() is None for ref in refs)
+            refs.clear()
+            monkeypatch.setattr(mc, "adaptive_capon_weights", failing)
+            with pytest.raises(RuntimeError, match="synthetic error") as info:
                 mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
-            assert memo_is_empty(), name
-            monkeypatch.undo()
+            # the error's traceback holds the trial's frame, and so its draws
+            assert refs[-1]() is not None
+            del info
+            assert all(ref() is None for ref in refs)
+        finally:
+            if collecting:
+                gc.enable()
 
     @pytest.mark.parametrize("name", ["oracle_gauss", "d_t0"])
     def test_chunk_state_does_not_outlive_the_chunk(self, monkeypatch, name):
@@ -637,7 +666,7 @@ class TestTrialMemo:
         with the chunk, by reference counting alone: when it returns, and
         after it raises once the error is dropped.  In d_t0 a held sample
         covariance error is raised too."""
-        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
         trial, refs = mc._TRIAL_FUNCS[cfg.regime], []
 
         def watched(config, points, trials, work):
@@ -682,13 +711,12 @@ class TestT0SweepSharesOneSecondaryDraw:
 
     @pytest.mark.parametrize("name", ["c_t0", "d_t0", "d_snr"])
     def test_point_scm_is_scm_of_a_prefix_of_the_largest_draw(self, monkeypatch, name):
-        cfg, (_, values, contexts) = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        cfg, (_, values, contexts) = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
         largest = (int(max(values)) if cfg.sweep.variable is SweepVariable.T0
                    else cfg.secondary_snapshots)
         seen, original = [], mc.scm
         monkeypatch.setattr(mc, "scm", lambda batch: seen.append(original(batch)) or seen[-1])
         for i in range(3):
-            signalsim.clear_trial_memo()
             run_trial(cfg, values[0], i, contexts[0])
             assert len(seen) == len(values)
             for ctx, cov in zip(contexts, seen):
@@ -697,7 +725,6 @@ class TestT0SweepSharesOneSecondaryDraw:
                 expected = scm(full._replace(snapshots=full.snapshots[:ctx.secondary_snapshots]))
                 assert bits(cov.matrix).tolist() == bits(expected.matrix).tolist()
             seen.clear()
-        signalsim.clear_trial_memo()
 
     @pytest.mark.parametrize("preset", ["fig5", "fig6"])
     def test_sweep_order_does_not_change_a_points_records(self, preset):
@@ -732,19 +759,21 @@ class TestHeldFailure:
     """A regime-b to -d trial runs at every point at once and scores the
     points that trained as one stack, so a sample covariance that cannot be
     factored at one point is held as that point's entry, and every other
-    point keeps its own records."""
+    point keeps its own records.  Each trial still reads each of its streams
+    once."""
 
     def test_counts_only_at_its_point(self, monkeypatch):
         run, whole = _chunk_point("d_psk8_t0_30")
         fails = {(0, 5): NotPositiveDefinite("synthetic failure", pivot_index=0),
                  (1, 7): NotPositiveDefinite("synthetic failure", pivot_index=0)}
         fail_inside_trial(monkeypatch, run, fails)
+        streams = count_streams(monkeypatch)
         parts = mc._run_chunk(run, (0, CHUNK_TRIALS))
         for point in range(len(run[1])):
             assert parts[point][2] == sum(p == point for p, _ in fails)
             assert (exact(point_records([parts], point))
                     == exact(surviving_records(whole, point, fails)))
-        assert memo_is_empty()
+        assert streams == trial_streams(Regime.D, range(CHUNK_TRIALS))
 
     @pytest.mark.parametrize("name, fails", [
         ("c_t0", {(1, 2), (2, 5)}),  # the middle and the last point of a T0 sweep
@@ -752,25 +781,27 @@ class TestHeldFailure:
         ("b_snr", {(1, 3)}),  # one point of an SNR sweep, one scene per point
     ])
     def test_failed_point_keeps_its_place_in_the_stack(self, monkeypatch, name, fails):
-        _, run = scenario_run(TRIAL_MAJOR_RUNS[name][0], 100)
+        cfg, run = scenario_run(TRIAL_MAJOR_RUNS[name], 100)
         whole = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
         fail_inside_trial(monkeypatch, run, {
             key: NotPositiveDefinite("synthetic failure", pivot_index=0) for key in fails})
+        streams = count_streams(monkeypatch)
         parts = mc._run_chunk(run, (0, TRIAL_MAJOR_TRIALS))
         for point in range(len(run[1])):
             assert parts[point][2] == sum(p == point for p, _ in fails)
             assert (exact(point_records([parts], point))
                     == exact(surviving_records(whole, point, fails)))
-        assert memo_is_empty()
+        assert streams == trial_streams(cfg.regime, range(TRIAL_MAJOR_TRIALS))
 
     def test_other_error_at_a_later_point_ends_the_run(self, monkeypatch):
         run, _ = _chunk_point("d_psk8_t0_30")
         fails = {(0, 3): NotPositiveDefinite("synthetic failure", pivot_index=0),
                  (1, 3): RuntimeError("synthetic error")}
         fail_inside_trial(monkeypatch, run, fails)
+        streams = count_streams(monkeypatch)
         with pytest.raises(RuntimeError, match="synthetic error"):
             mc._run_chunk(run, (0, CHUNK_TRIALS))
-        assert memo_is_empty()
+        assert streams == trial_streams(Regime.D, range(4))
 
 
 # Fixed-weight runs checked against the snapshot-matrix reference: the oracle

@@ -32,7 +32,7 @@ from caponplus.signalsim import (
 )
 from helpers import (
     bits,
-    count_draws,
+    count_streams,
     draw_interference_noise,
     draw_waveform,
     kurtosis_estimate,
@@ -335,9 +335,10 @@ class TestStreamContract:
         role=st.sampled_from(list(StreamRole)),
     )
     def test_coordinates_outside_range_rejected_everywhere(self, coords, role):
-        """Every entry point that draws rejects the coordinates, and none
-        leaves a draw cached behind it."""
+        """Every entry point that draws rejects the coordinates, and a
+        :class:`TrialRngs` rejects them again: it holds no draw of them."""
         seed, trial = coords
+        rngs = TrialRngs(seed, trial)
         cfg = ScenarioConfig(
             regime=Regime.ORACLE, geom=GEOM, base_scene=PSK_SCENE, waveform=WaveformKind.PSK8,
             snapshots=8, secondary_snapshots=0, trials=100, master_seed=seed,
@@ -345,18 +346,15 @@ class TestStreamContract:
         )
         calls = (
             lambda: RngStream(seed, trial, role).generator(),
-            lambda: TrialRngs(seed, trial).stream(role),
-            lambda: synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 8,
-                                          TrialRngs(seed, trial)),
-            lambda: synth_scene_secondary(GEOM, PSK_SCENE, WaveformKind.PSK8, 8,
-                                          TrialRngs(seed, trial)),
+            lambda: rngs.stream(role),
+            lambda: rngs.draws(role, WaveformKind.PSK8, 1, 8, 4),
+            lambda: synth_scene_snapshots(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, rngs),
+            lambda: synth_scene_secondary(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, rngs),
             lambda: run_trial(cfg, 0.0, trial),
         )
-        for call in calls:
-            signalsim.clear_trial_memo()
+        for call in calls * 2:
             with pytest.raises(DomainError, match="master seed|trial index"):
                 call()
-            assert signalsim._new_draws.cache_info().currsize == 0
 
     @pytest.mark.parametrize("coords", [(7.0, 3), (7, 3.0), ("7", 3), (None, 3)])
     def test_non_integer_coordinates_rejected(self, coords):
@@ -379,8 +377,8 @@ class TestStreamContract:
                 got = TrialRngs(seed, trial).stream(role).bit_generator.state
                 assert got == numpy_stream_state(int(seed), int(trial), role)
 
-    @pytest.mark.parametrize("value", [RngStream(7, 3, StreamRole.NOISE), TrialRngs(7, 3)])
-    def test_fields_immutable(self, value):
+    def test_fields_immutable(self):
+        value = RngStream(7, 3, StreamRole.NOISE)
         for name in type(value)._fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, 1)
@@ -390,17 +388,11 @@ class TestStreamContract:
         assert not hasattr(value, "__dict__")
 
     def test_equal_coordinates_equal_and_hash_equal(self):
-        pairs = [
-            (RngStream(7, 3, StreamRole.NOISE), RngStream(7, 3, StreamRole.NOISE)),
-            (TrialRngs(2**70, 2**32 - 1), TrialRngs(2**70, 2**32 - 1)),
-        ]
-        for a, b in pairs:
-            assert a is not b and a == b and hash(a) == hash(b)
-            assert pickle.loads(pickle.dumps(a)) == a
+        a, b = RngStream(7, 3, StreamRole.NOISE), RngStream(7, 3, StreamRole.NOISE)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
         assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 3, StreamRole.SOI)
         assert RngStream(7, 3, StreamRole.NOISE) != RngStream(7, 4, StreamRole.NOISE)
-        assert TrialRngs(7, 3) != TrialRngs(8, 3)
-        assert RngStream(7, 3, StreamRole.SOI) != TrialRngs(7, 3)
 
 
 class TestSynthMatchesReference:
@@ -459,26 +451,25 @@ class TestSynthMatchesReference:
     @pytest.mark.parametrize("which", ["snapshots", "secondary", "outputs"])
     @pytest.mark.parametrize("count", [60.0, 60.5, "60", None])
     def test_non_integer_count_rejected_cold_and_warm(self, which, count):
-        """A count that is not an integer raises ``DomainError`` on an empty
-        memo, and again once the same trial's 60-sample draws are cached."""
+        """A count that is not an integer raises ``DomainError`` on a fresh
+        :class:`TrialRngs`, and again once it holds the 60-sample draws."""
         geom = ArrayGeometry(4, 0.5)
         omap = signalsim.output_map(geom, [PSK_SCENE], WaveformKind.PSK8, np.ones((1, 1, 4)))
+        rngs = TrialRngs(7, 3)
         synth = {
             "snapshots": lambda n: synth_scene_snapshots(geom, PSK_SCENE, WaveformKind.PSK8, n,
-                                                         TrialRngs(7, 3)),
+                                                         rngs),
             "secondary": lambda n: synth_scene_secondary(geom, PSK_SCENE, WaveformKind.PSK8, n,
-                                                         TrialRngs(7, 3)),
+                                                         rngs),
             "outputs": lambda n: signalsim.synth_outputs(omap, n, 7, range(3, 4),
                                                           signalsim.Workspace()),
         }[which]
-        signalsim.clear_trial_memo()
         with pytest.raises(DomainError, match="sample count must be an integer"):
             synth(count)
         synth(60)
         with pytest.raises(DomainError, match="sample count must be an integer"):
             synth(count)
         synth(np.int64(60))
-        signalsim.clear_trial_memo()
 
 
 OUTPUT_SCENES = [
@@ -605,45 +596,44 @@ def memo_scene(n_interferers, scale):
 
 
 class TestDrawMemo:
-    """The cache of unscaled draws is invisible: any interleaving of
-    synthesis calls gives what each call gives on an empty cache, which is
-    the reference, and every cached array is read-only."""
+    """The draws a :class:`TrialRngs` holds are invisible: any interleaving
+    of synthesis calls on one object per trial gives what each call gives on
+    a fresh object, which is the reference, and every held array is
+    read-only."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(calls=st.lists(MEMO_CALL, min_size=1, max_size=12))
     def test_interleaved_calls_equal_cold_calls(self, calls):
-        signalsim.clear_trial_memo()
-        warm = []
+        shared, warm = {}, []
         with pytest.MonkeyPatch.context() as patch:
-            counts = count_draws(patch)
+            streams = count_streams(patch)
             for which, seed, trial, kind, n_int, count, m, scale in calls:
                 synth, _ = SYNTH[which]
                 geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
-                warm.append(synth(geom, scene, kind, count, TrialRngs(seed, trial)))
+                rngs = shared.setdefault((seed, trial), TrialRngs(seed, trial))
+                warm.append(synth(geom, scene, kind, count, rngs))
                 for role, k, m_role in memo_keys(which, n_int, m):
-                    made = len(counts["made"])
-                    cached = signalsim._new_draws(seed, trial, role, kind, k, count, m_role)
-                    assert len(counts["made"]) == made  # the call above kept it
-                    for arr in cached:
+                    read = len(streams)
+                    held = rngs.draws(role, kind, k, count, m_role)
+                    assert len(streams) == read  # the call above read them
+                    for arr in held:
                         assert arr is None or not arr.flags.writeable
         for (which, seed, trial, kind, n_int, count, m, scale), got in zip(calls, warm):
             synth, reference = SYNTH[which]
             geom, scene = ArrayGeometry(m, 0.5), memo_scene(n_int, scale)
-            signalsim.clear_trial_memo()
             cold = synth(geom, scene, kind, count, TrialRngs(seed, trial))
             ref = reference(geom, scene, kind, count, seed, trial)
             for batch in (cold, ref):
                 assert np.array_equal(bits(got.snapshots), bits(batch.snapshots))
                 assert np.array_equal(bits(got.truth), bits(batch.truth))
 
-
     @pytest.mark.parametrize("kind", list(WaveformKind))
     def test_draws_are_held_in_the_layout_synthesis_reads(self, kind):
         """Each draw is a read-only, C-contiguous complex ``(count, .)`` array
         whose parts are the generator's draws in the order it made them."""
-        signalsim.clear_trial_memo()
-        soi, no_noise = signalsim._new_draws(7, 3, StreamRole.SOI, kind, 1, 60, 0)
-        waves, noise = signalsim._new_draws(7, 3, StreamRole.SECONDARY, kind, 3, 60, 25)
+        rngs = TrialRngs(7, 3)
+        soi, no_noise = rngs.draws(StreamRole.SOI, kind, 1, 60, 0)
+        waves, noise = rngs.draws(StreamRole.SECONDARY, kind, 3, 60, 25)
         assert no_noise is None
         for arr, shape in ((soi, (60, 1)), (waves, (60, 3)), (noise, (60, 25))):
             assert arr.shape == shape and arr.dtype == np.complex128
@@ -663,10 +653,9 @@ class TestDrawMemo:
     @pytest.mark.parametrize("coords", [(7.0, 3), (7, 3.0)])
     def test_float_coordinates_rejected_cold_and_warm(self, which, coords):
         synth, _ = SYNTH[which]
-        signalsim.clear_trial_memo()
         with pytest.raises(DomainError, match="must be integers"):
             synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
-        # and again once the integer coordinates' draws are cached
+        # and again once seed 7's block of seed words is cached
         synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(7, 3))
         with pytest.raises(DomainError, match="must be integers"):
             synth(GEOM, PSK_SCENE, WaveformKind.PSK8, 8, TrialRngs(*coords))
@@ -676,36 +665,27 @@ class TestDrawMemo:
     def test_numpy_integer_coordinates_give_the_integer_batch(self, which, kind):
         synth, reference = SYNTH[which]
         ref = reference(GEOM, PSK_SCENE, kind, 60, 7, 3)
-        signalsim.clear_trial_memo()
         for seed, trial in ((7, 3), (np.int64(7), np.uint32(3)), (7, 3)):
             got = synth(GEOM, PSK_SCENE, kind, 60, TrialRngs(seed, trial))
             assert np.array_equal(bits(got.snapshots), bits(ref.snapshots))
             assert np.array_equal(bits(got.truth), bits(ref.truth))
 
-    def test_at_most_four_draws_held(self, monkeypatch):
-        signalsim.clear_trial_memo()
-        counts = count_draws(monkeypatch)
-        made = counts["made"]
-        kind = WaveformKind.CIRCULAR_GAUSSIAN
+    def test_each_stream_read_once_per_object_and_shape(self, monkeypatch):
+        streams = count_streams(monkeypatch)
+        kind, rngs = WaveformKind.CIRCULAR_GAUSSIAN, TrialRngs(7, 0)
+        primary = [(0, role) for role in (StreamRole.SOI, StreamRole.INTERFERENCE,
+                                          StreamRole.NOISE)]
+        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, rngs)
+        assert streams == primary
+        # another scene of the same trial reads the held draws
+        synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, rngs)
+        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, rngs)
+        synth_scene_secondary(GEOM, memo_scene(3, 10.0), kind, 30, rngs)
+        assert streams == primary + [(0, StreamRole.SECONDARY)]
+        # another count reads its stream again, and so does a fresh object
+        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 40, rngs)
         synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 0))
-        assert len(made) == 3
-        # another scene of the same trial: its draws are found
-        synth_scene_snapshots(GEOM, memo_scene(3, 10.0), kind, 60, TrialRngs(7, 0))
-        assert len(made) == 3
-        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 0))
-        trial_0 = list(made)
-        assert len(trial_0) == 4 and signalsim._new_draws.cache_info().currsize == 4
-        # another trial: its four draws evict the first trial's
-        synth_scene_snapshots(GEOM, memo_scene(3, 1.0), kind, 60, TrialRngs(7, 1))
-        synth_scene_secondary(GEOM, memo_scene(3, 1.0), kind, 30, TrialRngs(7, 1))
-        assert len(made) == 8 and signalsim._new_draws.cache_info().currsize == 4
-        for key in made[4:]:
-            signalsim._new_draws(*key)
-        assert len(made) == 8  # the second trial's draws are all held
-        signalsim._new_draws(*trial_0[0])
-        assert made[-1] == trial_0[0]  # the first trial's were evicted
-        signalsim.clear_trial_memo()
-        assert signalsim._new_draws.cache_info().currsize == 0
+        assert streams == primary + [(0, StreamRole.SECONDARY)] * 2 + primary
 
     def test_equal_scenes_share_one_constants_entry(self):
         constants = signalsim._scene_constants

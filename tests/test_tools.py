@@ -196,9 +196,11 @@ class TestPairCpu:
         assert set(result) == {"preset", "trials", "rounds", "against", "here", "there"}
         assert (result["preset"], result["trials"], result["rounds"]) == ("fig1", 100, 2)
         for side in ("here", "there"):
-            assert set(result[side]) == {"median_us_per_pair", "iqr_us_per_pair", "wins"}
+            assert set(result[side]) == {"median_us_per_pair", "iqr_us_per_pair", "wins",
+                                         "median_minflt_per_pair"}
             assert result[side]["median_us_per_pair"] > 0.0
             assert result[side]["iqr_us_per_pair"] >= 0.0
+            assert result[side]["median_minflt_per_pair"] >= 0.0
         assert result["here"]["wins"] + result["there"]["wins"] <= 2
 
     @pytest.mark.parametrize("args", [["fig2", "100"], ["fig1", "50"],

@@ -24,9 +24,11 @@ parent commit's), it measures nothing in this process.  It runs this
 script and DIR's own ``tools/pair_cpu.py`` as fresh processes, alternately
 for N rounds (2 by default), swapping which side runs first from one round
 to the next, and prints one JSON line: for each side (``here`` and
-``there``) the median and the interquartile range of its ``us_per_pair``
-and the number of rounds it won with the lower value.  Place the two trees
-at paths of equal length: a tree's page faults can depend on its path.
+``there``) the median and the interquartile range of its ``us_per_pair``,
+the number of rounds it won with the lower value, and the median of its
+``minflt_per_pair``, which shows when one side's repeats faulted.  Place the
+two trees at paths of equal length: a tree's page faults can depend on its
+path.
 """
 
 from __future__ import annotations
@@ -90,14 +92,18 @@ def main(argv: list[str]) -> int:
 
 def _alternate(args: argparse.Namespace, scripts: dict[str, Path]) -> int:
     """Run the sides' scripts in turn for ``args.rounds`` rounds and print
-    each side's median, IQR and wins of ``us_per_pair``."""
+    each side's median, IQR and wins of ``us_per_pair`` and its median
+    ``minflt_per_pair``."""
     runs: dict[str, list[float]] = {side: [] for side in scripts}
+    faults: dict[str, list[float]] = {side: [] for side in scripts}
     wins = dict.fromkeys(scripts, 0)
     for round_ in range(args.rounds):
         for side in sorted(scripts, reverse=round_ % 2 == 1):
             done = subprocess.run([sys.executable, str(scripts[side]), args.preset,
                                    str(args.trials)], capture_output=True, text=True, check=True)
-            runs[side].append(json.loads(done.stdout.splitlines()[-1])["us_per_pair"])
+            result = json.loads(done.stdout.splitlines()[-1])
+            runs[side].append(result["us_per_pair"])
+            faults[side].append(result["minflt_per_pair"])
         here, there = runs["here"][-1], runs["there"][-1]
         if here != there:
             wins["here" if here < there else "there"] += 1
@@ -105,7 +111,8 @@ def _alternate(args: argparse.Namespace, scripts: dict[str, Path]) -> int:
     for side, values in runs.items():
         low, high = np.percentile(values, [25, 75])
         summary[side] = {"median_us_per_pair": round(float(np.median(values)), 2),
-                         "iqr_us_per_pair": round(float(high - low), 2), "wins": wins[side]}
+                         "iqr_us_per_pair": round(float(high - low), 2), "wins": wins[side],
+                         "median_minflt_per_pair": round(float(np.median(faults[side])), 3)}
     print(json.dumps({"preset": args.preset, "trials": args.trials, "rounds": args.rounds,
                       "against": str(args.against), **summary}))
     return 0
